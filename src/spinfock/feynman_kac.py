@@ -85,11 +85,10 @@ def fk_report(
     config = sde.SDEConfig(spec, "p0", dt, horizon, "corrected", seed)
     chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
     values = {t: [] for t in t_grid}
-    for _, u0, snaps in sde.evolve_ensemble(config, n_paths, t_grid):
-        a0 = np.einsum("pab,b->pa", u0, psi.amplitudes)[:, 0]
+    for _, r0, snaps in sde.evolve_ensemble(config, n_paths, t_grid):
+        a0 = r0 @ psi.amplitudes
         for t in t_grid:
-            at = np.einsum("pab,b->pa", snaps[t], chi[t])[:, 0]
-            values[t].append(np.conj(a0) * at)
+            values[t].append(np.conj(a0) * (snaps[t] @ chi[t]))
     rows = []
     for t in t_grid:
         mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))

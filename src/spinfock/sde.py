@@ -9,8 +9,17 @@ Two processes are simulated in the spin representation, both driven by the
 Each step right-multiplies the state by the exponential of the sampled
 algebra increment, so unitarity is preserved up to rounding. The noise-only
 exponent is a Clifford vector gamma(c)/2, whose square is the scalar
--|c|^2/4, giving the step matrix in closed form; drifted steps go through an
+-|c|^2/4, so the step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2.
+Each gamma_j/2 has exactly one nonzero per column, valued in {+-1/2, +-i/2},
+so a row times it is a gather plus a phase; one kernel applies the step to
+the trailing axis of any stack of rows. Drifted steps go through an
 eigendecomposition.
+
+Right-multiplication maps rows to rows, and every estimator reads only the
+matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
+(2^n numbers per path) rather than the spin matrices U. Increments are drawn
+per path in step-blocks of a fixed byte budget, so memory does not grow with
+the horizon.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2 + drift. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -34,6 +43,13 @@ from .spin_group import ANGLE_PI_TOL, GroupPoint
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 PROCESSES = ("p0", "p")
+
+# Bytes of Gaussian increments drawn per chunk at a time. Memory per chunk
+# scales with this budget, not with the horizon; every block costs one draw
+# call per path, so a smaller budget adds interpreter overhead.
+_BLOCK_BYTES = 1 << 21
+
+_MONOMIAL_PHASES = (0.5, -0.5, 0.5j, -0.5j)
 
 
 @dataclass(frozen=True)
@@ -92,25 +108,71 @@ def drift_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return -so_algebra.spin_rep(hamiltonian.b0_element(spec))
 
 
+def monomial_form(mats: np.ndarray) -> tuple:
+    """(perm, phase), each (k, 2^n), of a stack of k monomial matrices.
+
+    Column b of mats[j] holds its only nonzero, phase[j, b], in row
+    perm[j, b], so row @ mats[j] == phase[j] * row[..., perm[j]]. Raises
+    NumericError unless every column has exactly one nonzero, valued in
+    {+-1/2, +-i/2}: the structure of the noise images gamma_j/2.
+    """
+    mats = np.asarray(mats)
+    if not np.all(np.count_nonzero(mats, axis=-2) == 1):
+        raise NumericError("noise generator images are not monomial matrices")
+    perm = np.argmax(mats != 0, axis=-2)
+    phase = np.take_along_axis(mats, perm[..., None, :], axis=-2)[..., 0, :]
+    if not np.all(np.isin(phase, _MONOMIAL_PHASES)):
+        raise NumericError("noise generator entries are not in {+-1/2, +-i/2}")
+    return perm, phase
+
+
 def _expm_antihermitian_batch(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(1j * m)
     return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def _noise_step_matrices(scaled: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """exp(gamma(c)/2) batched over paths; scaled has shape (paths, 2n)."""
-    dim = gens.shape[-1]
-    g = np.einsum("pj,jab->pab", scaled, gens)
-    om = 0.5 * np.sqrt(np.einsum("pj,pj->p", scaled, scaled))
-    eye = np.eye(dim)
-    return np.cos(om)[:, None, None] * eye + np.sinc(om / np.pi)[:, None, None] * g
+def _noise_coefficients(scaled: np.ndarray) -> tuple:
+    """cos(w) and sinc(w/pi) * c for the step exp(gamma(c)/2), w = |c|/2.
+
+    scaled holds the sigma-weighted increments c on the last of at least two
+    axes; it is overwritten with the second result.
+    """
+    om = np.einsum("...j,...j->...", scaled, scaled)
+    np.sqrt(om, out=om)
+    om *= 0.5
+    cos_om = np.cos(om)
+    sinc = np.sin(om)
+    np.divide(sinc, om, out=sinc, where=om > 0)
+    sinc[om == 0] = 1.0
+    scaled *= sinc[..., None]
+    return cos_om, scaled
 
 
-def _step_matrix(scaled: np.ndarray, gens: np.ndarray, drift: np.ndarray | None, dt: float):
+def _apply_noise(rows, cos_om, coef, perm, phase) -> np.ndarray:
+    """rows @ exp(gamma(c)/2) for rows (..., 2^n), from _noise_coefficients(c).
+
+    rows broadcast against the leading axes of the coefficients. A row times
+    gamma_j/2 is the row gathered by perm[j] and scaled by phase[j].
+    """
+    out = cos_om[..., None] * rows
+    rows = np.broadcast_to(rows, out.shape)
+    for j in range(len(perm)):
+        term = rows[..., perm[j]]
+        term *= phase[j]
+        term *= coef[..., j, None]
+        out += term
+    return out
+
+
+def _step_rows(rows, scaled, gens, drift, dt) -> np.ndarray:
+    """rows @ exp(gamma(c)/2 + drift dt) for scaled increments c (..., 2n).
+
+    Noise-only steps overwrite scaled (see _noise_coefficients).
+    """
     if drift is None:
-        return _noise_step_matrices(scaled, gens)
-    g = np.einsum("pj,jab->pab", scaled, gens) + drift * dt
-    return _expm_antihermitian_batch(g)
+        return _apply_noise(rows, *_noise_coefficients(scaled), *monomial_form(gens))
+    step = _expm_antihermitian_batch(np.einsum("...j,jab->...ab", scaled, gens) + drift * dt)
+    return np.einsum("...a,...ab->...b", rows, step)
 
 
 def sde_step(state: PathState, increments: np.ndarray, config: SDEConfig) -> PathState:
@@ -124,9 +186,8 @@ def sde_step(state: PathState, increments: np.ndarray, config: SDEConfig) -> Pat
     gens = noise_generator_matrices(n)
     drift = drift_matrix(config.spec) if config.process == "p" else None
     scaled = (increments * config.sigmas)[None, :]
-    step = _step_matrix(scaled, gens, drift, config.dt)[0]
-    point = GroupPoint(n, state.point.spin_matrix @ step)
-    return PathState(state.time + config.dt, point)
+    u = _step_rows(state.point.spin_matrix, scaled, gens, drift, config.dt)
+    return PathState(state.time + config.dt, GroupPoint(n, u))
 
 
 def num_steps(config: SDEConfig) -> int:
@@ -203,13 +264,15 @@ def evolve_ensemble(
     initial: GroupPoint | None = None,
     chunk_size: int = 4096,
 ):
-    """Evolve independent paths, yielding per-chunk states at the grid times.
+    """Evolve independent paths, yielding per-chunk rows e_0^T U at the grid times.
 
-    Yields (start_index, U0, snapshots) where U0 is the stack of initial spin
-    matrices (Haar-distributed unless ``initial`` pins them) and snapshots
-    maps each grid time to the stack of spin matrices at that time. Path i
-    draws from the stream path_rng(config.seed, i), so results do not depend
-    on the chunk size.
+    Yields (start_index, r0, snapshots) where r0 stacks the rows e_0^T U0 of
+    the initial spin matrices (Haar-distributed unless ``initial`` pins
+    them), paths on axis 0, and snapshots maps each grid time to the stack of
+    rows e_0^T U at that time. A matrix coefficient <e_0, U psi> is r @ psi.
+    Path i draws from the stream path_rng(config.seed, i), in step-blocks
+    that together equal one draw of all its increments, so results depend
+    neither on the chunk size nor on the block size.
     """
     spec = config.spec
     n = spec.n
@@ -222,30 +285,41 @@ def evolve_ensemble(
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
     gens = noise_generator_matrices(n)
+    perm, phase = monomial_form(gens)
     sig = config.sigmas
     drift = drift_matrix(spec) if config.process == "p" else None
     sqrt_dt = math.sqrt(config.dt)
+    width = 2 * n
 
     for start in range(0, n_paths, chunk_size):
         count = min(chunk_size, n_paths - start)
         rngs = [path_rng(config.seed, start + i) for i in range(count)]
         if initial is None:
-            u0 = _haar_spin_batch(n, rngs)
+            r0 = _haar_spin_batch(n, rngs)[:, 0, :].copy()
         else:
-            u0 = np.tile(initial.spin_matrix, (count, 1, 1))
-        dw = np.empty((count, total_steps, 2 * n))
-        for i, rng in enumerate(rngs):
-            dw[i] = rng.standard_normal((total_steps, 2 * n))
-        dw *= sqrt_dt
-        u = u0.copy()
-        snapshots = {t: u0 for t, s in steps_for.items() if s == 0}
-        for m in range(total_steps):
-            step = _step_matrix(dw[:, m, :] * sig, gens, drift, config.dt)
-            u = u @ step
-            for t, s in steps_for.items():
-                if s == m + 1:
-                    snapshots[t] = u.copy() if m + 1 < total_steps else u
-        yield start, u0, snapshots
+            r0 = np.tile(initial.spin_matrix[0], (count, 1))
+        block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
+        draws = np.empty((count, block, width))
+        r = r0
+        snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
+        for first in range(0, total_steps, block):
+            size = min(block, total_steps - first)
+            for rng, out in zip(rngs, draws[:, :size]):
+                rng.standard_normal(out=out)
+            # steps on axis 0, so each step reads contiguous coefficients
+            scaled = np.multiply(draws[:, :size].transpose(1, 0, 2), sqrt_dt, order="C")
+            scaled *= sig
+            if drift is None:
+                cos_om, coef = _noise_coefficients(scaled)
+            for m in range(size):
+                if drift is None:
+                    r = _apply_noise(r, cos_om[m], coef[m], perm, phase)
+                else:
+                    r = _step_rows(r, scaled[m], gens, drift, config.dt)
+                for t, s in steps_for.items():
+                    if s == first + m + 1:
+                        snapshots[t] = r
+        yield start, r0, snapshots
 
 
 @dataclass(frozen=True)
@@ -280,8 +354,7 @@ def generator_check(
 
     rng = np.random.default_rng(config.seed)
     dw = rng.standard_normal((n_samples, 2 * n)) * math.sqrt(dt)
-    step = _step_matrix(dw * config.sigmas, gens, drift, dt)
-    amps = np.einsum("ab,pbc,c->pa", x.spin_matrix, step, psi.amplitudes)[:, 0]
+    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas, gens, drift, dt) @ psi.amplitudes
     f0 = (x.spin_matrix @ psi.amplitudes)[0]
     values = (amps - f0) / dt
     mean, stderr = spin_group.complex_mean_stderr(values)
@@ -308,11 +381,10 @@ def decay_curve(
     horizon = max(float(t) for t in t_grid) if len(t_grid) else 0.0
     config = SDEConfig(spec, "p0", dt, horizon, sigma_convention, seed)
     values = {float(t): [] for t in t_grid}
-    for _, u0, snaps in evolve_ensemble(config, n_paths, t_grid):
-        a0 = np.einsum("pab,b->pa", u0, psi.amplitudes)[:, 0]
-        for t, ut in snaps.items():
-            at = np.einsum("pab,b->pa", ut, psi.amplitudes)[:, 0]
-            values[t].append(np.conj(a0) * at)
+    for _, r0, snaps in evolve_ensemble(config, n_paths, t_grid):
+        a0 = r0 @ psi.amplitudes
+        for t, rt in snaps.items():
+            values[t].append(np.conj(a0) * (rt @ psi.amplitudes))
     rows = []
     for t in sorted(values):
         mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from spinfock import checks, cli
+from spinfock import checks, cli, sde
 
 
 def run_cli(capsys, argv):
@@ -125,6 +125,22 @@ class TestFK:
         assert json.loads(out)["rows"][0]["lhs_re"] == pytest.approx(0.25)
         code, _, _ = run_cli(capsys, ["fk", "--n", "2", "--state", "5", "--seed", "1"])
         assert code == 2
+
+    def test_non_monomial_noise_image_is_numeric_failure(self, capsys, monkeypatch):
+        dense = sde.noise_generator_matrices
+
+        def broken(n):
+            gens = dense(n)
+            gens[0, 0, 0] = 0.5
+            return gens
+
+        monkeypatch.setattr(sde, "noise_generator_matrices", broken)
+        code, out, err = run_cli(
+            capsys, ["fk", "--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "monomial" in err
 
 
 class TestCalibrate:

@@ -70,15 +70,11 @@ class TestMonteCarlo:
         psi = fock.basis_vector(1, [1]).amplitudes
         chi = fk._phase_evolved(fock.basis_vector(1, [1]), SPEC1, 0.1)
         cfg = sde.SDEConfig(SPEC1, "p0", 1e-3, 0.1, "corrected", 3)
-        _, u0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1]))
-        ut = snaps[0.1]
-        a0 = np.einsum("pab,b->pa", u0, psi)[:, 0]
-        at = np.einsum("pab,b->pa", ut, chi)[:, 0]
-        plain = np.conj(a0) * at
+        _, r0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1]))
+        rt = snaps[0.1]
+        plain = np.conj(r0 @ psi) * (rt @ chi)
         # the deck flip of X(0) propagates to X(t) = X(0) M(t)
-        f0 = np.einsum("pab,b->pa", -u0, psi)[:, 0]
-        ft = np.einsum("pab,b->pa", -ut, chi)[:, 0]
-        flipped = np.conj(f0) * ft
+        flipped = np.conj((-r0) @ psi) * ((-rt) @ chi)
         assert np.array_equal(plain, flipped)
 
     def test_report_rows_and_determinism(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,37 @@ class TestStep:
         assert np.max(np.abs(sde.drift_matrix(SPEC2) + b0)) == 0.0
 
 
+class TestMonomialForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_noise_images_are_monomial(self, n):
+        gens = sde.noise_generator_matrices(n)
+        dim = 1 << n
+        for g in gens:
+            assert np.array_equal(np.count_nonzero(g, axis=0), np.ones(dim, dtype=int))
+            assert np.all(np.isin(g[g != 0], [0.5, -0.5, 0.5j, -0.5j]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rebuilds_dense_images_exactly(self, n):
+        gens = sde.noise_generator_matrices(n)
+        perm, phase = sde.monomial_form(gens)
+        cols = np.arange(1 << n)
+        for j, g in enumerate(gens):
+            dense = np.zeros_like(g)
+            dense[perm[j], cols] = phase[j]
+            assert np.array_equal(dense, g)
+
+    def test_rejects_non_monomial(self):
+        gens = sde.noise_generator_matrices(2)
+        two_per_column = gens.copy()
+        two_per_column[0, 0, 0] = 0.5
+        with pytest.raises(NumericError):
+            sde.monomial_form(two_per_column)
+        wrong_value = gens.copy()
+        wrong_value[gens != 0] *= 1.5
+        with pytest.raises(NumericError):
+            sde.monomial_form(wrong_value)
+
+
 class TestSimulatePath:
     def test_zero_horizon(self):
         cfg = config(horizon=0.0)
@@ -100,11 +133,11 @@ class TestEnsemble:
     def test_chunk_size_invariance(self):
         cfg = config(spec=SPEC2, horizon=0.02, seed=42)
         def gather(chunk):
-            u0s, uts = [], []
-            for _, u0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], chunk_size=chunk):
-                u0s.append(u0)
-                uts.append(snaps[0.02])
-            return np.concatenate(u0s), np.concatenate(uts)
+            r0s, rts = [], []
+            for _, r0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], chunk_size=chunk):
+                r0s.append(r0)
+                rts.append(snaps[0.02])
+            return np.concatenate(r0s), np.concatenate(rts)
         a0, at = gather(5)
         b0, bt = gather(64)
         assert np.array_equal(a0, b0)
@@ -118,9 +151,48 @@ class TestEnsemble:
     def test_pinned_initial_state(self):
         cfg = config(horizon=0.0)
         point = sg.identity_point(1)
-        _, u0, snaps = next(sde.evolve_ensemble(cfg, 3, [0.0], initial=point))
-        assert np.array_equal(u0, np.tile(np.eye(2), (3, 1, 1)))
-        assert snaps[0.0] is u0
+        _, r0, snaps = next(sde.evolve_ensemble(cfg, 3, [0.0], initial=point))
+        assert np.array_equal(r0, np.tile(np.eye(2)[0], (3, 1)))
+        assert snaps[0.0] is r0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_dense_reference(self, n, monkeypatch):
+        # blocks of 7 steps: the 30-step horizon crosses four block
+        # boundaries and ends on a partial block
+        paths, steps, dt, seed = 6, 30, 1e-3, 19
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * 2 * n * 8)
+        spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
+        cfg = sde.SDEConfig(spec, "p0", dt, steps * dt, "corrected", seed)
+        grid = [0.0, 0.007, 0.016, 0.03]
+        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid)
+
+        rngs = [sde.path_rng(seed, i) for i in range(paths)]
+        u = sde._haar_spin_batch(n, rngs)
+        dw = np.stack([rng.standard_normal((steps, 2 * n)) for rng in rngs]) * np.sqrt(dt)
+        gens = sde.noise_generator_matrices(n)
+        expected = [u[:, 0]]
+        for m in range(steps):
+            exps = np.einsum("pj,jab->pab", dw[:, m] * cfg.sigmas, gens)
+            u = u @ np.stack([sg.expm_antihermitian(x) for x in exps])
+            expected.append(u[:, 0])
+        assert np.array_equal(r0, expected[0])
+        for t in grid:
+            assert np.max(np.abs(snaps[t] - expected[round(t / dt)])) <= 1e-12
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # increments live in a fixed step-block, so 10x the horizon costs no
+        # more memory
+        def peak(t):
+            cfg = config(horizon=t, seed=4)
+            tracemalloc.start()
+            try:
+                for _ in sde.evolve_ensemble(cfg, 4096, [t]):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1.0) <= 1.25 * peak(0.1)
 
 
 class TestGeneratorCheck:
@@ -169,24 +241,24 @@ class TestDecay:
         gens = sde.noise_generator_matrices(1)
         psi = fock.vacuum(1).amplitudes
         fine_vals, coarse_vals = [], []
-        for start, u0, _ in sde.evolve_ensemble(fine_cfg, n_paths, [0.0], chunk_size=1024):
-            count = u0.shape[0]
+        for start, r0, _ in sde.evolve_ensemble(fine_cfg, n_paths, [0.0], chunk_size=1024):
+            count = r0.shape[0]
             dw = np.empty((count, 1000, 2))
             for i in range(count):
                 rng = sde.path_rng(31, start + i)
                 rng.standard_normal((3, 3))  # skip the Haar draw
                 dw[i] = rng.standard_normal((1000, 2))
             dw *= np.sqrt(5e-4)
-            uf = u0.copy()
+            rf = r0
             for m in range(1000):
-                uf = uf @ sde._step_matrix(dw[:, m, :] * fine_cfg.sigmas, gens, None, 5e-4)
+                rf = sde._step_rows(rf, dw[:, m, :] * fine_cfg.sigmas, gens, None, 5e-4)
             coarse_dw = dw[:, 0::2, :] + dw[:, 1::2, :]
-            uc = u0.copy()
+            rc = r0
             for m in range(500):
-                uc = uc @ sde._step_matrix(coarse_dw[:, m, :] * fine_cfg.sigmas, gens, None, 1e-3)
-            a0 = np.einsum("pab,b->pa", u0, psi)[:, 0]
-            fine_vals.append(np.conj(a0) * np.einsum("pab,b->pa", uf, psi)[:, 0])
-            coarse_vals.append(np.conj(a0) * np.einsum("pab,b->pa", uc, psi)[:, 0])
+                rc = sde._step_rows(rc, coarse_dw[:, m, :] * fine_cfg.sigmas, gens, None, 1e-3)
+            a0 = r0 @ psi
+            fine_vals.append(np.conj(a0) * (rf @ psi))
+            coarse_vals.append(np.conj(a0) * (rc @ psi))
         fine_mean, fine_se = sg.complex_mean_stderr(np.concatenate(fine_vals))
         coarse_mean, _ = sg.complex_mean_stderr(np.concatenate(coarse_vals))
         assert abs(fine_mean - coarse_mean) < fine_se
