@@ -75,6 +75,7 @@ from .spin_group import (
     MCEstimate,
     evaluate_coefficient,
     group_exp,
+    haar_lift,
     haar_sample,
     identity_point,
     l2_inner_mc,

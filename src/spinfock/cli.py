@@ -278,27 +278,26 @@ def cmd_haar_test(config: RunConfig):
     n_samples = config.paths
     rng = np.random.default_rng(config.seed)
     dim = fock.fock_dim(n)
-    vac = fock.vacuum(n)
-    top = fock.basis_vector(n, range(1, n + 1))
+    top = fock.basis_vector(n, range(1, n + 1)).amplitudes
 
     entry_means = np.empty(n_samples)
     trace_sq = np.empty(n_samples)
     unitarity = 0.0
     deck = 0.0
     eye = np.eye(dim)
-    for i in range(n_samples):
-        g = spin_group.haar_sample(rng, n)
-        entry_means[i] = g.defining_matrix.mean()
-        trace_sq[i] = np.trace(g.defining_matrix) ** 2
-        u = g.spin_matrix
-        unitarity = max(unitarity, float(np.max(np.abs(u.conj().T @ u - eye))))
-        flipped = spin_group.deck_flip(g)
-        a = np.conj(spin_group.evaluate_coefficient(spin_group.MatrixCoefficient(vac), g))
-        b = spin_group.evaluate_coefficient(spin_group.MatrixCoefficient(top), g)
-        fa = np.conj(spin_group.evaluate_coefficient(spin_group.MatrixCoefficient(vac), flipped))
-        fb = spin_group.evaluate_coefficient(spin_group.MatrixCoefficient(top), flipped)
-        deck = max(deck, abs(a * b - fa * fb))
+    for start, rot, u in spin_group.haar_chunks(rng, n, n_samples, eye):
+        stop = start + len(rot)
+        entry_means[start:stop] = rot.reshape(len(rot), -1).mean(axis=1)
+        trace_sq[start:stop] = np.trace(rot, axis1=1, axis2=2) ** 2
+        gram = np.conj(np.swapaxes(u, 1, 2)) @ u
+        gram -= eye
+        unitarity = max(unitarity, float(np.max(np.abs(gram))))
+        # <vac, U vac>^* <vac, U top> against the same for the deck image -U
+        a, b = np.conj(u[:, 0, 0]), u[:, 0] @ top
+        fa, fb = np.conj(-u[:, 0, 0]), -u[:, 0] @ top
+        deck = max(deck, float(np.max(np.abs(a * b - fa * fb))))
 
+    vac = fock.vacuum(n)
     schur = spin_group.l2_inner_mc(vac, vac, n_samples, np.random.default_rng(config.seed + 1))
 
     def stat_check(name, values, target):

@@ -11,7 +11,8 @@ algebra increment, so unitarity is preserved up to rounding. The noise-only
 exponent is a Clifford vector gamma(c)/2, whose square is the scalar
 -|c|^2/4, so the step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2.
 Each gamma_j/2 has exactly one nonzero per column, valued in {+-1/2, +-i/2},
-so a row times it is a gather plus a phase; one kernel applies the step to
+so a row times it is a gather plus a phase; one kernel
+(spin_group.apply_monomials, shared with the Haar lift) applies the step to
 the trailing axis of any stack of rows. Drifted steps go through an
 eigendecomposition.
 
@@ -19,7 +20,8 @@ Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 (2^n numbers per path) rather than the spin matrices U. Increments are drawn
 per path in step-blocks of a fixed byte budget, so memory does not grow with
-the horizon.
+the horizon. Each path starts from the Haar lift of one Gaussian draw from
+its own stream.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2 + drift. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -39,7 +41,7 @@ from . import hamiltonian, so_algebra, spin_group
 from .errors import DomainError, NumericError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
-from .spin_group import ANGLE_PI_TOL, GroupPoint
+from .spin_group import GroupPoint, apply_monomials, monomial_form
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 PROCESSES = ("p0", "p")
@@ -48,8 +50,6 @@ PROCESSES = ("p0", "p")
 # scales with this budget, not with the horizon; every block costs one draw
 # call per path, so a smaller budget adds interpreter overhead.
 _BLOCK_BYTES = 1 << 21
-
-_MONOMIAL_PHASES = (0.5, -0.5, 0.5j, -0.5j)
 
 
 @dataclass(frozen=True)
@@ -97,38 +97,12 @@ class PathState:
 
 def noise_generator_matrices(n: int) -> np.ndarray:
     """Spin images of the noise directions, stacked (2n, 2^n, 2^n)."""
-    N = so_algebra.matrix_size(n)
-    return np.stack(
-        [so_algebra.spin_symbol_matrix((j, N), n) for j in range(1, 2 * n + 1)]
-    )
+    return spin_group.vector_images(n)
 
 
 def drift_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Drift of the process (p): the negated spin image of the first-order part."""
     return -so_algebra.spin_rep(hamiltonian.b0_element(spec))
-
-
-def monomial_form(mats: np.ndarray) -> tuple:
-    """(perm, phase), each (k, 2^n), of a stack of k monomial matrices.
-
-    Column b of mats[j] holds its only nonzero, phase[j, b], in row
-    perm[j, b], so row @ mats[j] == phase[j] * row[..., perm[j]]. Raises
-    NumericError unless every column has exactly one nonzero, valued in
-    {+-1/2, +-i/2}: the structure of the noise images gamma_j/2.
-    """
-    mats = np.asarray(mats)
-    if not np.all(np.count_nonzero(mats, axis=-2) == 1):
-        raise NumericError("noise generator images are not monomial matrices")
-    perm = np.argmax(mats != 0, axis=-2)
-    phase = np.take_along_axis(mats, perm[..., None, :], axis=-2)[..., 0, :]
-    if not np.all(np.isin(phase, _MONOMIAL_PHASES)):
-        raise NumericError("noise generator entries are not in {+-1/2, +-i/2}")
-    return perm, phase
-
-
-def _expm_antihermitian_batch(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(1j * m)
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _noise_coefficients(scaled: np.ndarray) -> tuple:
@@ -148,30 +122,14 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
     return cos_om, scaled
 
 
-def _apply_noise(rows, cos_om, coef, perm, phase) -> np.ndarray:
-    """rows @ exp(gamma(c)/2) for rows (..., 2^n), from _noise_coefficients(c).
-
-    rows broadcast against the leading axes of the coefficients. A row times
-    gamma_j/2 is the row gathered by perm[j] and scaled by phase[j].
-    """
-    out = cos_om[..., None] * rows
-    rows = np.broadcast_to(rows, out.shape)
-    for j in range(len(perm)):
-        term = rows[..., perm[j]]
-        term *= phase[j]
-        term *= coef[..., j, None]
-        out += term
-    return out
-
-
 def _step_rows(rows, scaled, gens, drift, dt) -> np.ndarray:
     """rows @ exp(gamma(c)/2 + drift dt) for scaled increments c (..., 2n).
 
     Noise-only steps overwrite scaled (see _noise_coefficients).
     """
     if drift is None:
-        return _apply_noise(rows, *_noise_coefficients(scaled), *monomial_form(gens))
-    step = _expm_antihermitian_batch(np.einsum("...j,jab->...ab", scaled, gens) + drift * dt)
+        return apply_monomials(rows, *_noise_coefficients(scaled), *monomial_form(gens))
+    step = spin_group.expm_antihermitian(np.einsum("...j,jab->...ab", scaled, gens) + drift * dt)
     return np.einsum("...a,...ab->...b", rows, step)
 
 
@@ -213,50 +171,6 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _haar_log_batch(n: int, rngs: list) -> np.ndarray:
-    """Principal logs of per-path Haar rotations; resamples angle-pi draws."""
-    N = so_algebra.matrix_size(n)
-    out = np.empty((len(rngs), N, N))
-    if N == 3:
-        pending = list(range(len(rngs)))
-        while pending:
-            g = np.stack([rngs[i].standard_normal((3, 3)) for i in pending])
-            q, r = np.linalg.qr(g)
-            signs = np.where(np.einsum("pii->pi", r) < 0, -1.0, 1.0)
-            q = q * signs[:, None, :]
-            det = np.linalg.det(q)
-            q[det < 0, :, -1] *= -1.0
-            tr = np.einsum("pii->p", q)
-            theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-            ok = theta <= np.pi - ANGLE_PI_TOL
-            skew = 0.5 * (q - np.swapaxes(q, 1, 2))
-            safe = np.where(theta < 1e-12, 1.0, np.sin(theta))
-            factor = np.where(theta < 1e-12, 1.0, theta / safe)
-            logs = factor[:, None, None] * skew
-            done = [i for i, good in zip(pending, ok) if good]
-            out[np.asarray(done, dtype=int)] = logs[ok]
-            pending = [i for i, good in zip(pending, ok) if not good]
-        return out
-    for i, rng in enumerate(rngs):
-        while True:
-            r = spin_group.haar_orthogonal(rng, N)
-            try:
-                out[i] = spin_group.principal_so_log(r)
-                break
-            except spin_group.AnglePiError:
-                continue
-    return out
-
-
-def _haar_spin_batch(n: int, rngs: list) -> np.ndarray:
-    """Spin lifts of per-path Haar rotations, stacked (paths, 2^n, 2^n)."""
-    logs = _haar_log_batch(n, rngs)
-    syms = so_algebra.symbols(n)
-    imgs = np.stack([so_algebra.spin_symbol_matrix(s, n) for s in syms])
-    coeffs = np.stack([logs[:, j - 1, k - 1] for (j, k) in syms], axis=1)
-    return _expm_antihermitian_batch(np.einsum("ps,sab->pab", coeffs, imgs))
-
-
 def evolve_ensemble(
     config: SDEConfig,
     n_paths: int,
@@ -286,6 +200,8 @@ def evolve_ensemble(
     total_steps = max(steps_for.values(), default=0)
     gens = noise_generator_matrices(n)
     perm, phase = monomial_form(gens)
+    N = so_algebra.matrix_size(n)
+    e0 = vacuum(n).amplitudes
     sig = config.sigmas
     drift = drift_matrix(spec) if config.process == "p" else None
     sqrt_dt = math.sqrt(config.dt)
@@ -295,7 +211,8 @@ def evolve_ensemble(
         count = min(chunk_size, n_paths - start)
         rngs = [path_rng(config.seed, start + i) for i in range(count)]
         if initial is None:
-            r0 = _haar_spin_batch(n, rngs)[:, 0, :].copy()
+            g = np.stack([rng.standard_normal((N, N)) for rng in rngs])
+            r0 = spin_group.haar_lift(g, e0)[1]
         else:
             r0 = np.tile(initial.spin_matrix[0], (count, 1))
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
@@ -313,7 +230,7 @@ def evolve_ensemble(
                 cos_om, coef = _noise_coefficients(scaled)
             for m in range(size):
                 if drift is None:
-                    r = _apply_noise(r, cos_om[m], coef[m], perm, phase)
+                    r = apply_monomials(r, cos_om[m], coef[m], perm, phase)
                 else:
                     r = _step_rows(r, scaled[m], gens, drift, config.dt)
                 for t, s in steps_for.items():

@@ -1,11 +1,24 @@
 """Group-level machinery on SO(2n+1) and its double cover.
 
-Haar samples are drawn on SO(2n+1) by QR-orthonormalization of a Gaussian
-matrix (with the usual R-diagonal sign fix and a determinant correction) and
-lifted to the spin representation through the principal matrix logarithm.
-The lift is only defined up to the deck sign, which is immaterial here: every
-integrand used downstream is a product of an even number of half-spin matrix
-coefficients.
+Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
+with the usual R-diagonal sign fix and a determinant correction. The
+orthogonal factor is a product of Householder reflections times an even
+number of coordinate reflections, and a reflection in the unit vector u is
+the Clifford vector u. Their product lifts to the spin representation
+through Cl^0(2n+1) = Cl(2n), taken pair by pair:
+
+    u v -> (gamma(u') + u_N)(gamma(v') - v_N),
+
+where u' holds the first 2n components of u and u_N the last. Each factor is
+a scalar plus a Clifford vector, and every gamma_j / 2 has one nonzero per
+column, so a row times a factor is a gather plus a phase. The lift needs no
+logarithm, so no rotation angle is singular. It is defined up to the deck
+sign, which is immaterial here: every integrand used downstream is a product
+of an even number of half-spin matrix coefficients.
+
+The principal logarithm and the log-based lift stay as library functions.
+scipy is imported only where it is used (matrix_exp and the Schur
+logarithm), so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,14 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fock, so_algebra
-from .errors import DomainError, SizeError
+from .errors import DomainError, NumericError, SizeError
 
 # Rotation angles this close to pi make the principal logarithm ill
-# conditioned; Haar samples there are resampled (a measure-zero event).
+# conditioned; principal_so_log refuses them.
 ANGLE_PI_TOL = 1e-8
+
+# Bytes of lifted rows per chunk in the sequential-stream Haar samplers.
+_LIFT_BYTES = 1 << 22
+
+_MONOMIAL_PHASES = (0.5, -0.5, 0.5j, -0.5j)
 
 
 class AnglePiError(ArithmeticError):
@@ -65,13 +82,15 @@ def deck_flip(g: GroupPoint) -> GroupPoint:
 
 
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
-    """Unitary exponential of an anti-Hermitian matrix via diagonalization."""
+    """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
     w, v = np.linalg.eigh(1j * np.asarray(m, dtype=complex))
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Unchecked matrix exponential (for non-unitary semigroup directions)."""
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
@@ -111,6 +130,8 @@ def _so3_log(r: np.ndarray) -> np.ndarray:
 
 def _schur_log(r: np.ndarray) -> np.ndarray:
     """Principal log of a special orthogonal matrix via the real Schur form."""
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(r, output="real")
     N = r.shape[0]
     log_t = np.zeros((N, N))
@@ -163,28 +184,136 @@ def spin_lift(n: int, r: np.ndarray) -> np.ndarray:
     return expm_antihermitian(so_algebra.spin_rep(algebra_from_antisymmetric(n, a)))
 
 
+def vector_images(n: int) -> np.ndarray:
+    """Spin images gamma_j / 2 of the basis pairs (j, 2n+1), stacked (2n, 2^n, 2^n)."""
+    N = so_algebra.matrix_size(n)
+    return np.stack([so_algebra.spin_symbol_matrix((j, N), n) for j in range(1, 2 * n + 1)])
+
+
+def monomial_form(mats: np.ndarray) -> tuple:
+    """(perm, phase), each (k, 2^n), of a stack of k monomial matrices.
+
+    Column b of mats[j] holds its only nonzero, phase[j, b], in row
+    perm[j, b], so row @ mats[j] == phase[j] * row[..., perm[j]]. Raises
+    NumericError unless every column has exactly one nonzero, valued in
+    {+-1/2, +-i/2}: the structure of the vector images gamma_j / 2.
+    """
+    mats = np.asarray(mats)
+    if not np.all(np.count_nonzero(mats, axis=-2) == 1):
+        raise NumericError("Clifford vector images are not monomial matrices")
+    perm = np.argmax(mats != 0, axis=-2)
+    phase = np.take_along_axis(mats, perm[..., None, :], axis=-2)[..., 0, :]
+    if not np.all(np.isin(phase, _MONOMIAL_PHASES)):
+        raise NumericError("Clifford vector image entries are not in {+-1/2, +-i/2}")
+    return perm, phase
+
+
+def apply_monomials(rows, scalar, coef, perm, phase) -> np.ndarray:
+    """rows @ (scalar I + sum_j coef_j M_j) for the monomial matrices M_j.
+
+    M_j is given by (perm[j], phase[j]) from monomial_form; a row times M_j
+    is the row gathered by perm[j] and scaled by phase[j]. rows (..., 2^n)
+    broadcast against the leading axes of scalar (...) and coef (..., k).
+    """
+    out = scalar[..., None] * rows
+    rows = np.broadcast_to(rows, out.shape)
+    for j in range(len(perm)):
+        term = rows[..., perm[j]]
+        term *= phase[j]
+        term *= coef[..., j, None]
+        out += term
+    return out
+
+
+def _haar_qr(g: np.ndarray) -> tuple:
+    """Q factors of a stack of Gaussian matrices, sign and det fixed, and the fix.
+
+    Returns (R, d) with R = Q diag(d): d is the sign of the R-diagonal of the
+    QR, with its last entry flipped where that leaves det(R) < 0.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)
+    q = q * d[..., None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, -1] *= -1.0
+    d[flip, -1] *= -1.0
+    return q, d
+
+
 def haar_orthogonal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Haar sample on SO(size): QR of a Gaussian matrix, sign and det fixed."""
-    g = rng.standard_normal((size, size))
-    q, r = np.linalg.qr(g)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    q = q * signs
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return _haar_qr(rng.standard_normal((1, size, size)))[0][0]
+
+
+def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
+    """Haar rotations of a stack of Gaussian matrices, and rows of their spin lifts.
+
+    g stacks P Gaussian (2n+1) x (2n+1) matrices. Returns (R, lifted): R[p]
+    is the rotation haar_orthogonal makes from g[p], and lifted[p] is
+    rows @ U_p for U_p one of the two spin preimages of R[p]. rows (..., 2^n)
+    are shared by all samples; the identity gives the spin matrices.
+    """
+    g = np.asarray(g, dtype=float)
+    N = g.shape[-1]
+    if g.ndim != 3 or g.shape[1] != N or N < 3 or N % 2 == 0:
+        raise SizeError(f"need a stack of odd-sized square matrices, got shape {g.shape}")
+    n = (N - 1) // 2
+    lifted = np.asarray(rows, dtype=complex)
+    if lifted.shape[-1:] != (fock.fock_dim(n),):
+        raise SizeError(f"rows must have {fock.fock_dim(n)} entries, got shape {lifted.shape}")
+    rot, d = _haar_qr(g)
+    h, tau = np.linalg.qr(g, mode="raw")
+    # Row i of the (transposed) raw factor holds the Householder vector
+    # e_i + sum_{k>i} h[i, k] e_k of reflector H_i, and R = H_1 ... H_N D.
+    # A zero tau marks an identity H_i, always so for the last one; D
+    # reflects the coordinates where d < 0.
+    v = np.triu(h, 1) + np.eye(N)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    vecs = np.concatenate([v, np.broadcast_to(np.eye(N), g.shape)], axis=1)
+    active = np.concatenate([tau != 0, d < 0], axis=1)
+    # coordinate vector e_a needs only gamma_a (none for a = N)
+    cols = [slice(None)] * N + [slice(a, a + 1) for a in range(N)]
+    perm, phase = monomial_form(vector_images(n))
+    lead = (len(g),) + (1,) * (lifted.ndim - 1)
+    odd = np.zeros(len(g), dtype=bool)
+    for k, col in enumerate(cols):
+        on = active[:, k]
+        u = vecs[:, k]
+        # the vector at an odd place maps to gamma(u') + u_N, at an even
+        # place to gamma(u') - u_N; gamma_j is twice the image in perm/phase
+        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0)
+        coef = np.where(on[:, None], 2.0 * u[:, :-1][:, col], 0.0)
+        lifted = apply_monomials(
+            lifted, scalar.reshape(lead), coef.reshape(lead + (-1,)), perm[col], phase[col]
+        )
+        odd ^= on
+    if odd.any():
+        raise NumericError("Haar rotation is an odd product of reflections")
+    return rot, lifted
+
+
+def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
+    """haar_lift over count Gaussian matrices drawn one after another from rng.
+
+    Yields (start, R, lifted) for consecutive samples from start on, in
+    chunks of a fixed byte budget of lifted rows. The draws are those of one
+    bulk draw of all count matrices, so results do not depend on the chunk.
+    """
+    fock.check_mode_count(n)
+    N = so_algebra.matrix_size(n)
+    rows = np.asarray(rows)
+    chunk = max(1, _LIFT_BYTES // (16 * rows.size))
+    for start in range(0, count, chunk):
+        g = rng.standard_normal((min(chunk, count - start), N, N))
+        yield (start, *haar_lift(g, rows))
 
 
 def haar_sample(rng: np.random.Generator, n: int) -> GroupPoint:
-    """Haar-distributed group point; resamples on the angle-pi guard."""
+    """Haar-distributed group point: one Gaussian draw, lifted."""
     fock.check_mode_count(n)
     N = so_algebra.matrix_size(n)
-    while True:
-        r = haar_orthogonal(rng, N)
-        try:
-            u = spin_lift(n, r)
-        except AnglePiError:
-            continue
-        return GroupPoint(n, u, r)
+    rot, u = haar_lift(rng.standard_normal((1, N, N)), np.eye(fock.fock_dim(n)))
+    return GroupPoint(n, u[0], rot[0])
 
 
 @dataclass(frozen=True)
@@ -234,10 +363,7 @@ def l2_inner_mc(
     if n_samples < 100:
         raise SizeError(f"need at least 100 samples, got {n_samples}")
     values = np.empty(n_samples, dtype=complex)
-    for i in range(n_samples):
-        g = haar_sample(rng, psi.n)
-        a = (g.spin_matrix @ psi.amplitudes)[0]
-        b = (g.spin_matrix @ phi.amplitudes)[0]
-        values[i] = np.conj(a) * b
+    for start, _, r in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes):
+        values[start:start + len(r)] = np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)
     mean, stderr = complex_mean_stderr(values)
     return MCEstimate(mean, stderr, n_samples)

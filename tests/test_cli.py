@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import spinfock
 from spinfock import checks, cli, sde
 
 
@@ -169,6 +173,17 @@ class TestHaarTest:
         assert names == {
             "entry-mean", "trace-moment", "schur-inner-vacuum", "spin-unitarity", "deck-invariance",
         }
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(spinfock.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, spinfock.cli; spinfock.cli.build_parser(); "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestConfigResolution:

@@ -167,7 +167,8 @@ class TestEnsemble:
         ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid)
 
         rngs = [sde.path_rng(seed, i) for i in range(paths)]
-        u = sde._haar_spin_batch(n, rngs)
+        g = np.stack([rng.standard_normal((2 * n + 1, 2 * n + 1)) for rng in rngs])
+        _, u = sg.haar_lift(g, np.eye(1 << n))
         dw = np.stack([rng.standard_normal((steps, 2 * n)) for rng in rngs]) * np.sqrt(dt)
         gens = sde.noise_generator_matrices(n)
         expected = [u[:, 0]]

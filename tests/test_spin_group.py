@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from spinfock import fock, so_algebra as so, spin_group as sg
+from spinfock import fock, sde, so_algebra as so, spin_group as sg
 from spinfock.errors import DomainError, SizeError
+
+
+def spin_of_antisymmetric(n, x):
+    """Spin image of a stack of real antisymmetric (2n+1) x (2n+1) matrices."""
+    syms = so.symbols(n)
+    imgs = np.stack([so.spin_symbol_matrix(s, n) for s in syms])
+    coeffs = np.stack([x[..., j - 1, k - 1] for j, k in syms], axis=-1)
+    return (coeffs @ imgs.reshape(len(syms), -1)).reshape(x.shape[:-2] + imgs.shape[1:])
 
 
 class TestExponentials:
@@ -32,6 +40,13 @@ class TestExponentials:
             g = sg.group_exp(so.AlgebraElement(n, coeffs))
             u = g.spin_matrix
             assert np.max(np.abs(u.conj().T @ u - np.eye(1 << n))) < 1e-12
+
+    def test_stacked_exponentials(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        m = a - np.conj(np.swapaxes(a, 1, 2))
+        stacked = sg.expm_antihermitian(m)
+        assert np.array_equal(stacked, np.stack([sg.expm_antihermitian(x) for x in m]))
 
     def test_complex_coefficients_rejected(self):
         with pytest.raises(DomainError):
@@ -111,6 +126,54 @@ class TestHaar:
         assert np.array_equal(a.defining_matrix, b.defining_matrix)
 
 
+class TestHaarLift:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lift_conjugates_spin_images(self, n):
+        # U spin(X) U^dagger = spin(R X R^T) on the first 10^4 path streams,
+        # and R is the rotation haar_orthogonal makes from the same draw
+        N, paths, chunk = 2 * n + 1, 10_000, 2000
+        a = np.random.default_rng(40 + n).standard_normal((N, N))
+        x = a - a.T
+        spin_x = spin_of_antisymmetric(n, x)
+        worst = 0.0
+        for start in range(0, paths, chunk):
+            idx = range(start, start + chunk)
+            g = np.stack([sde.path_rng(7, i).standard_normal((N, N)) for i in idx])
+            rot, u = sg.haar_lift(g, np.eye(1 << n))
+            expected = np.stack([sg.haar_orthogonal(sde.path_rng(7, i), N) for i in idx])
+            assert np.array_equal(rot, expected)
+            lhs = u @ spin_x @ np.conj(np.swapaxes(u, 1, 2))
+            rhs = spin_of_antisymmetric(n, rot @ x @ np.swapaxes(rot, 1, 2))
+            worst = max(worst, np.max(np.abs(lhs - rhs)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_triangular_draw_lifts_coordinate_reflections(self, n):
+        # no Householder reflector is active, so R is the sign fix alone
+        N = 2 * n + 1
+        g = np.triu(np.random.default_rng(n).standard_normal((N, N)))
+        g[np.diag_indices(N)] = [-1.0, 2.0, -3.0, 1.0, -2.0][:N]
+        rot, u = sg.haar_lift(g[None], np.eye(1 << n))
+        assert np.array_equal(np.abs(rot[0]), np.eye(N))
+        assert np.linalg.det(rot[0]) == pytest.approx(1.0)
+        a = np.random.default_rng(5).standard_normal((N, N))
+        x = a - a.T
+        lhs = u[0] @ spin_of_antisymmetric(n, x) @ u[0].conj().T
+        assert np.max(np.abs(lhs - spin_of_antisymmetric(n, rot[0] @ x @ rot[0].T))) <= 1e-12
+
+    def test_rows_are_rows_of_the_spin_matrix(self):
+        g = np.random.default_rng(8).standard_normal((6, 5, 5))
+        _, u = sg.haar_lift(g, np.eye(4))
+        _, rows = sg.haar_lift(g, np.eye(4)[[0, 3]])
+        assert np.array_equal(rows, u[:, [0, 3]])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(SizeError):
+            sg.haar_lift(np.zeros((2, 4, 4)), np.eye(2))
+        with pytest.raises(SizeError):
+            sg.haar_lift(np.ones((2, 5, 5)), np.eye(2))
+
+
 class TestMatrixCoefficients:
     def test_identity_values(self):
         e = sg.identity_point(2)
@@ -167,6 +230,13 @@ class TestL2InnerMC:
         top = fock.basis_vector(2, [1, 2])
         est = sg.l2_inner_mc(top, top, 1500, np.random.default_rng(23))
         assert abs(est.mean - 0.25) <= 3 * est.std_error
+
+    def test_chunk_invariance(self, monkeypatch):
+        top = fock.basis_vector(2, [1, 2])
+        whole = sg.l2_inner_mc(top, top, 500, np.random.default_rng(25))
+        monkeypatch.setattr(sg, "_LIFT_BYTES", 7 * 4 * 16)
+        chunked = sg.l2_inner_mc(top, top, 500, np.random.default_rng(25))
+        assert chunked == whole
 
     def test_minimum_samples(self):
         with pytest.raises(SizeError):
