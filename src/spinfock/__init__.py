@@ -3,7 +3,7 @@
 Fock space and ladder operators, Clifford generators, the half-spin
 representation of so(2n+1), an exact normal-ordering engine for its
 enveloping algebra, Haar sampling with spin lifts, a geometric Stratonovich
-integrator for the associated left-invariant diffusions, and Monte Carlo
+ensemble integrator for the noise-only left-invariant diffusion, and Monte Carlo
 verification of the resulting Feynman-Kac semigroup identity.
 """
 
@@ -22,7 +22,7 @@ from .errors import (
     NumericError,
     SizeError,
 )
-from .feynman_kac import FKEstimate, FKRow, fk_lhs_exact, fk_report, fk_rhs_mc
+from .feynman_kac import FKRow, fk_lhs_exact, fk_report
 from .fock import (
     FockBasis,
     FockVector,
@@ -47,13 +47,10 @@ from .hamiltonian import (
 )
 from .sde import (
     GeneratorCheck,
-    PathState,
     SDEConfig,
     decay_curve,
     fit_decay_rate,
     generator_check,
-    sde_step,
-    simulate_path,
 )
 from .so_algebra import (
     AlgebraElement,
@@ -79,7 +76,6 @@ from .spin_group import (
     haar_sample,
     identity_point,
     l2_inner_mc,
-    principal_so_log,
 )
 from .uea import (
     GaussianRational,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class RunConfig:
     paths: int
     seed: int | None
     sigma: str
-    process: str
     state: str
     format: str
     out: str | None
@@ -83,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--paths", type=int, default=None, help="Monte Carlo path/sample count")
         cmd.add_argument("--seed", type=int, default=None, help="master RNG seed")
         cmd.add_argument("--sigma", choices=("corrected", "paper-literal"), default=None)
-        cmd.add_argument("--process", choices=("p0", "p"), default=None)
         cmd.add_argument("--state", default=None, help="vacuum | top | comma list of modes")
         cmd.add_argument("--format", choices=("json", "csv"), default=None)
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
@@ -98,7 +96,6 @@ def _command_defaults(command: str, n: int) -> dict:
         "paths": 10000,
         "seed": None,
         "sigma": "corrected",
-        "process": "p0",
         "state": "top",
         "format": "json",
         "out": None,
@@ -119,6 +116,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a flat JSON object")
+        # the keys of a report's config echo, so an echo can be run again
+        unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise UsageError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
+        command = file_values.get("command", args.command)
+        if command != args.command:
+            raise UsageError(f"config file {args.config} is for the {command} command")
 
     def pick(key, flag_value, default=None):
         if flag_value is not None:
@@ -145,7 +149,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         paths=int(pick("paths", args.paths, defaults["paths"])),
         seed=None if seed is None else int(seed),
         sigma=str(pick("sigma", args.sigma, defaults["sigma"])).replace("-", "_"),
-        process=pick("process", args.process, defaults["process"]),
         state=str(pick("state", args.state, defaults["state"])),
         format=pick("format", args.format, defaults["format"]),
         out=pick("out", args.out),
@@ -157,8 +160,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.sigma not in ("corrected", "paper_literal"):
         raise UsageError(f"unknown sigma convention {config.sigma!r}")
-    if config.process not in ("p0", "p"):
-        raise UsageError(f"unknown process {config.process!r}")
     if config.format not in ("json", "csv"):
         raise UsageError(f"unknown format {config.format!r}")
     if config.command in STOCHASTIC_COMMANDS and config.seed is None:
@@ -167,13 +168,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("--seed must be a non-negative integer")
     if config.command == "verify" and config.n > checks.MAX_VERIFY_MODES:
         raise UsageError(f"verify sweeps are bounded at n <= {checks.MAX_VERIFY_MODES}")
-    if config.command == "fk":
-        if config.process != "p0":
-            raise UsageError("fk averages over the noise-only process; use --process p0")
-        if config.sigma != "corrected":
-            raise UsageError("fk requires the corrected sigma convention")
-    if config.command == "calibrate" and config.process != "p0":
-        raise UsageError("calibrate fits the noise-only decay; use --process p0")
+    if config.command == "fk" and config.sigma != "corrected":
+        raise UsageError("fk requires the corrected sigma convention")
     if config.dt <= 0:
         raise UsageError("--dt must be positive")
     if config.paths <= 0:
@@ -266,6 +262,7 @@ def cmd_calibrate(config: RunConfig):
     estimates = {
         "fitted_rate": rate,
         "rate_std_error": rate_se,
+        "dropped_points": sum(not sde.usable_for_fit(row) for row in curve),
         "candidate_rate_corrected": 0.5 * total,
         "candidate_rate_paper_literal": 0.25 * total,
     }

@@ -18,19 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonian, sde, spin_group
+from . import hamiltonian, sde
 from .errors import DomainError, SizeError
 from .fock import FockVector
 from .hamiltonian import HamiltonianSpec
-
-
-@dataclass(frozen=True)
-class FKEstimate:
-    mean: complex
-    std_error: float
-    n_paths: int
-    lhs_exact: complex
-    z_score: float
 
 
 @dataclass(frozen=True)
@@ -81,33 +72,12 @@ def fk_report(
     for t in t_grid:
         if t < 0:
             raise DomainError(f"grid times must be >= 0, got {t}")
-    horizon = max(t_grid)
-    config = sde.SDEConfig(spec, "p0", dt, horizon, "corrected", seed)
+    config = sde.SDEConfig(spec, dt, "corrected", seed)
     chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
-    values = {t: [] for t in t_grid}
-    for _, r0, snaps in sde.evolve_ensemble(config, n_paths, t_grid):
-        a0 = r0 @ psi.amplitudes
-        for t in t_grid:
-            values[t].append(np.conj(a0) * (snaps[t] @ chi[t]))
     rows = []
-    for t in t_grid:
-        mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))
+    for t, mean, stderr in sde.correlations(config, n_paths, t_grid, psi.amplitudes, chi):
         lhs = fk_lhs_exact(psi, phi, spec, t)
         gap = abs(mean - lhs)
         z = gap / stderr if stderr > 0 else (0.0 if gap == 0 else float("inf"))
         rows.append(FKRow(t, lhs, mean, stderr, z))
     return rows
-
-
-def fk_rhs_mc(
-    psi: FockVector,
-    phi: FockVector,
-    spec: HamiltonianSpec,
-    t: float,
-    n_paths: int,
-    dt: float,
-    seed: int,
-) -> FKEstimate:
-    """Path-expectation estimate of the semigroup inner product at one time."""
-    (row,) = fk_report(psi, phi, spec, [t], n_paths, dt, seed)
-    return FKEstimate(row.rhs_mean, row.std_error, n_paths, row.lhs, row.z_score)

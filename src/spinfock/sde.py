@@ -1,29 +1,32 @@
-"""Geometric Stratonovich integrator for the left-invariant diffusions.
+"""Geometric Stratonovich integrator for the noise-only left-invariant diffusion.
 
-Two processes are simulated in the spin representation, both driven by the
-2n noise directions A_j = X_{j,2n+1} with weights E'_{2k-1} = E'_{2k} = E_k:
+The process (p0) is driven by the 2n noise directions A_j = X_{j,2n+1} with
+weights E'_{2k-1} = E'_{2k} = E_k:
 
-    (p)   dY = sum_j sigma_j A_j(Y) o dW^j - B0(Y) dt
-    (p0)  dX = sum_j sigma_j A_j(X) o dW^j
+    dX = sum_j sigma_j A_j(X) o dW^j
+
+The first-order part of the Hamiltonian needs no process of its own: the
+Feynman-Kac formula applies it exactly, as the phase e^{-tS}.
 
 Each step right-multiplies the state by the exponential of the sampled
-algebra increment, so unitarity is preserved up to rounding. The noise-only
-exponent is a Clifford vector gamma(c)/2, whose square is the scalar
--|c|^2/4, so the step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2.
-Each gamma_j/2 has exactly one nonzero per column, valued in {+-1/2, +-i/2},
-so a row times it is a gather plus a phase; one kernel
-(spin_group.apply_monomials, shared with the Haar lift) applies the step to
-the trailing axis of any stack of rows. Drifted steps go through an
-eigendecomposition.
+algebra increment, so unitarity is preserved up to rounding. The exponent is
+a Clifford vector gamma(c)/2, whose square is the scalar -|c|^2/4, so the
+step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. Each gamma_j/2 has
+exactly one nonzero per column, valued in {+-1/2, +-i/2}, so a row times it
+is a gather plus a phase; one kernel (spin_group.apply_monomials, shared
+with the Haar lift) applies the step to the trailing axis of any stack of
+rows.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 (2^n numbers per path) rather than the spin matrices U. Increments are drawn
 per path in step-blocks of a fixed byte budget, so memory does not grow with
 the horizon. Each path starts from the Haar lift of one Gaussian draw from
-its own stream.
+its own stream. One reducer, correlations, turns the ensemble into the
+per-time means and standard errors that both the Feynman-Kac report and the
+decay curve read.
 
-The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2 + drift. Matching the
+The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
 (the "corrected" convention); sigma_j = sqrt(E'_j) ("paper_literal") is kept
 selectable and produces exactly half the decay rate, which the calibration
@@ -37,14 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonian, so_algebra, spin_group
-from .errors import DomainError, NumericError, SizeError
+from . import so_algebra, spin_group
+from .errors import DomainError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
 from .spin_group import GroupPoint, apply_monomials, monomial_form
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
-PROCESSES = ("p0", "p")
 
 # Bytes of Gaussian increments drawn per chunk at a time. Memory per chunk
 # scales with this budget, not with the horizon; every block costs one draw
@@ -55,25 +57,17 @@ _BLOCK_BYTES = 1 << 21
 @dataclass(frozen=True)
 class SDEConfig:
     spec: HamiltonianSpec
-    process: str = "p0"
     dt: float = 1e-3
-    horizon: float = 0.0
     sigma_convention: str = "corrected"
     seed: int = 0
 
     def __post_init__(self):
-        if self.process not in PROCESSES:
-            raise DomainError(f"process must be one of {PROCESSES}, got {self.process!r}")
         if self.sigma_convention not in SIGMA_CONVENTIONS:
             raise DomainError(
                 f"sigma convention must be one of {SIGMA_CONVENTIONS}, got {self.sigma_convention!r}"
             )
         if not self.dt > 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.horizon < 0:
-            raise DomainError(f"horizon must be >= 0, got {self.horizon}")
-        if self.horizon > 0 and self.dt > self.horizon * (1 + 1e-12):
-            raise DomainError(f"dt={self.dt} exceeds horizon={self.horizon}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -89,20 +83,9 @@ class SDEConfig:
         return np.sqrt(self.eprime)
 
 
-@dataclass(frozen=True)
-class PathState:
-    time: float
-    point: GroupPoint
-
-
 def noise_generator_matrices(n: int) -> np.ndarray:
     """Spin images of the noise directions, stacked (2n, 2^n, 2^n)."""
     return spin_group.vector_images(n)
-
-
-def drift_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Drift of the process (p): the negated spin image of the first-order part."""
-    return -so_algebra.spin_rep(hamiltonian.b0_element(spec))
 
 
 def _noise_coefficients(scaled: np.ndarray) -> tuple:
@@ -122,48 +105,9 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
     return cos_om, scaled
 
 
-def _step_rows(rows, scaled, gens, drift, dt) -> np.ndarray:
-    """rows @ exp(gamma(c)/2 + drift dt) for scaled increments c (..., 2n).
-
-    Noise-only steps overwrite scaled (see _noise_coefficients).
-    """
-    if drift is None:
-        return apply_monomials(rows, *_noise_coefficients(scaled), *monomial_form(gens))
-    step = spin_group.expm_antihermitian(np.einsum("...j,jab->...ab", scaled, gens) + drift * dt)
-    return np.einsum("...a,...ab->...b", rows, step)
-
-
-def sde_step(state: PathState, increments: np.ndarray, config: SDEConfig) -> PathState:
-    """One exponential update from Gaussian increments ~ N(0, dt)."""
-    increments = np.asarray(increments, dtype=float)
-    n = config.spec.n
-    if increments.shape != (2 * n,):
-        raise SizeError(f"need {2 * n} increments, got shape {increments.shape}")
-    if not np.all(np.isfinite(increments)):
-        raise NumericError("non-finite Brownian increments")
-    gens = noise_generator_matrices(n)
-    drift = drift_matrix(config.spec) if config.process == "p" else None
-    scaled = (increments * config.sigmas)[None, :]
-    u = _step_rows(state.point.spin_matrix, scaled, gens, drift, config.dt)
-    return PathState(state.time + config.dt, GroupPoint(n, u))
-
-
-def num_steps(config: SDEConfig) -> int:
-    if config.horizon == 0:
-        return 0
-    return int(math.ceil(config.horizon / config.dt - 1e-9))
-
-
-def simulate_path(
-    config: SDEConfig, initial: GroupPoint, rng: np.random.Generator
-) -> PathState:
-    """Compose sde_step over ceil(horizon/dt) steps; deterministic given the rng."""
-    state = PathState(0.0, initial)
-    sqrt_dt = math.sqrt(config.dt)
-    for _ in range(num_steps(config)):
-        dw = rng.standard_normal(2 * config.spec.n) * sqrt_dt
-        state = sde_step(state, dw, config)
-    return state
+def _step_rows(rows, scaled, gens) -> np.ndarray:
+    """rows @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
+    return apply_monomials(rows, *_noise_coefficients(scaled), *monomial_form(gens))
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -188,8 +132,7 @@ def evolve_ensemble(
     that together equal one draw of all its increments, so results depend
     neither on the chunk size nor on the block size.
     """
-    spec = config.spec
-    n = spec.n
+    n = config.spec.n
     steps_for = {}
     for t in t_grid:
         t = float(t)
@@ -198,12 +141,10 @@ def evolve_ensemble(
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
-    gens = noise_generator_matrices(n)
-    perm, phase = monomial_form(gens)
+    perm, phase = monomial_form(noise_generator_matrices(n))
     N = so_algebra.matrix_size(n)
     e0 = vacuum(n).amplitudes
     sig = config.sigmas
-    drift = drift_matrix(spec) if config.process == "p" else None
     sqrt_dt = math.sqrt(config.dt)
     width = 2 * n
 
@@ -226,17 +167,35 @@ def evolve_ensemble(
             # steps on axis 0, so each step reads contiguous coefficients
             scaled = np.multiply(draws[:, :size].transpose(1, 0, 2), sqrt_dt, order="C")
             scaled *= sig
-            if drift is None:
-                cos_om, coef = _noise_coefficients(scaled)
+            cos_om, coef = _noise_coefficients(scaled)
             for m in range(size):
-                if drift is None:
-                    r = apply_monomials(r, cos_om[m], coef[m], perm, phase)
-                else:
-                    r = _step_rows(r, scaled[m], gens, drift, config.dt)
+                r = apply_monomials(r, cos_om[m], coef[m], perm, phase)
                 for t, s in steps_for.items():
                     if s == first + m + 1:
                         snapshots[t] = r
         yield start, r0, snapshots
+
+
+def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: dict) -> list:
+    """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi[t]> at each grid time.
+
+    chi maps each grid time to the amplitudes read at that time. Returns
+    (t, mean, std_error) rows in grid order. A repeated grid time would count
+    every path twice, so it is refused with DomainError.
+    """
+    t_grid = [float(t) for t in t_grid]
+    if len(set(t_grid)) != len(t_grid):
+        raise DomainError(f"grid times must be distinct, got {t_grid}")
+    values = {t: [] for t in t_grid}
+    for _, r0, snaps in evolve_ensemble(config, n_paths, t_grid):
+        a0 = np.conj(r0 @ psi)
+        for t in t_grid:
+            values[t].append(a0 * (snaps[t] @ chi[t]))
+    rows = []
+    for t in t_grid:
+        mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))
+        rows.append((t, mean, stderr))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -249,31 +208,27 @@ class GeneratorCheck:
 def generator_check(
     psi: FockVector,
     x: GroupPoint,
-    dt: float,
     n_samples: int,
     config: SDEConfig,
 ) -> GeneratorCheck:
     """Finite-difference estimate of the generator against its exact value.
 
-    Compares (E[f(X(dt))] - f(x)) / dt, for f the matrix coefficient of psi,
-    with the image of (1/2) sum_j sigma_j^2 A_j^2 + drift applied to psi and
-    evaluated at x. Discriminates the two sigma conventions.
+    Compares (E[f(X(dt))] - f(x)) / dt, for f the matrix coefficient of psi
+    and dt = config.dt, with the image of (1/2) sum_j sigma_j^2 A_j^2 applied
+    to psi and evaluated at x. Discriminates the two sigma conventions.
     """
     n = config.spec.n
     if psi.n != n or x.n != n:
         raise SizeError("mode counts differ between state, point, and config")
     gens = noise_generator_matrices(n)
-    drift = drift_matrix(config.spec) if config.process == "p" else None
     lmat = 0.5 * np.einsum("j,jab,jbc->ac", config.sigmas**2, gens, gens)
-    if drift is not None:
-        lmat = lmat + drift
     target = complex((x.spin_matrix @ (lmat @ psi.amplitudes))[0])
 
     rng = np.random.default_rng(config.seed)
-    dw = rng.standard_normal((n_samples, 2 * n)) * math.sqrt(dt)
-    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas, gens, drift, dt) @ psi.amplitudes
+    dw = rng.standard_normal((n_samples, 2 * n)) * math.sqrt(config.dt)
+    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas, gens) @ psi.amplitudes
     f0 = (x.spin_matrix @ psi.amplitudes)[0]
-    values = (amps - f0) / dt
+    values = (amps - f0) / config.dt
     mean, stderr = spin_group.complex_mean_stderr(values)
     return GeneratorCheck(mean, stderr, target)
 
@@ -291,31 +246,29 @@ def decay_curve(
 
     Under the noise-only process started from Haar this decays at rate
     (1/2) sum E_k for the corrected convention and (1/4) sum E_k for the
-    literal one. Returns rows (t, mean, std_error).
+    literal one. Returns rows (t, mean, std_error) in increasing t.
     """
     if psi is None:
         psi = vacuum(spec.n)
-    horizon = max(float(t) for t in t_grid) if len(t_grid) else 0.0
-    config = SDEConfig(spec, "p0", dt, horizon, sigma_convention, seed)
-    values = {float(t): [] for t in t_grid}
-    for _, r0, snaps in evolve_ensemble(config, n_paths, t_grid):
-        a0 = r0 @ psi.amplitudes
-        for t, rt in snaps.items():
-            values[t].append(np.conj(a0) * (rt @ psi.amplitudes))
-    rows = []
-    for t in sorted(values):
-        mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))
-        rows.append((t, mean, stderr))
-    return rows
+    grid = sorted(float(t) for t in t_grid)
+    config = SDEConfig(spec, dt, sigma_convention, seed)
+    return correlations(config, n_paths, grid, psi.amplitudes, dict.fromkeys(grid, psi.amplitudes))
+
+
+def usable_for_fit(row) -> bool:
+    """Whether a (t, mean, std_error) row enters the rate fit, which takes ln Re mean."""
+    return row[1].real > 0
 
 
 def fit_decay_rate(rows) -> tuple:
     """Least-squares exponential rate from (t, mean, std_error) rows.
 
-    Fits ln Re<corr> = a - rate * t and returns (rate, rate_std_error).
+    Fits ln Re<corr> = a - rate * t over the rows usable_for_fit accepts and
+    returns (rate, rate_std_error).
     """
-    ts = np.array([t for t, mean, _ in rows if mean.real > 0])
-    ys = np.log(np.array([mean.real for _, mean, _ in rows if mean.real > 0]))
+    used = [row for row in rows if usable_for_fit(row)]
+    ts = np.array([t for t, _, _ in used])
+    ys = np.log(np.array([mean.real for _, mean, _ in used]))
     if ts.size < 2:
         raise SizeError("need at least two usable grid points to fit a rate")
     tbar = ts.mean()

@@ -1,4 +1,6 @@
-"""Group-level machinery on SO(2n+1) and its double cover.
+"""Group-level machinery on SO(2n+1) and its double cover: exponentials into
+both representations, Haar sampling and its spin lift, matrix coefficients,
+and Monte Carlo Haar quadrature.
 
 Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
 with the usual R-diagonal sign fix and a determinant correction. The
@@ -15,10 +17,6 @@ column, so a row times a factor is a gather plus a phase. The lift needs no
 logarithm, so no rotation angle is singular. It is defined up to the deck
 sign, which is immaterial here: every integrand used downstream is a product
 of an even number of half-spin matrix coefficients.
-
-The principal logarithm and the log-based lift stay as library functions.
-scipy is imported only where it is used (matrix_exp and the Schur
-logarithm), so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -30,18 +28,10 @@ import numpy as np
 from . import fock, so_algebra
 from .errors import DomainError, NumericError, SizeError
 
-# Rotation angles this close to pi make the principal logarithm ill
-# conditioned; principal_so_log refuses them.
-ANGLE_PI_TOL = 1e-8
-
 # Bytes of lifted rows per chunk in the sequential-stream Haar samplers.
 _LIFT_BYTES = 1 << 22
 
 _MONOMIAL_PHASES = (0.5, -0.5, 0.5j, -0.5j)
-
-
-class AnglePiError(ArithmeticError):
-    """A rotation angle fell within the guard band around pi."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +77,6 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Unchecked matrix exponential (for non-unitary semigroup directions)."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(np.asarray(m, dtype=complex))
-
-
 def _check_real_coefficients(elem: so_algebra.AlgebraElement) -> None:
     if not elem.has_real_coefficients():
         raise DomainError(
@@ -114,74 +97,6 @@ def group_exp(elem: so_algebra.AlgebraElement) -> GroupPoint:
     spin = expm_antihermitian(so_algebra.spin_rep(elem))
     defining = expm_antihermitian(so_algebra.defining_rep(elem)).real
     return GroupPoint(n, spin, defining)
-
-
-def _so3_log(r: np.ndarray) -> np.ndarray:
-    """Principal log of a 3x3 rotation via the Rodrigues formula."""
-    cos_theta = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    if theta > np.pi - ANGLE_PI_TOL:
-        raise AnglePiError("rotation angle within guard band of pi")
-    skew = 0.5 * (r - r.T)
-    if theta < 1e-12:
-        return skew
-    return (theta / np.sin(theta)) * skew
-
-
-def _schur_log(r: np.ndarray) -> np.ndarray:
-    """Principal log of a special orthogonal matrix via the real Schur form."""
-    import scipy.linalg
-
-    t, q = scipy.linalg.schur(r, output="real")
-    N = r.shape[0]
-    log_t = np.zeros((N, N))
-    i = 0
-    while i < N:
-        if i + 1 < N and abs(t[i + 1, i]) > 1e-12:
-            # 2x2 rotation block [[cos, -sin], [sin, cos]]
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            if abs(theta) > np.pi - ANGLE_PI_TOL:
-                raise AnglePiError("rotation angle within guard band of pi")
-            log_t[i, i + 1] = -theta
-            log_t[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i, i] < 0:
-                # an isolated -1 eigenvalue is an exact angle-pi rotation
-                raise AnglePiError("rotation angle within guard band of pi")
-            i += 1
-    a = q @ log_t @ q.T
-    return 0.5 * (a - a.T)
-
-
-def principal_so_log(r: np.ndarray) -> np.ndarray:
-    """Real antisymmetric A with exp(A) = r and all rotation angles in (-pi, pi).
-
-    Raises AnglePiError when some angle falls within ANGLE_PI_TOL of pi.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape[0] == 3:
-        return _so3_log(r)
-    return _schur_log(r)
-
-
-def algebra_from_antisymmetric(n: int, a: np.ndarray) -> so_algebra.AlgebraElement:
-    """Expand a real antisymmetric matrix over the ordered basis pairs."""
-    N = so_algebra.matrix_size(n)
-    a = np.asarray(a)
-    if a.shape != (N, N):
-        raise SizeError(f"matrix must be {N}x{N}, got {a.shape}")
-    coeffs = {}
-    for j in range(1, N + 1):
-        for k in range(j + 1, N + 1):
-            coeffs[(j, k)] = a[j - 1, k - 1]
-    return so_algebra.AlgebraElement(n, coeffs)
-
-
-def spin_lift(n: int, r: np.ndarray) -> np.ndarray:
-    """One of the two unitary preimages of a rotation, via exp(spin(log r))."""
-    a = principal_so_log(r)
-    return expm_antihermitian(so_algebra.spin_rep(algebra_from_antisymmetric(n, a)))
 
 
 def vector_images(n: int) -> np.ndarray:

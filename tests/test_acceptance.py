@@ -218,15 +218,15 @@ def test_criterion_10_feynman_kac():
     spec2 = ham.HamiltonianSpec(2, (1.0, 2.0))
     e12 = fock.basis_vector(2, [1, 2])
     start = time.perf_counter()
-    est2 = fk.fk_rhs_mc(e12, e12, spec2, 0.3, 10_000, 1e-3, 60222)
+    est2 = fk.fk_report(e12, e12, spec2, [0.3], 10_000, 1e-3, 60222)[0]
     elapsed2 = time.perf_counter() - start
     target2 = 0.25 * np.exp(-0.9)
-    assert est2.lhs_exact == pytest.approx(target2, abs=1e-12)
+    assert est2.lhs == pytest.approx(target2, abs=1e-12)
 
     # single-t smoke across 100 seeds: at most one |z| > 3
     failures = 0
     for seed in range(100):
-        est = fk.fk_rhs_mc(e1, e1, spec1, 0.25, 10_000, 1e-3, seed)
+        est = fk.fk_report(e1, e1, spec1, [0.25], 10_000, 1e-3, seed)[0]
         if est.z_score > 3.0:
             failures += 1
     report(

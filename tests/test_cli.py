@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,9 +79,21 @@ class TestFK:
         assert code == 2
         assert "seed" in err
 
-    def test_rejects_drifted_process(self, capsys):
-        code, _, _ = run_cli(capsys, ["fk", "--n", "1", "--seed", "1", "--process", "p"])
+    def test_rejects_drifted_process(self):
+        # there is no process to choose: the flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fk", "--n", "1", "--seed", "1", "--process", "p"])
+        assert exc.value.code == 2
+
+    def test_repeated_grid_time(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["fk", "--n", "1", "--t-grid", "0.25,0.25", "--paths", "1000", "--seed", "1",
+             "--dt", "0.005"],
+        )
         assert code == 2
+        assert out == ""
+        assert "distinct" in err
 
     def test_rejects_literal_sigma(self, capsys):
         code, _, _ = run_cli(
@@ -160,9 +173,30 @@ class TestCalibrate:
         assert estimates["candidate_rate_paper_literal"] == pytest.approx(0.25)
         assert "fitted_rate" in estimates and "rate_std_error" in estimates
 
-    def test_requires_noise_only_process(self, capsys):
-        code, _, _ = run_cli(capsys, ["calibrate", "--n", "1", "--seed", "3", "--process", "p"])
+    def test_requires_noise_only_process(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", "--n", "1", "--seed", "3", "--process", "p"])
+        assert exc.value.code == 2
+
+    def test_repeated_grid_time(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["calibrate", "--n", "1", "--t-grid", "0.0,0.05,0.05,0.1", "--paths", "300",
+             "--seed", "3", "--dt", "0.005"],
+        )
         assert code == 2
+        assert out == ""
+        assert "distinct" in err
+
+    def test_reports_dropped_fit_points(self, capsys, monkeypatch):
+        curve = [(t, 0.5 * math.exp(-0.5 * t) + 0j, 0.01) for t in (0.0, 0.5, 1.0)]
+        curve.append((1.5, -0.01 + 0j, 0.01))
+        monkeypatch.setattr(sde, "decay_curve", lambda *args: curve)
+        code, out, _ = run_cli(capsys, ["calibrate", "--n", "1", "--seed", "3"])
+        assert code == 0
+        estimates = json.loads(out)["estimates"]
+        assert estimates["dropped_points"] == 1
+        assert estimates["fitted_rate"] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestHaarTest:
@@ -180,10 +214,16 @@ class TestImport:
         src = os.path.dirname(os.path.dirname(spinfock.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
-            "import sys, spinfock.cli; spinfock.cli.build_parser(); "
+            "import sys, spinfock, spinfock.cli; spinfock.cli.build_parser(); "
+            "assert spinfock.cli.main(['verify', '--n', '1']) == 0; "
+            "assert spinfock.cli.main(['fk', '--n', '1', '--t-grid', '0.05', '--paths', '200', "
+            "'--seed', '1', '--dt', '0.005']) == 0; "
             "sys.exit('scipy' in sys.modules)"
         )
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=60, stdout=subprocess.DEVNULL
+        )
+        assert result.returncode == 0
 
 
 class TestConfigResolution:
@@ -195,6 +235,29 @@ class TestConfigResolution:
         doc = json.loads(out)
         assert doc["config"]["paths"] == 200  # flag wins
         assert doc["config"]["seed"] == 5  # file supplies the rest
+
+    @pytest.mark.parametrize("key", ["pths", "process"])
+    def test_unknown_config_key(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 1, "seed": 5, key: 300 if key == "pths" else "p"}))
+        code, out, err = run_cli(capsys, ["fk", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert key in err
+
+    def test_config_echo_runs_again(self, capsys, tmp_path):
+        argv = ["fk", "--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "5",
+                "--dt", "0.005"]
+        code, first, _ = run_cli(capsys, argv)
+        assert code == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(json.loads(first)["config"]))
+        code, again, _ = run_cli(capsys, ["fk", "--config", str(cfg)])
+        assert code == 0
+        assert again == first
+        code, _, err = run_cli(capsys, ["calibrate", "--config", str(cfg)])
+        assert code == 2
+        assert "fk" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["fk", "--config", "/nonexistent.json"])

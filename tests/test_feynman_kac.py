@@ -46,30 +46,29 @@ class TestFactorization:
 class TestMonteCarlo:
     def test_time_zero_reduces_to_schur_product(self):
         vac = fock.vacuum(1)
-        est = fk.fk_rhs_mc(vac, vac, SPEC1, 0.0, 2000, 1e-3, 7)
-        assert est.lhs_exact == pytest.approx(0.5)
-        assert abs(est.mean - 0.5) <= 3 * est.std_error
+        (row,) = fk.fk_report(vac, vac, SPEC1, [0.0], 2000, 1e-3, 7)
+        assert row.lhs == pytest.approx(0.5)
+        assert abs(row.rhs_mean - 0.5) <= 3 * row.std_error
 
     def test_single_mode_matches_exact(self):
         e1 = fock.basis_vector(1, [1])
-        est = fk.fk_rhs_mc(e1, e1, SPEC1, 0.25, 4000, 1e-3, 11)
-        assert est.z_score <= 3.0
-        assert est.std_error > 0
-        assert est.z_score == abs(est.mean - est.lhs_exact) / est.std_error
-        assert est.n_paths == 4000
+        (row,) = fk.fk_report(e1, e1, SPEC1, [0.25], 4000, 1e-3, 11)
+        assert row.z_score <= 3.0
+        assert row.std_error > 0
+        assert row.z_score == abs(row.rhs_mean - row.lhs) / row.std_error
 
     def test_two_mode_top_state(self):
         e12 = fock.basis_vector(2, [1, 2])
-        est = fk.fk_rhs_mc(e12, e12, SPEC2, 0.1, 3000, 1e-3, 13)
-        assert est.lhs_exact == pytest.approx(0.25 * np.exp(-0.3))
-        assert est.z_score <= 3.0
+        (row,) = fk.fk_report(e12, e12, SPEC2, [0.1], 3000, 1e-3, 13)
+        assert row.lhs == pytest.approx(0.25 * np.exp(-0.3))
+        assert row.z_score <= 3.0
 
     def test_estimator_deck_invariant(self):
         # flipping the sign of the initial lift flips both coefficients,
         # leaving every per-path product unchanged
         psi = fock.basis_vector(1, [1]).amplitudes
         chi = fk._phase_evolved(fock.basis_vector(1, [1]), SPEC1, 0.1)
-        cfg = sde.SDEConfig(SPEC1, "p0", 1e-3, 0.1, "corrected", 3)
+        cfg = sde.SDEConfig(SPEC1, 1e-3, "corrected", 3)
         _, r0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1]))
         rt = snaps[0.1]
         plain = np.conj(r0 @ psi) * (rt @ chi)
@@ -86,12 +85,25 @@ class TestMonteCarlo:
         for a, b in zip(rows_a, rows_b):
             assert a == b
 
+    def test_shares_the_decay_estimator(self):
+        # e^{-tS} vac = e^{t sum E / 2} vac, so on the vacuum the report's rhs
+        # is the decay curve scaled by that factor, path by path
+        vac = fock.vacuum(2)
+        grid = [0.0, 0.1, 0.25]
+        rows = fk.fk_report(vac, vac, SPEC2, grid, 500, 5e-3, 21)
+        curve = sde.decay_curve(SPEC2, grid, 500, 5e-3, 21)
+        for row, (t, mean, stderr) in zip(rows, curve):
+            scale = np.exp(t * 0.5 * sum(SPEC2.energies))
+            assert row.t == t
+            assert abs(row.rhs_mean - scale * mean) <= 1e-12 * abs(row.rhs_mean)
+            assert abs(row.std_error - scale * stderr) <= 1e-12 * row.std_error
+
     def test_empty_grid(self):
         assert fk.fk_report(fock.vacuum(1), fock.vacuum(1), SPEC1, [], 1000, 1e-3, 1) == []
 
     def test_path_count_floor(self):
         with pytest.raises(SizeError):
-            fk.fk_rhs_mc(fock.vacuum(1), fock.vacuum(1), SPEC1, 0.1, 50, 1e-3, 1)
+            fk.fk_report(fock.vacuum(1), fock.vacuum(1), SPEC1, [0.1], 50, 1e-3, 1)
 
     def test_mode_count_mismatch(self):
         with pytest.raises(SizeError):

@@ -10,8 +10,8 @@ SPEC1 = ham.HamiltonianSpec(1, (1.0,))
 SPEC2 = ham.HamiltonianSpec(2, (1.0, 2.0))
 
 
-def config(spec=SPEC1, process="p0", dt=1e-3, horizon=1.0, sigma="corrected", seed=0):
-    return sde.SDEConfig(spec, process, dt, horizon, sigma, seed)
+def config(spec=SPEC1, dt=1e-3, sigma="corrected", seed=0):
+    return sde.SDEConfig(spec, dt, sigma, seed)
 
 
 class TestConfig:
@@ -24,56 +24,39 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            config(process="heat")
-        with pytest.raises(DomainError):
             config(sigma="guessed")
         with pytest.raises(DomainError):
             config(dt=0.0)
-        with pytest.raises(DomainError):
-            config(dt=2.0, horizon=1.0)
         with pytest.raises(DomainError):
             config(seed=-1)
 
 
 class TestStep:
     def test_zero_increments_noise_only(self):
-        state = sde.PathState(0.0, sg.identity_point(1))
-        out = sde.sde_step(state, np.zeros(2), config())
-        assert np.allclose(out.point.spin_matrix, np.eye(2), atol=1e-15)
-        assert out.time == pytest.approx(1e-3)
-
-    def test_zero_increments_drift_rotation(self):
-        cfg = config(process="p")
-        state = sde.PathState(0.0, sg.identity_point(1))
-        out = sde.sde_step(state, np.zeros(2), cfg)
-        expected = sg.expm_antihermitian(sde.drift_matrix(SPEC1) * cfg.dt)
-        assert np.max(np.abs(out.point.spin_matrix - expected)) < 1e-14
+        gens = sde.noise_generator_matrices(1)
+        out = sde._step_rows(np.eye(2, dtype=complex), np.zeros((1, 2)), gens)
+        assert np.allclose(out, np.eye(2), atol=1e-15)
 
     def test_single_direction_increment(self):
         cfg = config()
-        state = sde.PathState(0.0, sg.identity_point(1))
         w = 0.37
-        increments = np.array([w, 0.0])
-        out = sde.sde_step(state, increments, cfg)
+        increments = np.array([[w, 0.0]])
+        gens = sde.noise_generator_matrices(1)
+        out = sde._step_rows(np.eye(2, dtype=complex), increments * cfg.sigmas, gens)
         gen = so.spin_rep(so.basis_element(1, 1, 3))
         expected = sg.expm_antihermitian(cfg.sigmas[0] * gen * w)
-        assert np.max(np.abs(out.point.spin_matrix - expected)) < 1e-13
+        assert np.max(np.abs(out - expected)) < 1e-13
 
-    def test_non_finite_increments(self):
-        state = sde.PathState(0.0, sg.identity_point(1))
-        with pytest.raises(NumericError):
-            sde.sde_step(state, np.array([np.nan, 0.0]), config())
-
-    def test_wrong_increment_count(self):
-        state = sde.PathState(0.0, sg.identity_point(1))
-        with pytest.raises(SizeError):
-            sde.sde_step(state, np.zeros(3), config())
-
-    def test_drift_is_minus_first_order_part(self):
-        # pi(B0) = sum_k E_k gamma_{2k-1} gamma_{2k} / 2, anti-Hermitian
-        b0 = so.spin_rep(ham.b0_element(SPEC2))
-        assert np.max(np.abs(b0 + b0.conj().T)) < 1e-12
-        assert np.max(np.abs(sde.drift_matrix(SPEC2) + b0)) == 0.0
+    def test_unitarity_defect_thousand_steps(self):
+        # the rows of eye(4) are the whole spin matrix
+        cfg = sde.SDEConfig(SPEC2, 1e-3, "corrected", 5)
+        rng = np.random.default_rng(5)
+        gens = sde.noise_generator_matrices(2)
+        u = np.eye(4, dtype=complex)
+        for _ in range(1000):
+            dw = rng.standard_normal(4) * np.sqrt(cfg.dt)
+            u = sde._step_rows(u, (dw * cfg.sigmas)[None, :], gens)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-8
 
 
 class TestMonomialForm:
@@ -107,31 +90,9 @@ class TestMonomialForm:
             sde.monomial_form(wrong_value)
 
 
-class TestSimulatePath:
-    def test_zero_horizon(self):
-        cfg = config(horizon=0.0)
-        out = sde.simulate_path(cfg, sg.identity_point(1), np.random.default_rng(0))
-        assert out.time == 0.0
-        assert np.array_equal(out.point.spin_matrix, np.eye(2))
-
-    def test_deterministic(self):
-        cfg = config(horizon=0.05)
-        a = sde.simulate_path(cfg, sg.identity_point(1), np.random.default_rng(12))
-        b = sde.simulate_path(cfg, sg.identity_point(1), np.random.default_rng(12))
-        assert np.array_equal(a.point.spin_matrix, b.point.spin_matrix)
-
-    @pytest.mark.parametrize("process", ["p0", "p"])
-    def test_unitarity_defect_thousand_steps(self, process):
-        cfg = sde.SDEConfig(SPEC2, process, 1e-3, 1.0, "corrected", 5)
-        out = sde.simulate_path(cfg, sg.identity_point(2), np.random.default_rng(5))
-        u = out.point.spin_matrix
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-8
-        assert out.time == pytest.approx(1.0)
-
-
 class TestEnsemble:
     def test_chunk_size_invariance(self):
-        cfg = config(spec=SPEC2, horizon=0.02, seed=42)
+        cfg = config(spec=SPEC2, seed=42)
         def gather(chunk):
             r0s, rts = [], []
             for _, r0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], chunk_size=chunk):
@@ -144,12 +105,12 @@ class TestEnsemble:
         assert np.array_equal(at, bt)
 
     def test_grid_alignment_required(self):
-        cfg = config(horizon=0.01)
+        cfg = config()
         with pytest.raises(DomainError):
             list(sde.evolve_ensemble(cfg, 4, [0.0005]))
 
     def test_pinned_initial_state(self):
-        cfg = config(horizon=0.0)
+        cfg = config()
         point = sg.identity_point(1)
         _, r0, snaps = next(sde.evolve_ensemble(cfg, 3, [0.0], initial=point))
         assert np.array_equal(r0, np.tile(np.eye(2)[0], (3, 1)))
@@ -162,7 +123,7 @@ class TestEnsemble:
         paths, steps, dt, seed = 6, 30, 1e-3, 19
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * 2 * n * 8)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
-        cfg = sde.SDEConfig(spec, "p0", dt, steps * dt, "corrected", seed)
+        cfg = sde.SDEConfig(spec, dt, "corrected", seed)
         grid = [0.0, 0.007, 0.016, 0.03]
         ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid)
 
@@ -184,7 +145,7 @@ class TestEnsemble:
         # increments live in a fixed step-block, so 10x the horizon costs no
         # more memory
         def peak(t):
-            cfg = config(horizon=t, seed=4)
+            cfg = config(seed=4)
             tracemalloc.start()
             try:
                 for _ in sde.evolve_ensemble(cfg, 4096, [t]):
@@ -199,21 +160,21 @@ class TestEnsemble:
 class TestGeneratorCheck:
     def test_corrected_rate_at_identity(self):
         cfg = config(seed=101)
-        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 1e-3, 100_000, cfg)
+        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 100_000, cfg)
         assert out.target == pytest.approx(-0.5, abs=1e-12)
         assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
 
     def test_literal_rate_is_half(self):
         cfg = config(sigma="paper_literal", seed=102)
-        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 1e-3, 100_000, cfg)
+        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 100_000, cfg)
         assert out.target == pytest.approx(-0.25, abs=1e-12)
         assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
 
-    def test_haar_point_with_drift(self):
+    def test_haar_point_away_from_identity(self):
         rng = np.random.default_rng(17)
         x = sg.haar_sample(rng, 1)
-        cfg = config(process="p", seed=103)
-        out = sde.generator_check(fock.basis_vector(1, [1]), x, 1e-3, 200_000, cfg)
+        cfg = config(seed=103)
+        out = sde.generator_check(fock.basis_vector(1, [1]), x, 200_000, cfg)
         assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
 
 
@@ -238,7 +199,7 @@ class TestDecay:
         # same Brownian path at dt and dt/2: halving dt moves the estimate by
         # less than one standard error
         spec, t, n_paths = SPEC1, 0.5, 4000
-        fine_cfg = config(dt=5e-4, horizon=t, seed=31)
+        fine_cfg = config(dt=5e-4, seed=31)
         gens = sde.noise_generator_matrices(1)
         psi = fock.vacuum(1).amplitudes
         fine_vals, coarse_vals = [], []
@@ -252,11 +213,11 @@ class TestDecay:
             dw *= np.sqrt(5e-4)
             rf = r0
             for m in range(1000):
-                rf = sde._step_rows(rf, dw[:, m, :] * fine_cfg.sigmas, gens, None, 5e-4)
+                rf = sde._step_rows(rf, dw[:, m, :] * fine_cfg.sigmas, gens)
             coarse_dw = dw[:, 0::2, :] + dw[:, 1::2, :]
             rc = r0
             for m in range(500):
-                rc = sde._step_rows(rc, coarse_dw[:, m, :] * fine_cfg.sigmas, gens, None, 1e-3)
+                rc = sde._step_rows(rc, coarse_dw[:, m, :] * fine_cfg.sigmas, gens)
             a0 = r0 @ psi
             fine_vals.append(np.conj(a0) * (rf @ psi))
             coarse_vals.append(np.conj(a0) * (rc @ psi))
@@ -276,3 +237,12 @@ class TestDecay:
     def test_fit_needs_two_points(self):
         with pytest.raises(SizeError):
             sde.fit_decay_rate([(0.0, 0.5 + 0j, 0.01)])
+
+    def test_fit_skips_non_positive_point(self):
+        # ln Re mean is undefined at the last point; the fit uses the rest
+        rows = [(t, 0.5 * np.exp(-0.5 * t) + 0j, 0.01) for t in (0.0, 0.5, 1.0)]
+        curve = rows + [(1.5, -0.01 + 0.02j, 0.01)]
+        assert [sde.usable_for_fit(row) for row in curve] == [True, True, True, False]
+        rate, rate_se = sde.fit_decay_rate(curve)
+        assert (rate, rate_se) == sde.fit_decay_rate(rows)
+        assert rate == pytest.approx(0.5, abs=1e-12)
