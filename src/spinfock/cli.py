@@ -249,6 +249,8 @@ def cmd_fk(config: RunConfig):
 
 
 def cmd_calibrate(config: RunConfig):
+    if len(set(config.t_grid)) < 2:
+        raise UsageError("calibrate fits a rate, so --t-grid needs at least two distinct times")
     spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
     curve = sde.decay_curve(
         spec, config.t_grid, config.paths, config.dt, config.seed, config.sigma

@@ -19,12 +19,14 @@ rows.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
-(2^n numbers per path) rather than the spin matrices U. Increments are drawn
-per path in step-blocks of a fixed byte budget, so memory does not grow with
-the horizon. Each path starts from the Haar lift of one Gaussian draw from
-its own stream. One reducer, correlations, turns the ensemble into the
-per-time means and standard errors that both the Feynman-Kac report and the
-decay curve read.
+(2^n numbers per path) rather than the spin matrices U. Paths come in blocks
+of PATH_BLOCK, and each block draws from one stream, block_rng: first the
+Gaussian matrices whose Haar lifts start its paths, then its increments,
+time-major, in step-blocks of a fixed byte budget, so memory does not grow
+with the horizon. Results depend on the seed and the path count only; the
+last block may be partial, so a path's draws depend on the path count. One
+reducer, correlations, turns the ensemble into the per-time means and
+standard errors that both the Feynman-Kac report and the decay curve read.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -49,9 +51,13 @@ from .spin_group import GroupPoint, apply_monomials, monomial_form
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
 # Bytes of Gaussian increments drawn per chunk at a time. Memory per chunk
-# scales with this budget, not with the horizon; every block costs one draw
-# call per path, so a smaller budget adds interpreter overhead.
+# scales with this budget, not with the horizon; every step-block costs one
+# draw call per path block, so a smaller budget adds interpreter overhead.
 _BLOCK_BYTES = 1 << 21
+
+# Paths per random stream: paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from
+# block_rng(seed, b). Chunk sizes must be multiples of it.
+PATH_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,9 @@ def _step_rows(rows, scaled, gens) -> np.ndarray:
     return apply_monomials(rows, *_noise_coefficients(scaled), *monomial_form(gens))
 
 
-def path_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one path, derived from the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """The stream of one block of PATH_BLOCK paths, derived from the master seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
 def evolve_ensemble(
@@ -120,7 +126,7 @@ def evolve_ensemble(
     n_paths: int,
     t_grid,
     initial: GroupPoint | None = None,
-    chunk_size: int = 4096,
+    chunk_size: int = 4 * PATH_BLOCK,
 ):
     """Evolve independent paths, yielding per-chunk rows e_0^T U at the grid times.
 
@@ -128,16 +134,25 @@ def evolve_ensemble(
     the initial spin matrices (Haar-distributed unless ``initial`` pins
     them), paths on axis 0, and snapshots maps each grid time to the stack of
     rows e_0^T U at that time. A matrix coefficient <e_0, U psi> is r @ psi.
-    Path i draws from the stream path_rng(config.seed, i), in step-blocks
-    that together equal one draw of all its increments, so results depend
-    neither on the chunk size nor on the block size.
+
+    The P paths of block b (P = PATH_BLOCK, or fewer in the last block) draw
+    from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
+    Haar starts (unless ``initial`` pins them), then the (steps, P, 2n)
+    increments, time-major, in step-blocks that together equal one draw.
+    chunk_size must be a multiple of PATH_BLOCK, so results depend on the
+    seed and the path count only, neither on the chunk size nor on the
+    step-block size.
     """
+    if chunk_size <= 0 or chunk_size % PATH_BLOCK:
+        raise DomainError(f"chunk size must be a positive multiple of {PATH_BLOCK}, got {chunk_size}")
     n = config.spec.n
     steps_for = {}
     for t in t_grid:
         t = float(t)
+        if t < 0:
+            raise DomainError(f"grid time {t} is negative")
         s = int(round(t / config.dt))
-        if t < 0 or abs(s * config.dt - t) > 1e-9 * max(1.0, t):
+        if abs(s * config.dt - t) > 1e-9 * max(1.0, t):
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
@@ -150,24 +165,28 @@ def evolve_ensemble(
 
     for start in range(0, n_paths, chunk_size):
         count = min(chunk_size, n_paths - start)
-        rngs = [path_rng(config.seed, start + i) for i in range(count)]
+        # (stream, first row, end row) per path block of the chunk
+        blocks = [
+            (block_rng(config.seed, (start + lo) // PATH_BLOCK), lo, min(lo + PATH_BLOCK, count))
+            for lo in range(0, count, PATH_BLOCK)
+        ]
         if initial is None:
-            g = np.stack([rng.standard_normal((N, N)) for rng in rngs])
+            g = np.concatenate([rng.standard_normal((hi - lo, N, N)) for rng, lo, hi in blocks])
             r0 = spin_group.haar_lift(g, e0)[1]
         else:
             r0 = np.tile(initial.spin_matrix[0], (count, 1))
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
-        draws = np.empty((count, block, width))
+        scaled = np.empty((block, count, width))
         r = r0
         snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
         for first in range(0, total_steps, block):
             size = min(block, total_steps - first)
-            for rng, out in zip(rngs, draws[:, :size]):
-                rng.standard_normal(out=out)
             # steps on axis 0, so each step reads contiguous coefficients
-            scaled = np.multiply(draws[:, :size].transpose(1, 0, 2), sqrt_dt, order="C")
-            scaled *= sig
-            cos_om, coef = _noise_coefficients(scaled)
+            for rng, lo, hi in blocks:
+                draws = rng.standard_normal((size, hi - lo, width))
+                np.multiply(draws, sqrt_dt, out=scaled[:size, lo:hi])
+            scaled[:size] *= sig
+            cos_om, coef = _noise_coefficients(scaled[:size])
             for m in range(size):
                 r = apply_monomials(r, cos_om[m], coef[m], perm, phase)
                 for t, s in steps_for.items():
@@ -248,6 +267,8 @@ def decay_curve(
     (1/2) sum E_k for the corrected convention and (1/4) sum E_k for the
     literal one. Returns rows (t, mean, std_error) in increasing t.
     """
+    if n_paths < 100:
+        raise SizeError(f"need at least 100 paths, got {n_paths}")
     if psi is None:
         psi = vacuum(spec.n)
     grid = sorted(float(t) for t in t_grid)

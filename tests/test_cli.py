@@ -17,6 +17,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def refuse_to_draw(*args):
+    raise AssertionError("a path was drawn")
+
+
 class TestVerify:
     def test_passes_small_modes(self, capsys):
         start = time.perf_counter()
@@ -187,6 +191,36 @@ class TestCalibrate:
         assert code == 2
         assert out == ""
         assert "distinct" in err
+
+    @pytest.mark.parametrize("grid", ["", "0.1", "0.1,0.1"])
+    def test_refuses_short_grid_before_drawing(self, capsys, monkeypatch, grid):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(
+            capsys, ["calibrate", "--n", "1", "--t-grid=" + grid, "--seed", "1", "--dt", "0.005"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "two distinct times" in err
+
+    def test_path_floor_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(
+            capsys, ["calibrate", "--n", "1", "--paths", "1", "--seed", "1", "--t-grid", "0,0.1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 100 paths" in err
+
+    def test_negative_grid_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(
+            capsys,
+            ["calibrate", "--n", "1", "--t-grid=-0.1,0.0", "--paths", "200", "--seed", "1",
+             "--dt", "0.005"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "negative" in err and "multiple" not in err
 
     def test_reports_dropped_fit_points(self, capsys, monkeypatch):
         curve = [(t, 0.5 * math.exp(-0.5 * t) + 0j, 0.01) for t in (0.0, 0.5, 1.0)]

@@ -91,7 +91,10 @@ class TestMonomialForm:
 
 
 class TestEnsemble:
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
+        # 37 paths in blocks of 4: chunks of one block, of three, and one
+        # chunk for all, the last block partial
+        monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         cfg = config(spec=SPEC2, seed=42)
         def gather(chunk):
             r0s, rts = [], []
@@ -99,10 +102,16 @@ class TestEnsemble:
                 r0s.append(r0)
                 rts.append(snaps[0.02])
             return np.concatenate(r0s), np.concatenate(rts)
-        a0, at = gather(5)
-        b0, bt = gather(64)
-        assert np.array_equal(a0, b0)
-        assert np.array_equal(at, bt)
+        a0, at = gather(4)
+        b0, bt = gather(12)
+        c0, ct = gather(40)
+        assert np.array_equal(a0, b0) and np.array_equal(a0, c0)
+        assert np.array_equal(at, bt) and np.array_equal(at, ct)
+
+    @pytest.mark.parametrize("chunk", [0, 1000, 1025])
+    def test_chunk_size_must_be_block_multiple(self, chunk):
+        with pytest.raises(DomainError, match="multiple"):
+            next(sde.evolve_ensemble(config(), 10, [0.0], chunk_size=chunk))
 
     def test_grid_alignment_required(self):
         cfg = config()
@@ -119,22 +128,29 @@ class TestEnsemble:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_match_dense_reference(self, n, monkeypatch):
         # blocks of 7 steps: the 30-step horizon crosses four block
-        # boundaries and ends on a partial block
+        # boundaries and ends on a partial block; paths come in two streams,
+        # the second partial
         paths, steps, dt, seed = 6, 30, 1e-3, 19
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * 2 * n * 8)
+        monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
         grid = [0.0, 0.007, 0.016, 0.03]
-        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid)
+        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, chunk_size=8)
 
-        rngs = [sde.path_rng(seed, i) for i in range(paths)]
-        g = np.stack([rng.standard_normal((2 * n + 1, 2 * n + 1)) for rng in rngs])
+        rngs = [sde.block_rng(seed, b) for b in range(2)]
+        sizes = [4, 2]
+        g = np.concatenate(
+            [rng.standard_normal((p, 2 * n + 1, 2 * n + 1)) for rng, p in zip(rngs, sizes)]
+        )
         _, u = sg.haar_lift(g, np.eye(1 << n))
-        dw = np.stack([rng.standard_normal((steps, 2 * n)) for rng in rngs]) * np.sqrt(dt)
+        dw = np.concatenate(
+            [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
+        ) * np.sqrt(dt)
         gens = sde.noise_generator_matrices(n)
         expected = [u[:, 0]]
         for m in range(steps):
-            exps = np.einsum("pj,jab->pab", dw[:, m] * cfg.sigmas, gens)
+            exps = np.einsum("pj,jab->pab", dw[m] * cfg.sigmas, gens)
             u = u @ np.stack([sg.expm_antihermitian(x) for x in exps])
             expected.append(u[:, 0])
         assert np.array_equal(r0, expected[0])
@@ -203,21 +219,19 @@ class TestDecay:
         gens = sde.noise_generator_matrices(1)
         psi = fock.vacuum(1).amplitudes
         fine_vals, coarse_vals = [], []
-        for start, r0, _ in sde.evolve_ensemble(fine_cfg, n_paths, [0.0], chunk_size=1024):
+        chunk = sde.PATH_BLOCK
+        for start, r0, _ in sde.evolve_ensemble(fine_cfg, n_paths, [0.0], chunk_size=chunk):
             count = r0.shape[0]
-            dw = np.empty((count, 1000, 2))
-            for i in range(count):
-                rng = sde.path_rng(31, start + i)
-                rng.standard_normal((3, 3))  # skip the Haar draw
-                dw[i] = rng.standard_normal((1000, 2))
-            dw *= np.sqrt(5e-4)
+            rng = sde.block_rng(31, start // chunk)
+            rng.standard_normal((count, 3, 3))  # skip the Haar draw
+            dw = rng.standard_normal((1000, count, 2)) * np.sqrt(5e-4)
             rf = r0
             for m in range(1000):
-                rf = sde._step_rows(rf, dw[:, m, :] * fine_cfg.sigmas, gens)
-            coarse_dw = dw[:, 0::2, :] + dw[:, 1::2, :]
+                rf = sde._step_rows(rf, dw[m] * fine_cfg.sigmas, gens)
+            coarse_dw = dw[0::2] + dw[1::2]
             rc = r0
             for m in range(500):
-                rc = sde._step_rows(rc, coarse_dw[:, m, :] * fine_cfg.sigmas, gens)
+                rc = sde._step_rows(rc, coarse_dw[m] * fine_cfg.sigmas, gens)
             a0 = r0 @ psi
             fine_vals.append(np.conj(a0) * (rf @ psi))
             coarse_vals.append(np.conj(a0) * (rc @ psi))

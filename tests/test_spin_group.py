@@ -98,18 +98,18 @@ class TestHaar:
 class TestHaarLift:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lift_conjugates_spin_images(self, n):
-        # U spin(X) U^dagger = spin(R X R^T) on the first 10^4 path streams,
-        # and R is the rotation haar_orthogonal makes from the same draw
+        # U spin(X) U^dagger = spin(R X R^T) on 10^4 draws from five block
+        # streams, and R is the rotation haar_orthogonal makes from the same draw
         N, paths, chunk = 2 * n + 1, 10_000, 2000
         a = np.random.default_rng(40 + n).standard_normal((N, N))
         x = a - a.T
         spin_x = spin_of_antisymmetric(n, x)
         worst = 0.0
-        for start in range(0, paths, chunk):
-            idx = range(start, start + chunk)
-            g = np.stack([sde.path_rng(7, i).standard_normal((N, N)) for i in idx])
+        for b in range(paths // chunk):
+            g = sde.block_rng(7, b).standard_normal((chunk, N, N))
             rot, u = sg.haar_lift(g, np.eye(1 << n))
-            expected = np.stack([sg.haar_orthogonal(sde.path_rng(7, i), N) for i in idx])
+            rng = sde.block_rng(7, b)
+            expected = np.stack([sg.haar_orthogonal(rng, N) for _ in range(chunk)])
             assert np.array_equal(rot, expected)
             lhs = u @ spin_x @ np.conj(np.swapaxes(u, 1, 2))
             rhs = spin_of_antisymmetric(n, rot @ x @ np.swapaxes(rot, 1, 2))
