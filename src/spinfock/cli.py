@@ -227,6 +227,8 @@ def cmd_spectrum(config: RunConfig):
 
 
 def cmd_fk(config: RunConfig):
+    if not config.t_grid:
+        raise UsageError("fk compares at grid times, so --t-grid needs at least one time")
     spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
     state = _resolve_state(config)
     report = feynman_kac.fk_report(

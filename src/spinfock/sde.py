@@ -14,8 +14,9 @@ a Clifford vector gamma(c)/2, whose square is the scalar -|c|^2/4, so the
 step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. Each gamma_j/2 has
 exactly one nonzero per column, valued in {+-1/2, +-i/2}, so a row times it
 is a gather plus a phase; one kernel (spin_group.apply_monomials, shared
-with the Haar lift) applies the step to the trailing axis of any stack of
-rows.
+with the Haar lift) applies the step, samples on the last axis: the rows
+are held as (2^n, P), so each gather moves contiguous blocks of samples,
+and each step casts only its own coefficients to complex.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
@@ -112,8 +113,12 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
 
 
 def _step_rows(rows, scaled, gens) -> np.ndarray:
-    """rows @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
-    return apply_monomials(rows, *_noise_coefficients(scaled), *monomial_form(gens))
+    """rows (..., 2^n) @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
+    cos_om, coef = _noise_coefficients(scaled)
+    rows = np.moveaxis(np.atleast_2d(rows), -1, 0)
+    coef = np.moveaxis(coef, -1, 0).astype(complex)
+    out = apply_monomials(rows, cos_om.astype(complex), coef, *monomial_form(gens))
+    return np.moveaxis(out, 0, -1)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -177,7 +182,7 @@ def evolve_ensemble(
             r0 = np.tile(initial.spin_matrix[0], (count, 1))
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
         scaled = np.empty((block, count, width))
-        r = r0
+        r = np.ascontiguousarray(r0.T)
         snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
         for first in range(0, total_steps, block):
             size = min(block, total_steps - first)
@@ -188,10 +193,11 @@ def evolve_ensemble(
             scaled[:size] *= sig
             cos_om, coef = _noise_coefficients(scaled[:size])
             for m in range(size):
-                r = apply_monomials(r, cos_om[m], coef[m], perm, phase)
+                step = coef[m].T.astype(complex, order="C")
+                r = apply_monomials(r, cos_om[m].astype(complex), step, perm, phase)
                 for t, s in steps_for.items():
                     if s == first + m + 1:
-                        snapshots[t] = r
+                        snapshots[t] = r.T
         yield start, r0, snapshots
 
 

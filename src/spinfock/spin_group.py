@@ -127,15 +127,17 @@ def apply_monomials(rows, scalar, coef, perm, phase) -> np.ndarray:
     """rows @ (scalar I + sum_j coef_j M_j) for the monomial matrices M_j.
 
     M_j is given by (perm[j], phase[j]) from monomial_form; a row times M_j
-    is the row gathered by perm[j] and scaled by phase[j]. rows (..., 2^n)
-    broadcast against the leading axes of scalar (...) and coef (..., k).
+    is the row gathered by perm[j] and scaled by phase[j]. Samples go last, so
+    each gather moves contiguous blocks: rows (2^n, ...) broadcast against
+    complex scalar (...) and coef (k, ...).
     """
-    out = scalar[..., None] * rows
+    out = scalar * rows
     rows = np.broadcast_to(rows, out.shape)
+    phase = phase.reshape(phase.shape + (1,) * (out.ndim - 1))
     for j in range(len(perm)):
-        term = rows[..., perm[j]]
+        term = rows[perm[j]]
         term *= phase[j]
-        term *= coef[..., j, None]
+        term *= coef[j]
         out += term
     return out
 
@@ -166,7 +168,9 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
     g stacks P Gaussian (2n+1) x (2n+1) matrices. Returns (R, lifted): R[p]
     is the rotation haar_orthogonal makes from g[p], and lifted[p] is
     rows @ U_p for U_p one of the two spin preimages of R[p]. rows (..., 2^n)
-    are shared by all samples; the identity gives the spin matrices.
+    are shared by all samples; the identity gives the spin matrices. The
+    lift runs with the samples on the last axis, (2^n, ..., P), and returns
+    lifted as a C-contiguous (P, ..., 2^n) array.
     """
     g = np.asarray(g, dtype=float)
     N = g.shape[-1]
@@ -189,22 +193,20 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
     # coordinate vector e_a needs only gamma_a (none for a = N)
     cols = [slice(None)] * N + [slice(a, a + 1) for a in range(N)]
     perm, phase = monomial_form(vector_images(n))
-    lead = (len(g),) + (1,) * (lifted.ndim - 1)
+    lifted = np.moveaxis(lifted, -1, 0)[..., None]
     odd = np.zeros(len(g), dtype=bool)
     for k, col in enumerate(cols):
         on = active[:, k]
         u = vecs[:, k]
         # the vector at an odd place maps to gamma(u') + u_N, at an even
         # place to gamma(u') - u_N; gamma_j is twice the image in perm/phase
-        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0)
-        coef = np.where(on[:, None], 2.0 * u[:, :-1][:, col], 0.0)
-        lifted = apply_monomials(
-            lifted, scalar.reshape(lead), coef.reshape(lead + (-1,)), perm[col], phase[col]
-        )
+        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0).astype(complex)
+        coef = np.where(on, 2.0 * u[:, :-1][:, col].T, 0.0).astype(complex)
+        lifted = apply_monomials(lifted, scalar, coef, perm[col], phase[col])
         odd ^= on
     if odd.any():
         raise NumericError("Haar rotation is an odd product of reflections")
-    return rot, lifted
+    return rot, np.ascontiguousarray(np.swapaxes(lifted, 0, -1))
 
 
 def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):

@@ -99,6 +99,15 @@ class TestFK:
         assert out == ""
         assert "distinct" in err
 
+    def test_refuses_empty_grid_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(
+            capsys, ["fk", "--n", "1", "--t-grid=", "--paths", "5", "--seed", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one time" in err
+
     def test_rejects_literal_sigma(self, capsys):
         code, _, _ = run_cli(
             capsys, ["fk", "--n", "1", "--seed", "1", "--sigma", "paper-literal"]

@@ -172,6 +172,18 @@ class TestEnsemble:
 
         assert peak(1.0) <= 1.25 * peak(0.1)
 
+    def test_memory_within_step_block_budget(self):
+        # increments take one step-block budget, and their coefficients are
+        # cast to complex one step at a time: a whole-block cast peaks at 6.9x
+        tracemalloc.start()
+        try:
+            for _ in sde.evolve_ensemble(config(seed=4), 4096, [0.1]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * sde._BLOCK_BYTES
+
 
 class TestGeneratorCheck:
     def test_corrected_rate_at_identity(self):

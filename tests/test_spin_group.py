@@ -95,6 +95,51 @@ class TestHaar:
         assert np.array_equal(a.defining_matrix, b.defining_matrix)
 
 
+def path_first_monomials(rows, scalar, coef, perm, phase):
+    """The earlier kernel, with the samples on the leading axes: rows
+    (..., 2^n), real scalar (...) and coef (..., k)."""
+    out = scalar[..., None] * rows
+    rows = np.broadcast_to(rows, out.shape)
+    for j in range(len(perm)):
+        term = rows[..., perm[j]]
+        term *= phase[j]
+        term *= coef[..., j, None]
+        out += term
+    return out
+
+
+class TestApplyMonomials:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_path_first_kernel(self, n, stacked):
+        # samples last, (2^n, P) or (2^n, 2^n, P), against (P, 2^n) or
+        # (P, 2^n, 2^n) samples first: the same bits, signed zeros included
+        dim, paths = 1 << n, 300
+        rng = np.random.default_rng(70 + n)
+        perm, phase = sg.monomial_form(sg.vector_images(n))
+        shape = (paths, dim, dim) if stacked else (paths, dim)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows[::4] = 0.0
+        rows[1::4, ..., 0] = -0.0
+        scalar = rng.standard_normal(paths)
+        coef = rng.standard_normal((paths, 2 * n))
+        coef[::3] = 0.0
+        coef[1::3, 0] = 0.0
+        lead = (paths,) + (1,) * (len(shape) - 2)
+        expected = path_first_monomials(
+            rows, scalar.reshape(lead), coef.reshape(lead + (-1,)), perm, phase
+        )
+        out = sg.apply_monomials(
+            np.ascontiguousarray(np.swapaxes(rows, 0, -1)),
+            scalar.astype(complex),
+            np.ascontiguousarray(coef.T, dtype=complex),
+            perm,
+            phase,
+        )
+        assert np.array_equal(np.swapaxes(out, 0, -1), expected)
+        assert np.swapaxes(out, 0, -1).tobytes() == expected.tobytes()
+
+
 class TestHaarLift:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lift_conjugates_spin_images(self, n):
