@@ -68,9 +68,7 @@ from .so_algebra import (
 )
 from .spin_group import (
     GroupPoint,
-    MatrixCoefficient,
     MCEstimate,
-    evaluate_coefficient,
     group_exp,
     haar_lift,
     haar_sample,

@@ -170,8 +170,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"verify sweeps are bounded at n <= {checks.MAX_VERIFY_MODES}")
     if config.command == "fk" and config.sigma != "corrected":
         raise UsageError("fk requires the corrected sigma convention")
-    if config.dt <= 0:
-        raise UsageError("--dt must be positive")
+    if not 0 < config.dt < np.inf:
+        raise UsageError("--dt must be positive and finite")
     if config.paths <= 0:
         raise UsageError("--paths must be positive")
     try:

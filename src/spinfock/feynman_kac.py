@@ -70,8 +70,8 @@ def fk_report(
     if n_paths < 100:
         raise SizeError(f"need at least 100 paths, got {n_paths}")
     for t in t_grid:
-        if t < 0:
-            raise DomainError(f"grid times must be >= 0, got {t}")
+        if not 0 <= t < np.inf:
+            raise DomainError(f"grid times must be finite and >= 0, got {t}")
     config = sde.SDEConfig(spec, dt, "corrected", seed)
     chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
     rows = []

@@ -26,7 +26,7 @@ from .fock import check_mode_count, fock_dim
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Mode count and strictly positive, non-decreasing mode energies."""
+    """Mode count and finite, strictly positive, non-decreasing mode energies."""
 
     n: int
     energies: tuple
@@ -36,8 +36,8 @@ class HamiltonianSpec:
         energies = tuple(float(e) for e in self.energies)
         if len(energies) != self.n:
             raise SizeError(f"need {self.n} energies, got {len(energies)}")
-        if energies[0] <= 0 or any(a > b for a, b in zip(energies, energies[1:])):
-            raise DomainError(f"energies must satisfy 0 < E_1 <= ... <= E_n, got {energies}")
+        if not (np.isfinite(energies).all() and energies[0] > 0) or list(energies) != sorted(energies):
+            raise DomainError(f"energies must be finite with 0 < E_1 <= ... <= E_n, got {energies}")
         object.__setattr__(self, "energies", energies)
 
 

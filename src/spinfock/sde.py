@@ -11,12 +11,13 @@ Feynman-Kac formula applies it exactly, as the phase e^{-tS}.
 Each step right-multiplies the state by the exponential of the sampled
 algebra increment, so unitarity is preserved up to rounding. The exponent is
 a Clifford vector gamma(c)/2, whose square is the scalar -|c|^2/4, so the
-step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. Each gamma_j/2 has
-exactly one nonzero per column, valued in {+-1/2, +-i/2}, so a row times it
-is a gather plus a phase; one kernel (spin_group.apply_monomials, shared
-with the Haar lift) applies the step, samples on the last axis: the rows
-are held as (2^n, P), so each gather moves contiguous blocks of samples,
-and each step casts only its own coefficients to complex.
+step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. The noise
+directions of mode k form one ladder pair, a gamma_{2k-1} + b gamma_{2k} =
+(a - ib) c_k^dagger - (a + ib) c_k, and both terms flip the same bit, so one
+kernel (spin_group.apply_modes, shared with the Haar lift) applies the step
+as one flip per mode. The rows are held as (2^n, P), samples last, so each
+flip moves contiguous blocks of samples, and each step reads a + ib of its
+own coefficients as a complex view.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
@@ -47,7 +48,7 @@ from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
-from .spin_group import GroupPoint, apply_monomials, monomial_form
+from .spin_group import GroupPoint, apply_modes, mode_form
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
@@ -73,8 +74,8 @@ class SDEConfig:
             raise DomainError(
                 f"sigma convention must be one of {SIGMA_CONVENTIONS}, got {self.sigma_convention!r}"
             )
-        if not self.dt > 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -115,9 +116,10 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
 def _step_rows(rows, scaled, gens) -> np.ndarray:
     """rows (..., 2^n) @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
     cos_om, coef = _noise_coefficients(scaled)
-    rows = np.moveaxis(np.atleast_2d(rows), -1, 0)
-    coef = np.moveaxis(coef, -1, 0).astype(complex)
-    out = apply_monomials(rows, cos_om.astype(complex), coef, *monomial_form(gens))
+    rows = np.moveaxis(np.atleast_2d(np.asarray(rows, dtype=complex)), -1, 0)
+    ladder = np.moveaxis(np.ascontiguousarray(coef).view(complex), -1, 0)
+    work = np.empty(np.broadcast_shapes(rows.shape, cos_om.shape), dtype=complex)
+    out = apply_modes(rows, cos_om, ladder, range(len(ladder)), mode_form(gens), work)
     return np.moveaxis(out, 0, -1)
 
 
@@ -154,14 +156,14 @@ def evolve_ensemble(
     steps_for = {}
     for t in t_grid:
         t = float(t)
-        if t < 0:
-            raise DomainError(f"grid time {t} is negative")
+        if not 0 <= t < math.inf:
+            raise DomainError(f"grid time {t} must be finite and non-negative")
         s = int(round(t / config.dt))
         if abs(s * config.dt - t) > 1e-9 * max(1.0, t):
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
-    perm, phase = monomial_form(noise_generator_matrices(n))
+    form = mode_form(noise_generator_matrices(n))
     N = so_algebra.matrix_size(n)
     e0 = vacuum(n).amplitudes
     sig = config.sigmas
@@ -183,6 +185,7 @@ def evolve_ensemble(
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
         scaled = np.empty((block, count, width))
         r = np.ascontiguousarray(r0.T)
+        work = np.empty_like(r)
         snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
         for first in range(0, total_steps, block):
             size = min(block, total_steps - first)
@@ -193,8 +196,8 @@ def evolve_ensemble(
             scaled[:size] *= sig
             cos_om, coef = _noise_coefficients(scaled[:size])
             for m in range(size):
-                step = coef[m].T.astype(complex, order="C")
-                r = apply_monomials(r, cos_om[m].astype(complex), step, perm, phase)
+                ladder = np.ascontiguousarray(coef[m].view(complex).T)
+                r = apply_modes(r, cos_om[m], ladder, range(n), form, work)
                 for t, s in steps_for.items():
                     if s == first + m + 1:
                         snapshots[t] = r.T

@@ -1,6 +1,6 @@
 """Group-level machinery on SO(2n+1) and its double cover: exponentials into
-both representations, Haar sampling and its spin lift, matrix coefficients,
-and Monte Carlo Haar quadrature.
+both representations, Haar sampling and its spin lift, and Monte Carlo Haar
+quadrature.
 
 Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
 with the usual R-diagonal sign fix and a determinant correction. The
@@ -12,11 +12,16 @@ through Cl^0(2n+1) = Cl(2n), taken pair by pair:
     u v -> (gamma(u') + u_N)(gamma(v') - v_N),
 
 where u' holds the first 2n components of u and u_N the last. Each factor is
-a scalar plus a Clifford vector, and every gamma_j / 2 has one nonzero per
-column, so a row times a factor is a gather plus a phase. The lift needs no
-logarithm, so no rotation angle is singular. It is defined up to the deck
-sign, which is immaterial here: every integrand used downstream is a product
-of an even number of half-spin matrix coefficients.
+a scalar plus a Clifford vector. The lift needs no logarithm, so no rotation
+angle is singular. It is defined up to the deck sign, which is immaterial
+here: every integrand used downstream is a product of an even number of
+half-spin matrix coefficients.
+
+One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
+the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
+i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
+(a + ib) c_m, and in the Jordan-Wigner basis both terms flip bit m-1 of the
+basis index: one flip per mode, with a sign and +-(a -+ ib)/2 per index.
 """
 
 from __future__ import annotations
@@ -77,22 +82,12 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def _check_real_coefficients(elem: so_algebra.AlgebraElement) -> None:
+def group_exp(elem: so_algebra.AlgebraElement) -> GroupPoint:
+    """Exponentiate a real algebra element into both representations."""
     if not elem.has_real_coefficients():
         raise DomainError(
             "group exponential needs real coefficients in the antisymmetric basis"
         )
-
-
-def rep_exp(elem: so_algebra.AlgebraElement, rep: so_algebra.Representation) -> np.ndarray:
-    """exp(rep(elem)) for a real element; the image is anti-Hermitian."""
-    _check_real_coefficients(elem)
-    return expm_antihermitian(rep.apply(elem))
-
-
-def group_exp(elem: so_algebra.AlgebraElement) -> GroupPoint:
-    """Exponentiate a real algebra element into both representations."""
-    _check_real_coefficients(elem)
     n = elem.n
     spin = expm_antihermitian(so_algebra.spin_rep(elem))
     defining = expm_antihermitian(so_algebra.defining_rep(elem)).real
@@ -123,22 +118,72 @@ def monomial_form(mats: np.ndarray) -> tuple:
     return perm, phase
 
 
-def apply_monomials(rows, scalar, coef, perm, phase) -> np.ndarray:
-    """rows @ (scalar I + sum_j coef_j M_j) for the monomial matrices M_j.
+def mode_form(mats: np.ndarray) -> tuple:
+    """(unit, conj), each (n, 2), of 2n vector images paired by mode, for apply_modes.
 
-    M_j is given by (perm[j], phase[j]) from monomial_form; a row times M_j
-    is the row gathered by perm[j] and scaled by phase[j]. Samples go last, so
-    each gather moves contiguous blocks: rows (2^n, ...) broadcast against
-    complex scalar (...) and coef (k, ...).
+    Images 2m and 2m+1 (from 0) of mats, gamma_j / 2 for j = 1..2n, pair as
+    mode m. At a column b whose bit m is v, a row times (a mats[2m] +
+    c mats[2m+1]) is the row's entry at b XOR 2^m times -1 per set bit of b
+    below m, times unit[m, v] in {+-1/2, +-i/2}, times a + ic, conjugated
+    where conj[m, v]. Keeps the guard of monomial_form, and raises
+    NumericError unless the two images of each mode share one permutation
+    with phase ratio +-i, in this Jordan-Wigner form.
     """
-    out = scalar * rows
-    rows = np.broadcast_to(rows, out.shape)
-    phase = phase.reshape(phase.shape + (1,) * (out.ndim - 1))
-    for j in range(len(perm)):
-        term = rows[perm[j]]
-        term *= phase[j]
-        term *= coef[j]
-        out += term
+    perm, phase = monomial_form(mats)
+    if not np.array_equal(perm[0::2], perm[1::2]):
+        raise NumericError("the two Clifford images of a mode do not share one permutation")
+    ratio = phase[1::2] / phase[0::2]
+    if not np.all(np.isin(ratio, (1j, -1j))):
+        raise NumericError("the two Clifford images of a mode have a phase ratio other than +-i")
+    b, mask = np.arange(perm.shape[1]), 1 << np.arange(len(ratio))[:, None]
+    bit = (b & mask) > 0
+    signed = np.where((np.cumsum(bit, axis=0) - bit) % 2, -phase[0::2], phase[0::2])
+    # each column against the first column whose bit m agrees with it
+    if not (
+        np.array_equal(perm[0::2], b ^ mask)
+        and np.array_equal(signed, np.take_along_axis(signed, b & mask, axis=1))
+        and np.array_equal(ratio, np.take_along_axis(ratio, b & mask, axis=1))
+    ):
+        raise NumericError("Clifford vector images are not in Jordan-Wigner form")
+    halves = np.hstack([0 * mask, mask])
+    return np.take_along_axis(signed, halves, axis=1), np.take_along_axis(ratio, halves, axis=1) == -1j
+
+
+def _bit_halves(a: np.ndarray, m: int) -> np.ndarray:
+    """View of a (2^n, ...) as (2^(n-m-1), 2, 2^m, ...): axis 1 is bit m of the index."""
+    return a.reshape((-1, 2, 1 << m) + a.shape[1:])
+
+
+def apply_modes(rows, scalar, ladder, modes, form, work) -> np.ndarray:
+    """rows @ (scalar I + sum over modes of (a_m mats[2m] + c_m mats[2m+1])).
+
+    form is mode_form(mats). Samples go last: rows (2^n, ...) broadcast
+    against the real scalar (...), and ladder[i], a + ic of mode modes[i],
+    broadcasts like scalar. work, a C-contiguous scratch array of the
+    output's shape that callers keep across calls, is overwritten. The parity signs go
+    Horner-wise, T_0 + Z_0 (T_1 + Z_1 (T_2 + ...)) with Z_k negating the
+    entries whose bit k is set: half the output per sign.
+    """
+    unit, conj = form
+    out = np.empty_like(work)
+    terms = dict(zip(modes, ladder))
+    top = max(terms, default=-1)
+    for m in range(top, -1, -1):
+        if m < top:
+            # a float view: numpy negates complex entries far more slowly
+            half = _bit_halves(out, m)[:, 1].view(np.float64)
+            np.negative(half, out=half)
+        if m in terms:
+            w = terms[m]
+            src = _bit_halves(rows, m)[:, ::-1]
+            dst = _bit_halves(out if m == top else work, m)
+            for v in (0, 1):
+                np.multiply(src[:, v], unit[m, v] * (np.conj(w) if conj[m, v] else w), out=dst[:, v])
+            if m < top:
+                out += work
+    if top < 0:
+        return np.multiply(rows, scalar, out=out)
+    out += np.multiply(rows, scalar, out=work)
     return out
 
 
@@ -190,19 +235,20 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     vecs = np.concatenate([v, np.broadcast_to(np.eye(N), g.shape)], axis=1)
     active = np.concatenate([tau != 0, d < 0], axis=1)
-    # coordinate vector e_a needs only gamma_a (none for a = N)
-    cols = [slice(None)] * N + [slice(a, a + 1) for a in range(N)]
-    perm, phase = monomial_form(vector_images(n))
+    # coordinate vector e_a needs only the mode of gamma_a (none for a = N)
+    modes = [list(range(n))] * N + [[a // 2] for a in range(N - 1)] + [[]]
+    form = mode_form(vector_images(n))
     lifted = np.moveaxis(lifted, -1, 0)[..., None]
+    work = np.empty(lifted.shape[:-1] + (len(g),), dtype=complex)
     odd = np.zeros(len(g), dtype=bool)
-    for k, col in enumerate(cols):
+    for k, mk in enumerate(modes):
         on = active[:, k]
         u = vecs[:, k]
         # the vector at an odd place maps to gamma(u') + u_N, at an even
-        # place to gamma(u') - u_N; gamma_j is twice the image in perm/phase
-        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0).astype(complex)
-        coef = np.where(on, 2.0 * u[:, :-1][:, col].T, 0.0).astype(complex)
-        lifted = apply_monomials(lifted, scalar, coef, perm[col], phase[col])
+        # place to gamma(u') - u_N; gamma_j is twice its image in the form
+        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0)
+        coef = np.where(on[:, None], 2.0 * u[:, :-1], 0.0)
+        lifted = apply_modes(lifted, scalar, coef.view(complex).T[mk], mk, form, work)
         odd ^= on
     if odd.any():
         raise NumericError("Haar rotation is an odd product of reflections")
@@ -231,19 +277,6 @@ def haar_sample(rng: np.random.Generator, n: int) -> GroupPoint:
     N = so_algebra.matrix_size(n)
     rot, u = haar_lift(rng.standard_normal((1, N, N)), np.eye(fock.fock_dim(n)))
     return GroupPoint(n, u[0], rot[0])
-
-
-@dataclass(frozen=True)
-class MatrixCoefficient:
-    """The function g -> <vacuum, spin(g) psi> on the group."""
-
-    state: fock.FockVector
-
-
-def evaluate_coefficient(coeff: MatrixCoefficient, g: GroupPoint) -> complex:
-    if coeff.state.n != g.n:
-        raise SizeError(f"mode counts differ: {coeff.state.n} != {g.n}")
-    return complex((g.spin_matrix @ coeff.state.amplitudes)[0])
 
 
 @dataclass(frozen=True)

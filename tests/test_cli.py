@@ -242,6 +242,28 @@ class TestCalibrate:
         assert estimates["fitted_rate"] == pytest.approx(0.5, abs=1e-12)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fk", "--t-grid", "nan"],
+            ["fk", "--t-grid", "inf"],
+            ["calibrate", "--t-grid", "0,nan"],
+            ["fk", "--t-grid", "0.01", "--energies", "nan"],
+            ["fk", "--t-grid", "0.01", "--energies", "inf"],
+            ["calibrate", "--energies", "inf"],
+            ["fk", "--t-grid", "0.01", "--dt", "inf"],
+            ["calibrate", "--dt", "nan"],
+        ],
+    )
+    def test_refused_before_drawing(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(capsys, argv + ["--n", "1", "--paths", "200", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestHaarTest:
     def test_small_run(self, capsys):
         code, out, _ = run_cli(capsys, ["haar-test", "--n", "1", "--paths", "400", "--seed", "6"])

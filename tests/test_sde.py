@@ -71,7 +71,7 @@ class TestMonomialForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rebuilds_dense_images_exactly(self, n):
         gens = sde.noise_generator_matrices(n)
-        perm, phase = sde.monomial_form(gens)
+        perm, phase = sg.monomial_form(gens)
         cols = np.arange(1 << n)
         for j, g in enumerate(gens):
             dense = np.zeros_like(g)
@@ -83,11 +83,11 @@ class TestMonomialForm:
         two_per_column = gens.copy()
         two_per_column[0, 0, 0] = 0.5
         with pytest.raises(NumericError):
-            sde.monomial_form(two_per_column)
+            sg.monomial_form(two_per_column)
         wrong_value = gens.copy()
         wrong_value[gens != 0] *= 1.5
         with pytest.raises(NumericError):
-            sde.monomial_form(wrong_value)
+            sg.monomial_form(wrong_value)
 
 
 class TestEnsemble:
@@ -183,6 +183,20 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * sde._BLOCK_BYTES
+
+    def test_memory_within_rows_budget(self):
+        # n = 6, 4096 paths, in units of the rows, 16 2^n P bytes: one
+        # gather per generator peaks at 12.55 rows, and a rows-sized
+        # temporary in the paired kernel adds about one more
+        spec = ham.HamiltonianSpec(6, tuple(float(k) for k in range(1, 7)))
+        tracemalloc.start()
+        try:
+            for _ in sde.evolve_ensemble(config(spec, seed=4), 4096, [0.0, 0.02]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.8 * 16 * (1 << 6) * 4096
 
 
 class TestGeneratorCheck:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinfock import fock, sde, so_algebra as so, spin_group as sg
-from spinfock.errors import DomainError, SizeError
+from spinfock.errors import DomainError, NumericError, SizeError
 
 
 def spin_of_antisymmetric(n, x):
@@ -21,16 +21,17 @@ class TestExponentials:
 
     def test_defining_rotation_closed_form(self):
         theta = 0.8
-        m = sg.rep_exp(so.basis_element(1, 1, 2, theta), so.defining_representation(1)).real
+        m = sg.expm_antihermitian(so.defining_rep(so.basis_element(1, 1, 2, theta))).real
         expected = np.eye(3)
         expected[:2, :2] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
         assert np.max(np.abs(m - expected)) < 1e-12
 
     def test_double_cover(self):
         # a full defining-rep turn is -1 in the spin representation
-        m = sg.rep_exp(so.basis_element(1, 1, 2, 2 * np.pi), so.spin_representation(1))
+        turn = so.basis_element(1, 1, 2, 2 * np.pi)
+        m = sg.expm_antihermitian(so.spin_rep(turn))
         assert np.max(np.abs(m + np.eye(2))) < 1e-12
-        r = sg.rep_exp(so.basis_element(1, 1, 2, 2 * np.pi), so.defining_representation(1))
+        r = sg.expm_antihermitian(so.defining_rep(turn))
         assert np.max(np.abs(r - np.eye(3))) < 1e-12
 
     def test_unitary_output(self):
@@ -112,11 +113,13 @@ class TestApplyMonomials:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("stacked", [False, True])
     def test_matches_path_first_kernel(self, n, stacked):
-        # samples last, (2^n, P) or (2^n, 2^n, P), against (P, 2^n) or
-        # (P, 2^n, 2^n) samples first: the same bits, signed zeros included
+        # the paired kernel, samples last, (2^n, P) or (2^n, 2^n, P), against
+        # the earlier kernel, one gather per generator, samples first, (P,
+        # 2^n) or (P, 2^n, 2^n): pairing the generators changes the rounding
         dim, paths = 1 << n, 300
         rng = np.random.default_rng(70 + n)
-        perm, phase = sg.monomial_form(sg.vector_images(n))
+        images = sg.vector_images(n)
+        perm, phase = sg.monomial_form(images)
         shape = (paths, dim, dim) if stacked else (paths, dim)
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows[::4] = 0.0
@@ -129,15 +132,37 @@ class TestApplyMonomials:
         expected = path_first_monomials(
             rows, scalar.reshape(lead), coef.reshape(lead + (-1,)), perm, phase
         )
-        out = sg.apply_monomials(
-            np.ascontiguousarray(np.swapaxes(rows, 0, -1)),
-            scalar.astype(complex),
-            np.ascontiguousarray(coef.T, dtype=complex),
-            perm,
-            phase,
+        last = np.ascontiguousarray(np.swapaxes(rows, 0, -1))
+        ladder = np.ascontiguousarray(coef.view(complex).T)
+        out = sg.apply_modes(
+            last, scalar, ladder, range(n), sg.mode_form(images), np.empty_like(last)
         )
-        assert np.array_equal(np.swapaxes(out, 0, -1), expected)
-        assert np.swapaxes(out, 0, -1).tobytes() == expected.tobytes()
+        out = np.swapaxes(out, 0, -1)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(out))
+        assert not np.any(out[::4])
+
+
+class TestModeForm:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_images_that_do_not_pair(self, n):
+        images = sg.vector_images(n)
+        sg.mode_form(images)
+        # gamma_2 and gamma_3 swapped: each mode's images flip different bits
+        swapped = images[[0, 2, 1] + list(range(3, 2 * n))]
+        sg.monomial_form(swapped)
+        with pytest.raises(NumericError, match="permutation"):
+            sg.mode_form(swapped)
+        # a partner's phase turned by -i: still monomial, ratio +-1
+        turned = images.copy()
+        turned[2 * n - 1] *= -1j
+        sg.monomial_form(turned)
+        with pytest.raises(NumericError, match="ratio"):
+            sg.mode_form(turned)
+        # one column of a mode negated: the sign is no longer a lower-bit parity
+        negated = images.copy()
+        negated[0:2, :, 0] *= -1
+        with pytest.raises(NumericError, match="Jordan-Wigner"):
+            sg.mode_form(negated)
 
 
 class TestHaarLift:
@@ -189,18 +214,16 @@ class TestHaarLift:
 
 
 class TestMatrixCoefficients:
+    # the coefficient of psi at g is <vacuum, spin(g) psi>, entry 0 of U psi
+
     def test_identity_values(self):
-        e = sg.identity_point(2)
-        assert sg.evaluate_coefficient(sg.MatrixCoefficient(fock.vacuum(2)), e) == 1.0
-        assert sg.evaluate_coefficient(sg.MatrixCoefficient(fock.basis_vector(2, [1])), e) == 0.0
+        e = sg.identity_point(2).spin_matrix
+        assert (e @ fock.vacuum(2).amplitudes)[0] == 1.0
+        assert (e @ fock.basis_vector(2, [1]).amplitudes)[0] == 0.0
         rng = np.random.default_rng(1)
         psi = fock.FockVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        value = sg.evaluate_coefficient(sg.MatrixCoefficient(psi), e)
+        value = (e @ psi.amplitudes)[0]
         assert value == fock.fock_inner(fock.vacuum(2), psi)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SizeError):
-            sg.evaluate_coefficient(sg.MatrixCoefficient(fock.vacuum(1)), sg.identity_point(2))
 
     def test_right_translation_covariance(self):
         rng = np.random.default_rng(5)
@@ -209,8 +232,8 @@ class TestMatrixCoefficients:
         for _ in range(10):
             g, h = sg.haar_sample(rng, n), sg.haar_sample(rng, n)
             gh = sg.GroupPoint(n, g.spin_matrix @ h.spin_matrix)
-            lhs = sg.evaluate_coefficient(sg.MatrixCoefficient(psi), gh)
-            rhs = sg.evaluate_coefficient(sg.MatrixCoefficient(psi.apply(h.spin_matrix)), g)
+            lhs = (gh.spin_matrix @ psi.amplitudes)[0]
+            rhs = (g.spin_matrix @ psi.apply(h.spin_matrix).amplitudes)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_deck_sign_cancellation(self):
@@ -221,11 +244,11 @@ class TestMatrixCoefficients:
         for _ in range(10):
             g = sg.haar_sample(rng, n)
             flipped = sg.deck_flip(g)
-            a = sg.evaluate_coefficient(sg.MatrixCoefficient(psi), g)
-            af = sg.evaluate_coefficient(sg.MatrixCoefficient(psi), flipped)
+            a = (g.spin_matrix @ psi.amplitudes)[0]
+            af = (flipped.spin_matrix @ psi.amplitudes)[0]
             assert af == -a
-            b = sg.evaluate_coefficient(sg.MatrixCoefficient(phi), g)
-            bf = sg.evaluate_coefficient(sg.MatrixCoefficient(phi), flipped)
+            b = (g.spin_matrix @ phi.amplitudes)[0]
+            bf = (flipped.spin_matrix @ phi.amplitudes)[0]
             assert np.conj(af) * bf == pytest.approx(np.conj(a) * b, abs=1e-15)
 
 
