@@ -7,14 +7,7 @@ ensemble integrator for the noise-only left-invariant diffusion, and Monte Carlo
 verification of the resulting Feynman-Kac semigroup identity.
 """
 
-from .clifford import (
-    CliffordGenerators,
-    bilinear_form,
-    gamma,
-    gamma_of_vector,
-    hermitian_form,
-    make_clifford_generators,
-)
+from .clifford import CliffordGenerators, gamma, make_clifford_generators
 from .errors import (
     DomainError,
     IndexRangeError,

@@ -172,6 +172,9 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("fk requires the corrected sigma convention")
     if not 0 < config.dt < np.inf:
         raise UsageError("--dt must be positive and finite")
+    bad = [t for t in config.t_grid if not 0 <= t < np.inf]
+    if config.command in ("fk", "calibrate") and bad:
+        raise UsageError(f"--t-grid times must be finite and non-negative, got {bad}")
     if config.paths <= 0:
         raise UsageError("--paths must be positive")
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import IndexRangeError, SizeError
+from .errors import IndexRangeError
 
 
 def gamma(j: int, n: int) -> np.ndarray:
@@ -43,26 +43,3 @@ class CliffordGenerators:
 
 def make_clifford_generators(n: int) -> CliffordGenerators:
     return CliffordGenerators(n, tuple(gamma(j, n) for j in range(1, 2 * n + 1)))
-
-
-def bilinear_form(v: np.ndarray, w: np.ndarray) -> complex:
-    """Symmetric bilinear form sum_j v_j w_j (no conjugation)."""
-    return complex(np.sum(np.asarray(v) * np.asarray(w)))
-
-
-def hermitian_form(v: np.ndarray, w: np.ndarray) -> complex:
-    """Hermitian scalar product, antilinear in the first argument."""
-    return complex(np.vdot(v, w))
-
-
-def gamma_of_vector(v: np.ndarray, n: int) -> np.ndarray:
-    """Complex-linear extension gamma(v) = sum_j v_j gamma_j for v in C^{2n}."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2 * n,):
-        raise SizeError(f"vector must have {2 * n} components, got shape {v.shape}")
-    out = np.zeros((fock.fock_dim(n), fock.fock_dim(n)), dtype=complex)
-    for j in range(1, 2 * n + 1):
-        coeff = v[j - 1]
-        if coeff != 0:
-            out += coeff * gamma(j, n)
-    return out

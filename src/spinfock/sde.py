@@ -15,9 +15,11 @@ step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. The noise
 directions of mode k form one ladder pair, a gamma_{2k-1} + b gamma_{2k} =
 (a - ib) c_k^dagger - (a + ib) c_k, and both terms flip the same bit, so one
 kernel (spin_group.apply_modes, shared with the Haar lift) applies the step
-as one flip per mode. The rows are held as (2^n, P), samples last, so each
-flip moves contiguous blocks of samples, and each step reads a + ib of its
-own coefficients as a complex view.
+as one flip per mode, with the Jordan-Wigner signs written into it. The dense
+images, noise_generator_matrices, serve only generator_check's exact target.
+The rows are held as (2^n, P), samples last, so each flip moves contiguous
+blocks of samples, and each step reads a + ib of its own coefficients as a
+complex view.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
@@ -48,7 +50,7 @@ from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
-from .spin_group import GroupPoint, apply_modes, mode_form
+from .spin_group import GroupPoint, apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
@@ -113,13 +115,13 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
     return cos_om, scaled
 
 
-def _step_rows(rows, scaled, gens) -> np.ndarray:
+def _step_rows(rows, scaled) -> np.ndarray:
     """rows (..., 2^n) @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
     cos_om, coef = _noise_coefficients(scaled)
     rows = np.moveaxis(np.atleast_2d(np.asarray(rows, dtype=complex)), -1, 0)
     ladder = np.moveaxis(np.ascontiguousarray(coef).view(complex), -1, 0)
     work = np.empty(np.broadcast_shapes(rows.shape, cos_om.shape), dtype=complex)
-    out = apply_modes(rows, cos_om, ladder, range(len(ladder)), mode_form(gens), work)
+    out = apply_modes(rows, cos_om, ladder, range(len(ladder)), work)
     return np.moveaxis(out, 0, -1)
 
 
@@ -163,7 +165,6 @@ def evolve_ensemble(
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
-    form = mode_form(noise_generator_matrices(n))
     N = so_algebra.matrix_size(n)
     e0 = vacuum(n).amplitudes
     sig = config.sigmas
@@ -197,7 +198,7 @@ def evolve_ensemble(
             cos_om, coef = _noise_coefficients(scaled[:size])
             for m in range(size):
                 ladder = np.ascontiguousarray(coef[m].view(complex).T)
-                r = apply_modes(r, cos_om[m], ladder, range(n), form, work)
+                r = apply_modes(r, cos_om[m], ladder, range(n), work)
                 for t, s in steps_for.items():
                     if s == first + m + 1:
                         snapshots[t] = r.T
@@ -254,7 +255,7 @@ def generator_check(
 
     rng = np.random.default_rng(config.seed)
     dw = rng.standard_normal((n_samples, 2 * n)) * math.sqrt(config.dt)
-    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas, gens) @ psi.amplitudes
+    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas) @ psi.amplitudes
     f0 = (x.spin_matrix @ psi.amplitudes)[0]
     values = (amps - f0) / config.dt
     mean, stderr = spin_group.complex_mean_stderr(values)

@@ -20,8 +20,11 @@ half-spin matrix coefficients.
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
 i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
-(a + ib) c_m, and in the Jordan-Wigner basis both terms flip bit m-1 of the
-basis index: one flip per mode, with a sign and +-(a -+ ib)/2 per index.
+(a + ib) c_m, and in fock's Jordan-Wigner basis both terms flip bit m-1 of
+the basis index: one flip per mode, times the parity of the lower bits and
+(a - ib)/2 or -(a + ib)/2 by the flipped bit. That table is the same at
+every n, so the kernel holds it as constants; the dense images,
+vector_images, serve only exact targets and tests.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .errors import DomainError, NumericError, SizeError
 
 # Bytes of lifted rows per chunk in the sequential-stream Haar samplers.
 _LIFT_BYTES = 1 << 22
-
-_MONOMIAL_PHASES = (0.5, -0.5, 0.5j, -0.5j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,71 +101,26 @@ def vector_images(n: int) -> np.ndarray:
     return np.stack([so_algebra.spin_symbol_matrix((j, N), n) for j in range(1, 2 * n + 1)])
 
 
-def monomial_form(mats: np.ndarray) -> tuple:
-    """(perm, phase), each (k, 2^n), of a stack of k monomial matrices.
-
-    Column b of mats[j] holds its only nonzero, phase[j, b], in row
-    perm[j, b], so row @ mats[j] == phase[j] * row[..., perm[j]]. Raises
-    NumericError unless every column has exactly one nonzero, valued in
-    {+-1/2, +-i/2}: the structure of the vector images gamma_j / 2.
-    """
-    mats = np.asarray(mats)
-    if not np.all(np.count_nonzero(mats, axis=-2) == 1):
-        raise NumericError("Clifford vector images are not monomial matrices")
-    perm = np.argmax(mats != 0, axis=-2)
-    phase = np.take_along_axis(mats, perm[..., None, :], axis=-2)[..., 0, :]
-    if not np.all(np.isin(phase, _MONOMIAL_PHASES)):
-        raise NumericError("Clifford vector image entries are not in {+-1/2, +-i/2}")
-    return perm, phase
-
-
-def mode_form(mats: np.ndarray) -> tuple:
-    """(unit, conj), each (n, 2), of 2n vector images paired by mode, for apply_modes.
-
-    Images 2m and 2m+1 (from 0) of mats, gamma_j / 2 for j = 1..2n, pair as
-    mode m. At a column b whose bit m is v, a row times (a mats[2m] +
-    c mats[2m+1]) is the row's entry at b XOR 2^m times -1 per set bit of b
-    below m, times unit[m, v] in {+-1/2, +-i/2}, times a + ic, conjugated
-    where conj[m, v]. Keeps the guard of monomial_form, and raises
-    NumericError unless the two images of each mode share one permutation
-    with phase ratio +-i, in this Jordan-Wigner form.
-    """
-    perm, phase = monomial_form(mats)
-    if not np.array_equal(perm[0::2], perm[1::2]):
-        raise NumericError("the two Clifford images of a mode do not share one permutation")
-    ratio = phase[1::2] / phase[0::2]
-    if not np.all(np.isin(ratio, (1j, -1j))):
-        raise NumericError("the two Clifford images of a mode have a phase ratio other than +-i")
-    b, mask = np.arange(perm.shape[1]), 1 << np.arange(len(ratio))[:, None]
-    bit = (b & mask) > 0
-    signed = np.where((np.cumsum(bit, axis=0) - bit) % 2, -phase[0::2], phase[0::2])
-    # each column against the first column whose bit m agrees with it
-    if not (
-        np.array_equal(perm[0::2], b ^ mask)
-        and np.array_equal(signed, np.take_along_axis(signed, b & mask, axis=1))
-        and np.array_equal(ratio, np.take_along_axis(ratio, b & mask, axis=1))
-    ):
-        raise NumericError("Clifford vector images are not in Jordan-Wigner form")
-    halves = np.hstack([0 * mask, mask])
-    return np.take_along_axis(signed, halves, axis=1), np.take_along_axis(ratio, halves, axis=1) == -1j
-
-
 def _bit_halves(a: np.ndarray, m: int) -> np.ndarray:
     """View of a (2^n, ...) as (2^(n-m-1), 2, 2^m, ...): axis 1 is bit m of the index."""
     return a.reshape((-1, 2, 1 << m) + a.shape[1:])
 
 
-def apply_modes(rows, scalar, ladder, modes, form, work) -> np.ndarray:
-    """rows @ (scalar I + sum over modes of (a_m mats[2m] + c_m mats[2m+1])).
+def apply_modes(rows, scalar, ladder, modes, work) -> np.ndarray:
+    """rows @ (scalar I + sum over modes m of (a gamma_{2m+1} + b gamma_{2m+2}) / 2).
 
-    form is mode_form(mats). Samples go last: rows (2^n, ...) broadcast
-    against the real scalar (...), and ladder[i], a + ic of mode modes[i],
-    broadcasts like scalar. work, a C-contiguous scratch array of the
-    output's shape that callers keep across calls, is overwritten. The parity signs go
-    Horner-wise, T_0 + Z_0 (T_1 + Z_1 (T_2 + ...)) with Z_k negating the
-    entries whose bit k is set: half the output per sign.
+    Samples go last: rows (2^n, ...) broadcast against the real scalar
+    (...), and ladder[i], w = a + ib of mode modes[i] (from 0), broadcasts
+    like scalar. work, a C-contiguous scratch array of the output's shape
+    that callers keep across calls, is overwritten.
+
+    The mode's term is (conj(w) c^dagger - w c) / 2 for its ladder pair, and
+    fock's c^dagger takes e_b with bit m clear to s(b) e_(b + 2^m), s(b) = -1
+    per set bit of b below m. So entry b of the result is s(b) r[b XOR 2^m]
+    times conj(w)/2 where bit m of b is 0, and times -w/2 where it is 1. The
+    parity signs go Horner-wise, T_0 + Z_0 (T_1 + Z_1 (T_2 + ...)) with Z_k
+    negating the entries whose bit k is set: half the output per sign.
     """
-    unit, conj = form
     out = np.empty_like(work)
     terms = dict(zip(modes, ladder))
     top = max(terms, default=-1)
@@ -177,8 +133,8 @@ def apply_modes(rows, scalar, ladder, modes, form, work) -> np.ndarray:
             w = terms[m]
             src = _bit_halves(rows, m)[:, ::-1]
             dst = _bit_halves(out if m == top else work, m)
-            for v in (0, 1):
-                np.multiply(src[:, v], unit[m, v] * (np.conj(w) if conj[m, v] else w), out=dst[:, v])
+            np.multiply(src[:, 0], 0.5 * np.conj(w), out=dst[:, 0])
+            np.multiply(src[:, 1], -0.5 * w, out=dst[:, 1])
             if m < top:
                 out += work
     if top < 0:
@@ -237,7 +193,6 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
     active = np.concatenate([tau != 0, d < 0], axis=1)
     # coordinate vector e_a needs only the mode of gamma_a (none for a = N)
     modes = [list(range(n))] * N + [[a // 2] for a in range(N - 1)] + [[]]
-    form = mode_form(vector_images(n))
     lifted = np.moveaxis(lifted, -1, 0)[..., None]
     work = np.empty(lifted.shape[:-1] + (len(g),), dtype=complex)
     odd = np.zeros(len(g), dtype=bool)
@@ -245,10 +200,10 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
         on = active[:, k]
         u = vecs[:, k]
         # the vector at an odd place maps to gamma(u') + u_N, at an even
-        # place to gamma(u') - u_N; gamma_j is twice its image in the form
+        # place to gamma(u') - u_N; apply_modes applies gamma_j / 2, so 2 u'
         scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0)
         coef = np.where(on[:, None], 2.0 * u[:, :-1], 0.0)
-        lifted = apply_modes(lifted, scalar, coef.view(complex).T[mk], mk, form, work)
+        lifted = apply_modes(lifted, scalar, coef.view(complex).T[mk], mk, work)
         odd ^= on
     if odd.any():
         raise NumericError("Haar rotation is an odd product of reflections")

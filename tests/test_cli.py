@@ -8,7 +8,7 @@ import time
 import pytest
 
 import spinfock
-from spinfock import checks, cli, sde
+from spinfock import checks, cli, sde, spin_group
 
 
 def run_cli(capsys, argv):
@@ -156,21 +156,16 @@ class TestFK:
         code, _, _ = run_cli(capsys, ["fk", "--n", "2", "--state", "5", "--seed", "1"])
         assert code == 2
 
-    def test_non_monomial_noise_image_is_numeric_failure(self, capsys, monkeypatch):
-        dense = sde.noise_generator_matrices
-
-        def broken(n):
-            gens = dense(n)
-            gens[0, 0, 0] = 0.5
-            return gens
-
-        monkeypatch.setattr(sde, "noise_generator_matrices", broken)
+    def test_non_finite_estimate_is_numeric_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            spin_group, "complex_mean_stderr", lambda values: (complex("nan"), math.nan)
+        )
         code, out, err = run_cli(
             capsys, ["fk", "--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "1"]
         )
         assert code == 3
         assert out == ""
-        assert "monomial" in err
+        assert "non-finite" in err
 
 
 class TestCalibrate:
@@ -230,6 +225,15 @@ class TestCalibrate:
         assert code == 2
         assert out == ""
         assert "negative" in err and "multiple" not in err
+
+    @pytest.mark.parametrize("grid", ["nan", "-0.1"])
+    def test_bad_grid_time_named_before_count(self, capsys, monkeypatch, grid):
+        # one time is also too few to fit, but the bad time is the fault named
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(capsys, ["calibrate", "--n", "1", "--t-grid=" + grid, "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "finite and non-negative" in err
 
     def test_reports_dropped_fit_points(self, capsys, monkeypatch):
         curve = [(t, 0.5 * math.exp(-0.5 * t) + 0j, 0.01) for t in (0.0, 0.5, 1.0)]

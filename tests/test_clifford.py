@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfock import clifford, fock
-from spinfock.errors import IndexRangeError, SizeError
+from spinfock.errors import IndexRangeError
 
 
 def complex_vectors(length):
@@ -61,50 +61,25 @@ def test_index_range():
         clifford.gamma(5, 2)
 
 
+def gamma_of(v):
+    """gamma(v) = sum_j v_j gamma_j for v in C^4, at n = 2."""
+    return sum(v[j] * clifford.gamma(j + 1, 2) for j in range(4))
+
+
 class TestGammaOfVector:
-    def test_basis_consistency(self):
-        for n in (1, 2):
-            for j in range(1, 2 * n + 1):
-                e = np.zeros(2 * n)
-                e[j - 1] = 1.0
-                assert np.array_equal(clifford.gamma_of_vector(e, n), clifford.gamma(j, n))
-
-    def test_sum_of_basis_vectors(self):
-        v = np.array([1.0, 1.0])
-        expected = clifford.gamma(1, 1) + clifford.gamma(2, 1)
-        assert np.array_equal(clifford.gamma_of_vector(v, 1), expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SizeError):
-            clifford.gamma_of_vector(np.zeros(3), 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(complex_vectors(4), complex_vectors(4), st.floats(-2, 2), st.floats(-2, 2))
-    def test_complex_linearity(self, v, w, re, im):
-        scalar = complex(re, im)
-        lhs = clifford.gamma_of_vector(scalar * v + w, 2)
-        rhs = scalar * clifford.gamma_of_vector(v, 2) + clifford.gamma_of_vector(w, 2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
     @settings(max_examples=40, deadline=None)
     @given(complex_vectors(4), complex_vectors(4))
     def test_clifford_relation_bilinear(self, v, w):
         # {gamma(v), gamma(w)} = -2 <v, w> with the bilinear (unconjugated) form
-        gv = clifford.gamma_of_vector(v, 2)
-        gw = clifford.gamma_of_vector(w, 2)
+        gv = gamma_of(v)
+        gw = gamma_of(w)
         anti = gv @ gw + gw @ gv
-        expected = -2.0 * clifford.bilinear_form(v, w) * np.eye(4)
+        expected = -2.0 * np.sum(v * w) * np.eye(4)
         assert np.max(np.abs(anti - expected)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(complex_vectors(4))
     def test_square_is_bilinear_norm(self, v):
-        gv = clifford.gamma_of_vector(v, 2)
-        expected = -clifford.bilinear_form(v, v) * np.eye(4)
+        gv = gamma_of(v)
+        expected = -np.sum(v * v) * np.eye(4)
         assert np.max(np.abs(gv @ gv - expected)) < 1e-12
-
-
-def test_forms_differ_on_complex_vectors():
-    v = np.array([1j, 0.0])
-    assert clifford.bilinear_form(v, v) == pytest.approx(-1.0)
-    assert clifford.hermitian_form(v, v) == pytest.approx(1.0)

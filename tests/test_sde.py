@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinfock import fock, hamiltonian as ham, sde, so_algebra as so, spin_group as sg
-from spinfock.errors import DomainError, NumericError, SizeError
+from spinfock.errors import DomainError, SizeError
 
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
 SPEC2 = ham.HamiltonianSpec(2, (1.0, 2.0))
@@ -33,16 +33,14 @@ class TestConfig:
 
 class TestStep:
     def test_zero_increments_noise_only(self):
-        gens = sde.noise_generator_matrices(1)
-        out = sde._step_rows(np.eye(2, dtype=complex), np.zeros((1, 2)), gens)
+        out = sde._step_rows(np.eye(2, dtype=complex), np.zeros((1, 2)))
         assert np.allclose(out, np.eye(2), atol=1e-15)
 
     def test_single_direction_increment(self):
         cfg = config()
         w = 0.37
         increments = np.array([[w, 0.0]])
-        gens = sde.noise_generator_matrices(1)
-        out = sde._step_rows(np.eye(2, dtype=complex), increments * cfg.sigmas, gens)
+        out = sde._step_rows(np.eye(2, dtype=complex), increments * cfg.sigmas)
         gen = so.spin_rep(so.basis_element(1, 1, 3))
         expected = sg.expm_antihermitian(cfg.sigmas[0] * gen * w)
         assert np.max(np.abs(out - expected)) < 1e-13
@@ -51,11 +49,10 @@ class TestStep:
         # the rows of eye(4) are the whole spin matrix
         cfg = sde.SDEConfig(SPEC2, 1e-3, "corrected", 5)
         rng = np.random.default_rng(5)
-        gens = sde.noise_generator_matrices(2)
         u = np.eye(4, dtype=complex)
         for _ in range(1000):
             dw = rng.standard_normal(4) * np.sqrt(cfg.dt)
-            u = sde._step_rows(u, (dw * cfg.sigmas)[None, :], gens)
+            u = sde._step_rows(u, (dw * cfg.sigmas)[None, :])
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-8
 
 
@@ -67,27 +64,6 @@ class TestMonomialForm:
         for g in gens:
             assert np.array_equal(np.count_nonzero(g, axis=0), np.ones(dim, dtype=int))
             assert np.all(np.isin(g[g != 0], [0.5, -0.5, 0.5j, -0.5j]))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_rebuilds_dense_images_exactly(self, n):
-        gens = sde.noise_generator_matrices(n)
-        perm, phase = sg.monomial_form(gens)
-        cols = np.arange(1 << n)
-        for j, g in enumerate(gens):
-            dense = np.zeros_like(g)
-            dense[perm[j], cols] = phase[j]
-            assert np.array_equal(dense, g)
-
-    def test_rejects_non_monomial(self):
-        gens = sde.noise_generator_matrices(2)
-        two_per_column = gens.copy()
-        two_per_column[0, 0, 0] = 0.5
-        with pytest.raises(NumericError):
-            sg.monomial_form(two_per_column)
-        wrong_value = gens.copy()
-        wrong_value[gens != 0] *= 1.5
-        with pytest.raises(NumericError):
-            sg.monomial_form(wrong_value)
 
 
 class TestEnsemble:
@@ -242,7 +218,6 @@ class TestDecay:
         # less than one standard error
         spec, t, n_paths = SPEC1, 0.5, 4000
         fine_cfg = config(dt=5e-4, seed=31)
-        gens = sde.noise_generator_matrices(1)
         psi = fock.vacuum(1).amplitudes
         fine_vals, coarse_vals = [], []
         chunk = sde.PATH_BLOCK
@@ -253,11 +228,11 @@ class TestDecay:
             dw = rng.standard_normal((1000, count, 2)) * np.sqrt(5e-4)
             rf = r0
             for m in range(1000):
-                rf = sde._step_rows(rf, dw[m] * fine_cfg.sigmas, gens)
+                rf = sde._step_rows(rf, dw[m] * fine_cfg.sigmas)
             coarse_dw = dw[0::2] + dw[1::2]
             rc = r0
             for m in range(500):
-                rc = sde._step_rows(rc, coarse_dw[m] * fine_cfg.sigmas, gens)
+                rc = sde._step_rows(rc, coarse_dw[m] * fine_cfg.sigmas)
             a0 = r0 @ psi
             fine_vals.append(np.conj(a0) * (rf @ psi))
             coarse_vals.append(np.conj(a0) * (rc @ psi))

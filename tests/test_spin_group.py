@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinfock import fock, sde, so_algebra as so, spin_group as sg
-from spinfock.errors import DomainError, NumericError, SizeError
+from spinfock.errors import DomainError, SizeError
 
 
 def spin_of_antisymmetric(n, x):
@@ -96,30 +96,16 @@ class TestHaar:
         assert np.array_equal(a.defining_matrix, b.defining_matrix)
 
 
-def path_first_monomials(rows, scalar, coef, perm, phase):
-    """The earlier kernel, with the samples on the leading axes: rows
-    (..., 2^n), real scalar (...) and coef (..., k)."""
-    out = scalar[..., None] * rows
-    rows = np.broadcast_to(rows, out.shape)
-    for j in range(len(perm)):
-        term = rows[..., perm[j]]
-        term *= phase[j]
-        term *= coef[..., j, None]
-        out += term
-    return out
-
-
-class TestApplyMonomials:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+class TestApplyModes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("stacked", [False, True])
-    def test_matches_path_first_kernel(self, n, stacked):
-        # the paired kernel, samples last, (2^n, P) or (2^n, 2^n, P), against
-        # the earlier kernel, one gather per generator, samples first, (P,
-        # 2^n) or (P, 2^n, 2^n): pairing the generators changes the rounding
+    def test_matches_dense_images(self, n, stacked):
+        # the kernel, samples last, (2^n, P) or (2^n, 2^n, P), against
+        # scalar rows + sum_j coef_j rows @ (gamma_j / 2) with the dense
+        # images, samples first, (P, 2^n) or (P, 2^n, 2^n)
         dim, paths = 1 << n, 300
         rng = np.random.default_rng(70 + n)
         images = sg.vector_images(n)
-        perm, phase = sg.monomial_form(images)
         shape = (paths, dim, dim) if stacked else (paths, dim)
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows[::4] = 0.0
@@ -129,40 +115,15 @@ class TestApplyMonomials:
         coef[::3] = 0.0
         coef[1::3, 0] = 0.0
         lead = (paths,) + (1,) * (len(shape) - 2)
-        expected = path_first_monomials(
-            rows, scalar.reshape(lead), coef.reshape(lead + (-1,)), perm, phase
-        )
+        expected = scalar.reshape(lead + (1,)) * rows
+        for j, image in enumerate(images):
+            expected += coef[:, j].reshape(lead + (1,)) * (rows @ image)
         last = np.ascontiguousarray(np.swapaxes(rows, 0, -1))
         ladder = np.ascontiguousarray(coef.view(complex).T)
-        out = sg.apply_modes(
-            last, scalar, ladder, range(n), sg.mode_form(images), np.empty_like(last)
-        )
+        out = sg.apply_modes(last, scalar, ladder, range(n), np.empty_like(last))
         out = np.swapaxes(out, 0, -1)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(out))
         assert not np.any(out[::4])
-
-
-class TestModeForm:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_rejects_images_that_do_not_pair(self, n):
-        images = sg.vector_images(n)
-        sg.mode_form(images)
-        # gamma_2 and gamma_3 swapped: each mode's images flip different bits
-        swapped = images[[0, 2, 1] + list(range(3, 2 * n))]
-        sg.monomial_form(swapped)
-        with pytest.raises(NumericError, match="permutation"):
-            sg.mode_form(swapped)
-        # a partner's phase turned by -i: still monomial, ratio +-1
-        turned = images.copy()
-        turned[2 * n - 1] *= -1j
-        sg.monomial_form(turned)
-        with pytest.raises(NumericError, match="ratio"):
-            sg.mode_form(turned)
-        # one column of a mode negated: the sign is no longer a lower-bit parity
-        negated = images.copy()
-        negated[0:2, :, 0] *= -1
-        with pytest.raises(NumericError, match="Jordan-Wigner"):
-            sg.mode_form(negated)
 
 
 class TestHaarLift:
