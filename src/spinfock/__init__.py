@@ -17,24 +17,17 @@ from .errors import (
 )
 from .feynman_kac import FKRow, fk_lhs_exact, fk_report
 from .fock import (
-    FockBasis,
     FockVector,
-    LadderOperator,
     annihilation,
     basis_vector,
     creation,
     fock_dim,
-    fock_inner,
-    ladder,
-    make_fock_space,
-    number_operator,
     vacuum,
 )
 from .hamiltonian import (
     HamiltonianParts,
     HamiltonianSpec,
     build_parts,
-    car_on_subspace_check,
     exact_semigroup,
     subset_sums,
 )

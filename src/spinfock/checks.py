@@ -14,7 +14,7 @@ import numpy as np
 
 from . import clifford, fock, hamiltonian, so_algebra, uea
 from .errors import SizeError
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import HamiltonianParts, HamiltonianSpec
 
 # Test harness hook: replaces the structure constants inside the
 # homomorphism sweep so the failure path of the verify command can be
@@ -43,19 +43,9 @@ def _max_abs(m) -> float:
 
 
 def check_car(n: int) -> CheckResult:
-    eye = np.eye(fock.fock_dim(n))
-    worst = 0.0
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            cj = fock.annihilation(j, n)
-            ckd = fock.creation(k, n)
-            ck = fock.annihilation(k, n)
-            cjd = fock.creation(j, n)
-            delta = eye if j == k else 0.0
-            worst = max(worst, _max_abs(cj @ ckd + ckd @ cj - delta))
-            worst = max(worst, _max_abs(cj @ ck + ck @ cj))
-            worst = max(worst, _max_abs(cjd @ ckd + ckd @ cjd))
-    return _result("car", worst, 1e-12)
+    plus = [fock.creation(j, n) for j in range(1, n + 1)]
+    minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
+    return _result("car", hamiltonian.car_residual(plus, minus), 1e-12)
 
 
 def check_ladder_structure(n: int) -> CheckResult:
@@ -106,7 +96,8 @@ def check_defining_trace(n: int) -> CheckResult:
     return _result("defining-trace-normalization", worst, 1e-12)
 
 
-def _homomorphism_residual(n: int, rep: so_algebra.Representation, bracket_fn) -> float:
+def _homomorphism_residual(n: int, rep: so_algebra.Representation) -> float:
+    bracket_fn = _STRUCTURE_BRACKET_OVERRIDE or so_algebra.bracket_symbols
     syms = so_algebra.symbols(n)
     mats = {s: rep.apply(so_algebra.basis_element(n, *s)) for s in syms}
     dim = next(iter(mats.values())).shape[0]
@@ -121,11 +112,9 @@ def _homomorphism_residual(n: int, rep: so_algebra.Representation, bracket_fn) -
     return worst
 
 
-def check_homomorphism(n: int, tag: str, bracket_fn=None) -> CheckResult:
-    if bracket_fn is None:
-        bracket_fn = _STRUCTURE_BRACKET_OVERRIDE or so_algebra.bracket_symbols
+def check_homomorphism(n: int, tag: str) -> CheckResult:
     rep = so_algebra.representation(tag, n)
-    return _result(f"homomorphism-{tag}", _homomorphism_residual(n, rep, bracket_fn), 1e-12)
+    return _result(f"homomorphism-{tag}", _homomorphism_residual(n, rep), 1e-12)
 
 
 def check_ladder_spin_image(n: int) -> CheckResult:
@@ -175,75 +164,78 @@ def check_uea_normal_order(n: int) -> CheckResult:
     return _result("uea-normal-order-zero", float(failures), 0.0)
 
 
-def check_decomposition(spec: HamiltonianSpec) -> CheckResult:
+# The checks below share run_verify's quasi-Hamiltonian parts, (spin, defining).
+
+
+def check_decomposition(parts: tuple) -> CheckResult:
     worst = 0.0
-    for tag in ("spin", "defining"):
-        parts = hamiltonian.build_parts(spec, so_algebra.representation(tag, spec.n))
-        worst = max(worst, _max_abs(parts.h_tilde - (parts.p0 + 1j * parts.b0)))
+    for p in parts:
+        worst = max(worst, _max_abs(p.h_tilde - (p.p0 + 1j * p.b0)))
     return _result("hamiltonian-decomposition", worst, 1e-12)
 
 
-def check_spectrum(spec: HamiltonianSpec) -> CheckResult:
-    parts = hamiltonian.build_parts(spec, so_algebra.spin_representation(spec.n))
-    eigs = np.sort(np.linalg.eigvalsh(parts.h_tilde))
+def check_spectrum(spec: HamiltonianSpec, spin: HamiltonianParts) -> CheckResult:
+    eigs = np.sort(np.linalg.eigvalsh(spin.h_tilde))
     expected = hamiltonian.subset_sums(spec)
     return _result("spectrum-subset-sums", _max_abs(eigs - expected), 1e-10)
 
 
-def check_commutation_shadow(spec: HamiltonianSpec) -> CheckResult:
+def check_commutation_shadow(parts: tuple) -> CheckResult:
     worst = 0.0
-    for tag in ("spin", "defining"):
-        parts = hamiltonian.build_parts(spec, so_algebra.representation(tag, spec.n))
-        worst = max(worst, _max_abs(parts.p0 @ parts.b0 - parts.b0 @ parts.p0))
-        for tk in parts.t:
-            for lk in parts.l:
+    for p in parts:
+        worst = max(worst, _max_abs(p.p0 @ p.b0 - p.b0 @ p.p0))
+        for tk in p.t:
+            for lk in p.l:
                 worst = max(worst, _max_abs(tk @ lk - lk @ tk))
-            for tl in parts.t:
+            for tl in p.t:
                 worst = max(worst, _max_abs(tk @ tl - tl @ tk))
     return _result("commutation-shadow", worst, 1e-12)
 
 
-def check_car_on_subspace(spec: HamiltonianSpec) -> CheckResult:
-    parts = hamiltonian.build_parts(spec, so_algebra.spin_representation(spec.n))
-    return _result("car-on-subspace", hamiltonian.car_residual(parts), 1e-12)
+def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
+    return _result("car-on-subspace", hamiltonian.car_residual(spin.d_plus, spin.d_minus), 1e-12)
 
 
-def check_factorized_identity(spec: HamiltonianSpec) -> CheckResult:
+def check_factorized_identity(spec: HamiltonianSpec, parts: tuple) -> CheckResult:
+    """H against -sum_k E_k (a + ib)(a - ib), with a and b rebuilt from the basis images."""
     n = spec.n
     N = so_algebra.matrix_size(n)
     worst = 0.0
-    for tag in ("spin", "defining"):
-        rep = so_algebra.representation(tag, n)
-        parts = hamiltonian.build_parts(spec, rep)
-        dim = parts.h_tilde.shape[0]
+    for p in parts:
+        rep = so_algebra.representation(p.rep_tag, n)
+        dim = p.h_tilde.shape[0]
         total = np.zeros((dim, dim), dtype=complex)
         for k, e in enumerate(spec.energies, start=1):
             a = rep.apply(so_algebra.basis_element(n, 2 * k - 1, N))
             b = rep.apply(so_algebra.basis_element(n, 2 * k, N))
             total -= e * ((a + 1j * b) @ (a - 1j * b))
-        worst = max(worst, _max_abs(total - parts.h_tilde))
+        worst = max(worst, _max_abs(total - p.h_tilde))
     return _result("factorized-identity", worst, 1e-12)
 
 
-def run_verify(n: int, energies, bracket_fn=None) -> list:
+def run_verify(n: int, energies) -> list:
     """Run the full named check suite at one mode count."""
     if n > MAX_VERIFY_MODES:
         raise SizeError(f"verify sweeps are bounded at n <= {MAX_VERIFY_MODES}, got {n}")
     spec = HamiltonianSpec(n, tuple(energies))
+    parts = tuple(
+        hamiltonian.build_parts(spec, so_algebra.representation(tag, n))
+        for tag in ("spin", "defining")
+    )
     return [
         check_car(n),
         check_ladder_structure(n),
         check_clifford_anticommutation(n),
         check_clifford_reconstruction(n),
         check_defining_trace(n),
-        check_homomorphism(n, "defining", bracket_fn),
-        check_homomorphism(n, "spin", bracket_fn),
+        check_homomorphism(n, "defining"),
+        check_homomorphism(n, "spin"),
         check_ladder_spin_image(n),
         check_cartan_weights(n),
         check_uea_normal_order(n),
-        check_decomposition(spec),
-        check_spectrum(spec),
-        check_commutation_shadow(spec),
-        check_car_on_subspace(spec),
-        check_factorized_identity(spec),
+        check_decomposition(parts),
+        check_spectrum(spec, parts[0]),
+        check_commutation_shadow(parts),
+        check_car_on_subspace(parts[0]),
+        check_factorized_identity(spec, parts),
     ]

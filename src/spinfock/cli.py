@@ -25,6 +25,10 @@ EXIT_NUMERIC = 3
 
 STOCHASTIC_COMMANDS = ("fk", "calibrate", "haar-test")
 
+# spectrum holds about 40 dense 2^n x 2^n matrices: 770 MB at n = 10, and
+# four times as much per further mode.
+MAX_SPECTRUM_MODES = 10
+
 
 class UsageError(Exception):
     pass
@@ -168,6 +172,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("--seed must be a non-negative integer")
     if config.command == "verify" and config.n > checks.MAX_VERIFY_MODES:
         raise UsageError(f"verify sweeps are bounded at n <= {checks.MAX_VERIFY_MODES}")
+    if config.command == "spectrum" and config.n > MAX_SPECTRUM_MODES:
+        raise UsageError(f"spectrum is bounded at n <= {MAX_SPECTRUM_MODES}")
     if config.command == "fk" and config.sigma != "corrected":
         raise UsageError("fk requires the corrected sigma convention")
     if not 0 < config.dt < np.inf:
@@ -280,6 +286,8 @@ def cmd_calibrate(config: RunConfig):
 def cmd_haar_test(config: RunConfig):
     n = config.n
     n_samples = config.paths
+    if n_samples < 100:
+        raise UsageError(f"haar-test needs at least 100 paths, got {n_samples}")
     rng = np.random.default_rng(config.seed)
     dim = fock.fock_dim(n)
     top = fock.basis_vector(n, range(1, n + 1)).amplitudes

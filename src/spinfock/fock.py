@@ -53,12 +53,9 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def apply(self, matrix: np.ndarray) -> "FockVector":
-        """Apply a 2^n x 2^n operator matrix to this state."""
-        return FockVector(self.n, matrix @ self.amplitudes)
-
 
 def vacuum(n: int) -> FockVector:
+    check_mode_count(n)
     amps = np.zeros(fock_dim(n), dtype=complex)
     amps[0] = 1.0
     return FockVector(n, amps)
@@ -78,46 +75,10 @@ def basis_vector(n: int, modes: Iterable[int] = ()) -> FockVector:
     return FockVector(n, amps)
 
 
-@dataclass(frozen=True)
-class FockBasis:
-    """The indexed family of 2^n orthonormal basis vectors."""
-
-    n: int
-    states: tuple
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, mask: int) -> FockVector:
-        return self.states[mask]
-
-
-def make_fock_space(n: int) -> FockBasis:
-    """All 2^n occupation-basis vectors, indexed by bitmask; mask 0 is the vacuum."""
+def creation(j: int, n: int) -> np.ndarray:
+    """Creation operator c_j^dagger as a dense 2^n x 2^n matrix."""
     check_mode_count(n)
-    dim = fock_dim(n)
-    eye = np.eye(dim, dtype=complex)
-    return FockBasis(n, tuple(FockVector(n, eye[:, mask]) for mask in range(dim)))
-
-
-def fock_inner(v: FockVector, w: FockVector) -> complex:
-    """Hermitian inner product, antilinear in the first argument."""
-    if v.n != w.n:
-        raise SizeError(f"mode counts differ: {v.n} != {w.n}")
-    return complex(np.vdot(v.amplitudes, w.amplitudes))
-
-
-@dataclass(frozen=True)
-class LadderOperator:
-    """Creation or annihilation operator for one mode, as a dense matrix."""
-
-    mode: int
-    kind: str  # "creation" | "annihilation"
-    n: int
-    matrix: np.ndarray
-
-
-def _creation_matrix(j: int, n: int) -> np.ndarray:
+    _check_mode(j, n)
     dim = fock_dim(n)
     bit = 1 << (j - 1)
     below = bit - 1
@@ -130,26 +91,6 @@ def _creation_matrix(j: int, n: int) -> np.ndarray:
     return m
 
 
-def ladder(j: int, kind: str, n: int) -> LadderOperator:
-    """Ladder operator c_j (annihilation) or c_j^dagger (creation)."""
-    check_mode_count(n)
-    _check_mode(j, n)
-    if kind not in ("creation", "annihilation"):
-        raise ValueError(f"kind must be 'creation' or 'annihilation', got {kind!r}")
-    created = _creation_matrix(j, n)
-    matrix = created if kind == "creation" else created.conj().T
-    return LadderOperator(j, kind, n, matrix)
-
-
-def creation(j: int, n: int) -> np.ndarray:
-    return ladder(j, "creation", n).matrix
-
-
 def annihilation(j: int, n: int) -> np.ndarray:
-    return ladder(j, "annihilation", n).matrix
-
-
-def number_operator(j: int, n: int) -> np.ndarray:
-    """N_j = c_j^dagger c_j (diagonal in the occupation basis)."""
-    c = creation(j, n)
-    return c @ c.conj().T
+    """Annihilation operator c_j, the adjoint of creation(j, n)."""
+    return creation(j, n).conj().T

@@ -98,31 +98,24 @@ def build_parts(spec: HamiltonianSpec, rep: so_algebra.Representation) -> Hamilt
     )
 
 
-def car_residual(parts: HamiltonianParts) -> float:
-    """Worst deviation of the D_k^+/- family from the anticommutation relations."""
-    dim = parts.d_plus[0].shape[0]
-    eye = np.eye(dim)
+def car_residual(plus, minus) -> float:
+    """Worst deviation of the operator families plus[k], minus[k] from the CAR.
+
+    The relations are {minus_j, plus_k} = delta_jk, {plus_j, plus_k} = 0 and
+    {minus_j, minus_k} = 0.
+    """
+    eye = np.eye(plus[0].shape[0])
     worst = 0.0
-    n = parts.n
-    for j in range(n):
-        for k in range(n):
-            dm, dp = parts.d_minus[j], parts.d_plus[k]
+    for j in range(len(plus)):
+        for k in range(len(plus)):
+            dm, dp = minus[j], plus[k]
             delta = eye if j == k else 0.0
             worst = max(worst, np.max(np.abs(dm @ dp + dp @ dm - delta)))
-            a, b = parts.d_plus[j], parts.d_plus[k]
+            a, b = plus[j], plus[k]
             worst = max(worst, np.max(np.abs(a @ b + b @ a)))
-            a, b = parts.d_minus[j], parts.d_minus[k]
+            a, b = minus[j], minus[k]
             worst = max(worst, np.max(np.abs(a @ b + b @ a)))
     return float(worst)
-
-
-def car_on_subspace_check(parts: HamiltonianParts, tol: float = 1e-12) -> bool:
-    """Whether the representation images of the ladder elements satisfy the CAR.
-
-    True in the spin representation; false in the defining representation,
-    where the relations only hold after projection onto the embedded subspace.
-    """
-    return car_residual(parts) <= tol
 
 
 def exact_semigroup(m: np.ndarray, t: float) -> np.ndarray:

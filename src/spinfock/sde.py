@@ -15,11 +15,10 @@ step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. The noise
 directions of mode k form one ladder pair, a gamma_{2k-1} + b gamma_{2k} =
 (a - ib) c_k^dagger - (a + ib) c_k, and both terms flip the same bit, so one
 kernel (spin_group.apply_modes, shared with the Haar lift) applies the step
-as one flip per mode, with the Jordan-Wigner signs written into it. The dense
-images, noise_generator_matrices, serve only generator_check's exact target.
-The rows are held as (2^n, P), samples last, so each flip moves contiguous
-blocks of samples, and each step reads a + ib of its own coefficients as a
-complex view.
+as one flip per mode, with the Jordan-Wigner signs written into it. The rows
+are held as (2^n, P), samples last, so each flip moves contiguous blocks of
+samples, and each step reads a + ib of its own coefficients as a complex
+view.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
@@ -93,11 +92,6 @@ class SDEConfig:
         return np.sqrt(self.eprime)
 
 
-def noise_generator_matrices(n: int) -> np.ndarray:
-    """Spin images of the noise directions, stacked (2n, 2^n, 2^n)."""
-    return spin_group.vector_images(n)
-
-
 def _noise_coefficients(scaled: np.ndarray) -> tuple:
     """cos(w) and sinc(w/pi) * c for the step exp(gamma(c)/2), w = |c|/2.
 
@@ -134,20 +128,19 @@ def evolve_ensemble(
     config: SDEConfig,
     n_paths: int,
     t_grid,
-    initial: GroupPoint | None = None,
     chunk_size: int = 4 * PATH_BLOCK,
 ):
     """Evolve independent paths, yielding per-chunk rows e_0^T U at the grid times.
 
     Yields (start_index, r0, snapshots) where r0 stacks the rows e_0^T U0 of
-    the initial spin matrices (Haar-distributed unless ``initial`` pins
-    them), paths on axis 0, and snapshots maps each grid time to the stack of
-    rows e_0^T U at that time. A matrix coefficient <e_0, U psi> is r @ psi.
+    the Haar-distributed initial spin matrices, paths on axis 0, and
+    snapshots maps each grid time to the stack of rows e_0^T U at that time.
+    A matrix coefficient <e_0, U psi> is r @ psi.
 
     The P paths of block b (P = PATH_BLOCK, or fewer in the last block) draw
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
-    Haar starts (unless ``initial`` pins them), then the (steps, P, 2n)
-    increments, time-major, in step-blocks that together equal one draw.
+    Haar starts, then the (steps, P, 2n) increments, time-major, in
+    step-blocks that together equal one draw.
     chunk_size must be a multiple of PATH_BLOCK, so results depend on the
     seed and the path count only, neither on the chunk size nor on the
     step-block size.
@@ -178,11 +171,8 @@ def evolve_ensemble(
             (block_rng(config.seed, (start + lo) // PATH_BLOCK), lo, min(lo + PATH_BLOCK, count))
             for lo in range(0, count, PATH_BLOCK)
         ]
-        if initial is None:
-            g = np.concatenate([rng.standard_normal((hi - lo, N, N)) for rng, lo, hi in blocks])
-            r0 = spin_group.haar_lift(g, e0)[1]
-        else:
-            r0 = np.tile(initial.spin_matrix[0], (count, 1))
+        g = np.concatenate([rng.standard_normal((hi - lo, N, N)) for rng, lo, hi in blocks])
+        r0 = spin_group.haar_lift(g, e0)[1]
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
         scaled = np.empty((block, count, width))
         r = np.ascontiguousarray(r0.T)
@@ -249,7 +239,7 @@ def generator_check(
     n = config.spec.n
     if psi.n != n or x.n != n:
         raise SizeError("mode counts differ between state, point, and config")
-    gens = noise_generator_matrices(n)
+    gens = spin_group.vector_images(n)
     lmat = 0.5 * np.einsum("j,jab,jbc->ac", config.sigmas**2, gens, gens)
     target = complex((x.spin_matrix @ (lmat @ psi.amplitudes))[0])
 

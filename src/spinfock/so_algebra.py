@@ -190,10 +190,6 @@ class Representation:
     n: int
     apply: Callable[[AlgebraElement], np.ndarray]
 
-    @property
-    def dim(self) -> int:
-        return fock.fock_dim(self.n) if self.tag == "spin" else matrix_size(self.n)
-
 
 def spin_representation(n: int) -> Representation:
     fock.check_mode_count(n)

@@ -72,11 +72,6 @@ def identity_point(n: int) -> GroupPoint:
                       np.eye(so_algebra.matrix_size(n)))
 
 
-def deck_flip(g: GroupPoint) -> GroupPoint:
-    """The other preimage of the same rotation: spin matrix negated."""
-    return GroupPoint(g.n, -g.spin_matrix, g.defining_matrix)
-
-
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
     w, v = np.linalg.eigh(1j * np.asarray(m, dtype=complex))

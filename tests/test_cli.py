@@ -8,7 +8,7 @@ import time
 import pytest
 
 import spinfock
-from spinfock import checks, cli, sde, spin_group
+from spinfock import checks, cli, hamiltonian, sde, spin_group
 
 
 def run_cli(capsys, argv):
@@ -75,6 +75,15 @@ class TestSpectrum:
         doc = json.loads(out)
         assert len(doc["rows"]) == 8
         assert doc["residuals"]["max_spectrum_deviation"] <= 1e-10
+
+    def test_mode_count_bound_before_building(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            hamiltonian, "build_parts", lambda *args: pytest.fail("matrices were built")
+        )
+        code, out, err = run_cli(capsys, ["spectrum", "--n", str(cli.MAX_SPECTRUM_MODES + 1)])
+        assert code == 2
+        assert out == ""
+        assert f"n <= {cli.MAX_SPECTRUM_MODES}" in err
 
 
 class TestFK:
@@ -276,6 +285,13 @@ class TestHaarTest:
         assert names == {
             "entry-mean", "trace-moment", "schur-inner-vacuum", "spin-unitarity", "deck-invariance",
         }
+
+    def test_sample_floor_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        code, out, err = run_cli(capsys, ["haar-test", "--n", "8", "--paths", "99", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "at least 100 paths" in err
 
 
 class TestImport:

@@ -59,7 +59,7 @@ class TestStep:
 class TestMonomialForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noise_images_are_monomial(self, n):
-        gens = sde.noise_generator_matrices(n)
+        gens = sg.vector_images(n)
         dim = 1 << n
         for g in gens:
             assert np.array_equal(np.count_nonzero(g, axis=0), np.ones(dim, dtype=int))
@@ -94,13 +94,6 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             list(sde.evolve_ensemble(cfg, 4, [0.0005]))
 
-    def test_pinned_initial_state(self):
-        cfg = config()
-        point = sg.identity_point(1)
-        _, r0, snaps = next(sde.evolve_ensemble(cfg, 3, [0.0], initial=point))
-        assert np.array_equal(r0, np.tile(np.eye(2)[0], (3, 1)))
-        assert snaps[0.0] is r0
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_match_dense_reference(self, n, monkeypatch):
         # blocks of 7 steps: the 30-step horizon crosses four block
@@ -123,7 +116,7 @@ class TestEnsemble:
         dw = np.concatenate(
             [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
         ) * np.sqrt(dt)
-        gens = sde.noise_generator_matrices(n)
+        gens = sg.vector_images(n)
         expected = [u[:, 0]]
         for m in range(steps):
             exps = np.einsum("pj,jab->pab", dw[m] * cfg.sigmas, gens)
