@@ -32,11 +32,9 @@ from .hamiltonian import (
     subset_sums,
 )
 from .sde import (
-    GeneratorCheck,
     SDEConfig,
     decay_curve,
     fit_decay_rate,
-    generator_check,
 )
 from .so_algebra import (
     AlgebraElement,
@@ -53,12 +51,8 @@ from .so_algebra import (
     weight_of,
 )
 from .spin_group import (
-    GroupPoint,
     MCEstimate,
-    group_exp,
     haar_lift,
-    haar_sample,
-    identity_point,
     l2_inner_mc,
 )
 from .uea import (

@@ -25,8 +25,9 @@ EXIT_NUMERIC = 3
 
 STOCHASTIC_COMMANDS = ("fk", "calibrate", "haar-test")
 
-# spectrum holds about 40 dense 2^n x 2^n matrices: 770 MB at n = 10, and
-# four times as much per further mode.
+# spectrum builds H from dense 2^n x 2^n matrices and takes all its
+# eigenvalues: 0.65 s and 59 MB peak RSS at n = 9, 4 s and 143 MB at
+# n = 10, on one core. Each further mode quadruples the matrices.
 MAX_SPECTRUM_MODES = 10
 
 
@@ -211,8 +212,15 @@ def cmd_verify(config: RunConfig):
 
 def cmd_spectrum(config: RunConfig):
     spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
-    parts = hamiltonian.build_parts(spec, so_algebra.spin_representation(config.n))
-    eigs = np.sort(np.linalg.eigvalsh(parts.h_tilde))
+    # H = sum_k E_k D_k^+ D_k^- alone, summed in build_parts' order, which
+    # would also build P0, B0 and every per-mode part
+    dim = fock.fock_dim(config.n)
+    h = np.zeros((dim, dim), dtype=complex)
+    for k, e in enumerate(spec.energies, start=1):
+        dp = so_algebra.spin_rep(so_algebra.ladder_element(k, config.n))
+        dm = so_algebra.spin_rep(so_algebra.ladder_element(-k, config.n))
+        h += e * (dp @ dm)
+    eigs = np.sort(np.linalg.eigvalsh(h))
     sums = hamiltonian.subset_sums(spec)
     rows = [
         {

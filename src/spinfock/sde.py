@@ -49,7 +49,7 @@ from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
-from .spin_group import GroupPoint, apply_modes
+from .spin_group import apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
@@ -107,16 +107,6 @@ def _noise_coefficients(scaled: np.ndarray) -> tuple:
     sinc[om == 0] = 1.0
     scaled *= sinc[..., None]
     return cos_om, scaled
-
-
-def _step_rows(rows, scaled) -> np.ndarray:
-    """rows (..., 2^n) @ exp(gamma(c)/2) for scaled increments c (..., 2n); overwrites scaled."""
-    cos_om, coef = _noise_coefficients(scaled)
-    rows = np.moveaxis(np.atleast_2d(np.asarray(rows, dtype=complex)), -1, 0)
-    ladder = np.moveaxis(np.ascontiguousarray(coef).view(complex), -1, 0)
-    work = np.empty(np.broadcast_shapes(rows.shape, cos_om.shape), dtype=complex)
-    out = apply_modes(rows, cos_om, ladder, range(len(ladder)), work)
-    return np.moveaxis(out, 0, -1)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -215,41 +205,6 @@ def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: 
         mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))
         rows.append((t, mean, stderr))
     return rows
-
-
-@dataclass(frozen=True)
-class GeneratorCheck:
-    empirical: complex
-    std_error: float
-    target: complex
-
-
-def generator_check(
-    psi: FockVector,
-    x: GroupPoint,
-    n_samples: int,
-    config: SDEConfig,
-) -> GeneratorCheck:
-    """Finite-difference estimate of the generator against its exact value.
-
-    Compares (E[f(X(dt))] - f(x)) / dt, for f the matrix coefficient of psi
-    and dt = config.dt, with the image of (1/2) sum_j sigma_j^2 A_j^2 applied
-    to psi and evaluated at x. Discriminates the two sigma conventions.
-    """
-    n = config.spec.n
-    if psi.n != n or x.n != n:
-        raise SizeError("mode counts differ between state, point, and config")
-    gens = spin_group.vector_images(n)
-    lmat = 0.5 * np.einsum("j,jab,jbc->ac", config.sigmas**2, gens, gens)
-    target = complex((x.spin_matrix @ (lmat @ psi.amplitudes))[0])
-
-    rng = np.random.default_rng(config.seed)
-    dw = rng.standard_normal((n_samples, 2 * n)) * math.sqrt(config.dt)
-    amps = _step_rows(x.spin_matrix[0], dw * config.sigmas) @ psi.amplitudes
-    f0 = (x.spin_matrix @ psi.amplitudes)[0]
-    values = (amps - f0) / config.dt
-    mean, stderr = spin_group.complex_mean_stderr(values)
-    return GeneratorCheck(mean, stderr, target)
 
 
 def decay_curve(

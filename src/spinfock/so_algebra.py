@@ -98,9 +98,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def has_real_coefficients(self, tol: float = 1e-12) -> bool:
-        return all(abs(v.imag) <= tol for v in self.coefficients.values())
-
 
 def zero_element(n: int) -> AlgebraElement:
     return AlgebraElement(n, {})

@@ -1,6 +1,5 @@
-"""Group-level machinery on SO(2n+1) and its double cover: exponentials into
-both representations, Haar sampling and its spin lift, and Monte Carlo Haar
-quadrature.
+"""Group-level machinery on SO(2n+1) and its double cover: Haar sampling and
+its spin lift, and Monte Carlo Haar quadrature.
 
 Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
 with the usual R-diagonal sign fix and a determinant correction. The
@@ -24,7 +23,8 @@ i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
 the basis index: one flip per mode, times the parity of the lower bits and
 (a - ib)/2 or -(a + ib)/2 by the flipped bit. That table is the same at
 every n, so the kernel holds it as constants; the dense images,
-vector_images, serve only exact targets and tests.
+vector_images, and the dense exponential, expm_antihermitian, serve only
+exact targets and tests.
 """
 
 from __future__ import annotations
@@ -34,60 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, so_algebra
-from .errors import DomainError, NumericError, SizeError
+from .errors import NumericError, SizeError
 
-# Bytes of lifted rows per chunk in the sequential-stream Haar samplers.
+# Bytes of lifted rows per chunk in haar_chunks.
 _LIFT_BYTES = 1 << 22
-
-
-@dataclass(frozen=True, eq=False)
-class GroupPoint:
-    """A group element: unitary spin matrix, optional orthogonal defining matrix."""
-
-    n: int
-    spin_matrix: np.ndarray
-    defining_matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        fock.check_mode_count(self.n)
-        u = np.asarray(self.spin_matrix, dtype=complex)
-        dim = fock.fock_dim(self.n)
-        if u.shape != (dim, dim):
-            raise SizeError(f"spin matrix must be {dim}x{dim}, got {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-10:
-            raise DomainError("spin matrix is not unitary within 1e-10")
-        object.__setattr__(self, "spin_matrix", u)
-        if self.defining_matrix is not None:
-            r = np.asarray(self.defining_matrix, dtype=float)
-            N = so_algebra.matrix_size(self.n)
-            if r.shape != (N, N):
-                raise SizeError(f"defining matrix must be {N}x{N}, got {r.shape}")
-            if np.max(np.abs(r.T @ r - np.eye(N))) > 1e-10 or np.linalg.det(r) < 0:
-                raise DomainError("defining matrix is not special orthogonal within 1e-10")
-            object.__setattr__(self, "defining_matrix", r)
-
-
-def identity_point(n: int) -> GroupPoint:
-    return GroupPoint(n, np.eye(fock.fock_dim(n), dtype=complex),
-                      np.eye(so_algebra.matrix_size(n)))
 
 
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
     w, v = np.linalg.eigh(1j * np.asarray(m, dtype=complex))
     return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
-def group_exp(elem: so_algebra.AlgebraElement) -> GroupPoint:
-    """Exponentiate a real algebra element into both representations."""
-    if not elem.has_real_coefficients():
-        raise DomainError(
-            "group exponential needs real coefficients in the antisymmetric basis"
-        )
-    n = elem.n
-    spin = expm_antihermitian(so_algebra.spin_rep(elem))
-    defining = expm_antihermitian(so_algebra.defining_rep(elem)).real
-    return GroupPoint(n, spin, defining)
 
 
 def vector_images(n: int) -> np.ndarray:
@@ -219,14 +175,6 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
     for start in range(0, count, chunk):
         g = rng.standard_normal((min(chunk, count - start), N, N))
         yield (start, *haar_lift(g, rows))
-
-
-def haar_sample(rng: np.random.Generator, n: int) -> GroupPoint:
-    """Haar-distributed group point: one Gaussian draw, lifted."""
-    fock.check_mode_count(n)
-    N = so_algebra.matrix_size(n)
-    rot, u = haar_lift(rng.standard_normal((1, N, N)), np.eye(fock.fock_dim(n)))
-    return GroupPoint(n, u[0], rot[0])
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,15 @@ class TestSpectrum:
         assert len(doc["rows"]) == 8
         assert doc["residuals"]["max_spectrum_deviation"] <= 1e-10
 
+    def test_builds_only_h(self, capsys, monkeypatch):
+        # the eigenvalues need H alone, not P0, B0 and the per-mode parts
+        monkeypatch.setattr(
+            hamiltonian, "build_parts", lambda *args: pytest.fail("all parts were built")
+        )
+        code, out, _ = run_cli(capsys, ["spectrum", "--n", "3"])
+        assert code == 0
+        assert json.loads(out)["residuals"]["max_spectrum_deviation"] <= 1e-10
+
     def test_mode_count_bound_before_building(self, capsys, monkeypatch):
         monkeypatch.setattr(
             hamiltonian, "build_parts", lambda *args: pytest.fail("matrices were built")

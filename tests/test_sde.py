@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinfock import fock, hamiltonian as ham, sde, so_algebra as so, spin_group as sg
+from spinfock import fock, hamiltonian as ham, sde, spin_group as sg
 from spinfock.errors import DomainError, SizeError
 
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
@@ -12,6 +13,29 @@ SPEC2 = ham.HamiltonianSpec(2, (1.0, 2.0))
 
 def config(spec=SPEC1, dt=1e-3, sigma="corrected", seed=0):
     return sde.SDEConfig(spec, dt, sigma, seed)
+
+
+def step_mean(cfg, terms=40):
+    """m(dt) with E[step] = m(dt) I: the engine's exact mean at step size cfg.dt.
+
+    The step is cos(w) I + sinc(w/pi) gamma(c)/2, and c is symmetric, so
+    only E cos(w) survives. w^2 = sum_k a_k X_k over the modes, with
+    X_k ~ Exp(1) and a_k = dt sigma_{2k}^2 / 2, so E w^(2m) = m! h_m(a), h_m
+    the complete homogeneous symmetric polynomial, and
+    m(dt) = sum_m (-1)^m m! h_m(a) / (2m)!.
+    """
+    h = np.zeros(terms)
+    h[0] = 1.0
+    for a in cfg.dt * cfg.sigmas[1::2] ** 2 / 2:
+        # h_m(a_1..a_k) = h_m(a_1..a_(k-1)) + a_k h_(m-1)(a_1..a_k)
+        for m in range(1, terms):
+            h[m] += a * h[m - 1]
+    total, ratio = 0.0, 1.0
+    for m in range(terms):
+        if m:
+            ratio /= 2 * (2 * m - 1)  # m! / (2m)!
+        total += (-1) ** m * ratio * h[m]
+    return total
 
 
 class TestConfig:
@@ -33,30 +57,25 @@ class TestConfig:
 
 class TestStep:
     def test_zero_increments_noise_only(self):
-        out = sde._step_rows(np.eye(2, dtype=complex), np.zeros((1, 2)))
-        assert np.allclose(out, np.eye(2), atol=1e-15)
-
-    def test_single_direction_increment(self):
-        cfg = config()
-        w = 0.37
-        increments = np.array([[w, 0.0]])
-        out = sde._step_rows(np.eye(2, dtype=complex), increments * cfg.sigmas)
-        gen = so.spin_rep(so.basis_element(1, 1, 3))
-        expected = sg.expm_antihermitian(cfg.sigmas[0] * gen * w)
-        assert np.max(np.abs(out - expected)) < 1e-13
+        # a zero increment is the identity step, and an increment whose
+        # square underflows takes the w == 0 branch with sinc = 1
+        scaled = np.zeros((2, 3, 4))
+        scaled[1, 2] = [1e-200, 0.0, -3e-200, 0.0]
+        expected = scaled.copy()
+        with np.errstate(all="raise"):
+            cos_om, coef = sde._noise_coefficients(scaled)
+        assert np.array_equal(cos_om, np.ones((2, 3)))
+        assert np.array_equal(coef, expected)
 
     def test_unitarity_defect_thousand_steps(self):
-        # the rows of eye(4) are the whole spin matrix
+        # no mean can see the sinc factor, since E[step] does not depend on
+        # it; the norm of every row after 1000 steps does
         cfg = sde.SDEConfig(SPEC2, 1e-3, "corrected", 5)
-        rng = np.random.default_rng(5)
-        u = np.eye(4, dtype=complex)
-        for _ in range(1000):
-            dw = rng.standard_normal(4) * np.sqrt(cfg.dt)
-            u = sde._step_rows(u, (dw * cfg.sigmas)[None, :])
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-8
+        ((_, _, snaps),) = sde.evolve_ensemble(cfg, sde.PATH_BLOCK, [1.0])
+        assert np.max(np.abs(np.linalg.norm(snaps[1.0], axis=1) - 1.0)) <= 1e-8
 
 
-class TestMonomialForm:
+class TestVectorImages:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noise_images_are_monomial(self, n):
         gens = sg.vector_images(n)
@@ -94,17 +113,21 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             list(sde.evolve_ensemble(cfg, 4, [0.0005]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_rows_match_dense_reference(self, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, dt",
+        [pytest.param(n, 1e-3, id=str(n)) for n in (1, 2, 3, 4)]
+        + [pytest.param(n, 0.1, id=f"{n}-coarse") for n in (1, 2, 3, 4)],
+    )
+    def test_rows_match_dense_reference(self, n, dt, monkeypatch):
         # blocks of 7 steps: the 30-step horizon crosses four block
         # boundaries and ends on a partial block; paths come in two streams,
-        # the second partial
-        paths, steps, dt, seed = 6, 30, 1e-3, 19
+        # the second partial. At dt = 0.1 the step angles w reach 2.
+        paths, steps, seed = 6, 30, 19
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * 2 * n * 8)
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
-        grid = [0.0, 0.007, 0.016, 0.03]
+        grid = [s * dt for s in (0, 7, 16, 30)]
         ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, chunk_size=8)
 
         rngs = [sde.block_rng(seed, b) for b in range(2)]
@@ -169,24 +192,59 @@ class TestEnsemble:
 
 
 class TestGeneratorCheck:
+    # The step's mean is m(dt) I exactly, so the generator of the step is
+    # (m(dt) - 1)/dt, which tends to (1/2) sum_j sigma_j^2 (gamma_j/2)^2 =
+    # -(sum_j sigma_j^2 / 8) I: -sum E / 2 for corrected, half that for
+    # paper_literal.
+
+    @pytest.mark.parametrize("sigma, share", [("corrected", 0.5), ("paper_literal", 0.25)])
+    def test_exact_mean_tends_to_generator(self, sigma, share):
+        gens = sg.vector_images(2)
+        lmat = 0.5 * np.einsum("j,jab,jbc->ac", config(SPEC2, sigma=sigma).sigmas ** 2, gens, gens)
+        rate = share * sum(SPEC2.energies)
+        assert np.max(np.abs(lmat + rate * np.eye(4))) <= 1e-12
+        for dt in (1e-3, 1e-5):
+            slope = (step_mean(config(SPEC2, dt, sigma)) - 1) / dt
+            # the O(dt) term is dt h_2(a/dt) / 12 <= dt rate^2 / 3
+            assert 0 < slope + rate <= dt * rate**2 / 3
+
+    def one_step_mean(self, row, psi, n_samples, cfg):
+        """Monte Carlo (E[f(x step)] - f(x)) / dt and its target (m(dt) - 1)/dt f(x).
+
+        The samples of x step are row @ exp(gamma(c)/2), one step of the
+        engine's kernel on the shared row.
+        """
+        rng = np.random.default_rng(cfg.seed)
+        dw = rng.standard_normal((n_samples, 2 * cfg.spec.n)) * math.sqrt(cfg.dt)
+        cos_om, coef = sde._noise_coefficients(dw * cfg.sigmas)
+        ladder = np.ascontiguousarray(coef.view(complex).T)
+        rows = np.asarray(row, dtype=complex)[:, None]
+        work = np.empty((len(rows), n_samples), dtype=complex)
+        stepped = sg.apply_modes(rows, cos_om, ladder, range(cfg.spec.n), work).T
+        f0 = row @ psi
+        values = (stepped @ psi - f0) / cfg.dt
+        mean, stderr = sg.complex_mean_stderr(values)
+        return mean, stderr, (step_mean(cfg) - 1) / cfg.dt * f0
+
     def test_corrected_rate_at_identity(self):
         cfg = config(seed=101)
-        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 100_000, cfg)
-        assert out.target == pytest.approx(-0.5, abs=1e-12)
-        assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
+        vac = fock.vacuum(1).amplitudes
+        mean, stderr, target = self.one_step_mean(np.eye(2)[0], vac, 100_000, cfg)
+        assert abs(mean - target) <= 4 * stderr + 1e-3
 
     def test_literal_rate_is_half(self):
         cfg = config(sigma="paper_literal", seed=102)
-        out = sde.generator_check(fock.vacuum(1), sg.identity_point(1), 100_000, cfg)
-        assert out.target == pytest.approx(-0.25, abs=1e-12)
-        assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
+        vac = fock.vacuum(1).amplitudes
+        mean, stderr, target = self.one_step_mean(np.eye(2)[0], vac, 100_000, cfg)
+        assert abs(mean - target) <= 4 * stderr + 1e-3
 
     def test_haar_point_away_from_identity(self):
-        rng = np.random.default_rng(17)
-        x = sg.haar_sample(rng, 1)
+        _, u = sg.haar_lift(np.random.default_rng(17).standard_normal((1, 3, 3)), np.eye(2))
         cfg = config(seed=103)
-        out = sde.generator_check(fock.basis_vector(1, [1]), x, 200_000, cfg)
-        assert abs(out.empirical - out.target) <= 4 * out.std_error + 1e-3
+        top = fock.basis_vector(1, [1]).amplitudes
+        mean, stderr, target = self.one_step_mean(u[0, 0], top, 200_000, cfg)
+        assert abs(target) > 0.1
+        assert abs(mean - target) <= 4 * stderr + 1e-3
 
 
 class TestDecay:
@@ -206,32 +264,20 @@ class TestDecay:
         target = np.exp(-0.4 * 0.5 * 3.0) * 0.25 * psi.norm() ** 2
         assert abs(mean - target) <= 3 * stderr + 2e-3
 
-    def test_weak_error_dt_halving_coupled(self):
-        # same Brownian path at dt and dt/2: halving dt moves the estimate by
-        # less than one standard error
-        spec, t, n_paths = SPEC1, 0.5, 4000
-        fine_cfg = config(dt=5e-4, seed=31)
-        psi = fock.vacuum(1).amplitudes
-        fine_vals, coarse_vals = [], []
-        chunk = sde.PATH_BLOCK
-        for start, r0, _ in sde.evolve_ensemble(fine_cfg, n_paths, [0.0], chunk_size=chunk):
-            count = r0.shape[0]
-            rng = sde.block_rng(31, start // chunk)
-            rng.standard_normal((count, 3, 3))  # skip the Haar draw
-            dw = rng.standard_normal((1000, count, 2)) * np.sqrt(5e-4)
-            rf = r0
-            for m in range(1000):
-                rf = sde._step_rows(rf, dw[m] * fine_cfg.sigmas)
-            coarse_dw = dw[0::2] + dw[1::2]
-            rc = r0
-            for m in range(500):
-                rc = sde._step_rows(rc, coarse_dw[m] * fine_cfg.sigmas)
-            a0 = r0 @ psi
-            fine_vals.append(np.conj(a0) * (rf @ psi))
-            coarse_vals.append(np.conj(a0) * (rc @ psi))
-        fine_mean, fine_se = sg.complex_mean_stderr(np.concatenate(fine_vals))
-        coarse_mean, _ = sg.complex_mean_stderr(np.concatenate(coarse_vals))
-        assert abs(fine_mean - coarse_mean) < fine_se
+    @pytest.mark.parametrize(
+        "n, dt, t, paths", [(1, 0.5, 1.0, 65536), (2, 0.1, 0.5, 65536), (3, 0.1, 0.3, 32768)]
+    )
+    def test_mean_follows_exact_step_law(self, n, dt, t, paths):
+        # steps are independent with mean m(dt) I, so the autocorrelation
+        # is 2^{-n} m(dt)^s after s steps, not the continuous
+        # 2^{-n} exp(-t sum E / 2); at these coarse steps the two differ by
+        # 3.7 to 5.9 standard errors
+        spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
+        ((_, mean, stderr),) = sde.decay_curve(spec, [t], paths, dt, 0, "corrected")
+        discrete = 2.0**-n * step_mean(config(spec, dt)) ** round(t / dt)
+        continuous = 2.0**-n * math.exp(-t * sum(spec.energies) / 2)
+        assert abs(mean - discrete) <= 3 * stderr
+        assert abs(mean - continuous) >= 3 * stderr
 
     def test_fit_recovers_rates(self):
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]

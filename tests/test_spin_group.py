@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinfock import fock, sde, so_algebra as so, spin_group as sg
-from spinfock.errors import DomainError, SizeError
+from spinfock.errors import SizeError
 
 
 def spin_of_antisymmetric(n, x):
@@ -15,9 +15,9 @@ def spin_of_antisymmetric(n, x):
 
 class TestExponentials:
     def test_exp_zero_is_identity(self):
-        g = sg.group_exp(so.zero_element(1))
-        assert np.allclose(g.spin_matrix, np.eye(2), atol=1e-14)
-        assert np.allclose(g.defining_matrix, np.eye(3), atol=1e-14)
+        zero = so.zero_element(1)
+        assert np.allclose(sg.expm_antihermitian(so.spin_rep(zero)), np.eye(2), atol=1e-14)
+        assert np.allclose(sg.expm_antihermitian(so.defining_rep(zero)), np.eye(3), atol=1e-14)
 
     def test_defining_rotation_closed_form(self):
         theta = 0.8
@@ -38,8 +38,7 @@ class TestExponentials:
         rng = np.random.default_rng(1)
         for n in (1, 2):
             coeffs = {s: rng.uniform(-2, 2) for s in so.symbols(n)}
-            g = sg.group_exp(so.AlgebraElement(n, coeffs))
-            u = g.spin_matrix
+            u = sg.expm_antihermitian(so.spin_rep(so.AlgebraElement(n, coeffs)))
             assert np.max(np.abs(u.conj().T @ u - np.eye(1 << n))) < 1e-12
 
     def test_stacked_exponentials(self):
@@ -49,51 +48,37 @@ class TestExponentials:
         stacked = sg.expm_antihermitian(m)
         assert np.array_equal(stacked, np.stack([sg.expm_antihermitian(x) for x in m]))
 
-    def test_complex_coefficients_rejected(self):
-        with pytest.raises(DomainError):
-            sg.group_exp(so.basis_element(1, 1, 2, 1j))
 
-
-class TestGroupPoint:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(DomainError):
-            sg.GroupPoint(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_reflection(self):
-        with pytest.raises(DomainError):
-            sg.GroupPoint(1, np.eye(2), np.diag([1.0, 1.0, -1.0]))
+def haar_draws(rng, n, count):
+    """haar_lift of count Gaussian draws from rng: rotations and spin matrices."""
+    N = 2 * n + 1
+    return sg.haar_lift(rng.standard_normal((count, N, N)), np.eye(1 << n))
 
 
 class TestHaar:
     def test_sample_invariants(self):
         rng = np.random.default_rng(0)
         for n in (1, 2):
-            for _ in range(50):
-                g = sg.haar_sample(rng, n)
-                u, r = g.spin_matrix, g.defining_matrix
-                assert np.max(np.abs(u.conj().T @ u - np.eye(1 << n))) < 1e-10
-                assert np.max(np.abs(r.T @ r - np.eye(2 * n + 1))) < 1e-10
-                assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
+            r, u = haar_draws(rng, n, 50)
+            assert np.max(np.abs(np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(1 << n))) < 1e-10
+            assert np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(2 * n + 1))) < 1e-10
+            assert np.allclose(np.linalg.det(r), 1.0, rtol=0, atol=1e-10)
 
     def test_entry_mean_and_trace_moment(self):
-        rng = np.random.default_rng(123)
         n_samples = 4000
-        means = np.empty(n_samples)
-        traces = np.empty(n_samples)
-        for i in range(n_samples):
-            g = sg.haar_sample(rng, 1)
-            means[i] = g.defining_matrix.mean()
-            traces[i] = np.trace(g.defining_matrix) ** 2
+        r, _ = haar_draws(np.random.default_rng(123), 1, n_samples)
+        means = r.mean(axis=(1, 2))
+        traces = np.trace(r, axis1=1, axis2=2) ** 2
         z_mean = abs(means.mean()) / (means.std(ddof=1) / np.sqrt(n_samples))
         z_trace = abs(traces.mean() - 1.0) / (traces.std(ddof=1) / np.sqrt(n_samples))
         assert z_mean <= 3.0
         assert z_trace <= 3.0
 
     def test_determinism(self):
-        a = sg.haar_sample(np.random.default_rng(9), 2)
-        b = sg.haar_sample(np.random.default_rng(9), 2)
-        assert np.array_equal(a.spin_matrix, b.spin_matrix)
-        assert np.array_equal(a.defining_matrix, b.defining_matrix)
+        ra, ua = haar_draws(np.random.default_rng(9), 2, 1)
+        rb, ub = haar_draws(np.random.default_rng(9), 2, 1)
+        assert np.array_equal(ua, ub)
+        assert np.array_equal(ra, rb)
 
 
 class TestApplyModes:
@@ -178,7 +163,12 @@ class TestMatrixCoefficients:
     # the coefficient of psi at g is <vacuum, spin(g) psi>, entry 0 of U psi
 
     def test_identity_values(self):
-        e = sg.identity_point(2).spin_matrix
+        # an upper-triangular draw with a positive diagonal is the identity
+        # rotation, and its lift is exactly the identity
+        g = np.triu(np.random.default_rng(2).standard_normal((5, 5)), 1) + np.eye(5)
+        rot, u = sg.haar_lift(g[None], np.eye(4))
+        assert np.array_equal(rot[0], np.eye(5))
+        e = u[0]
         assert (e @ fock.vacuum(2).amplitudes)[0] == 1.0
         assert (e @ fock.basis_vector(2, [1]).amplitudes)[0] == 0.0
         rng = np.random.default_rng(1)
@@ -190,11 +180,10 @@ class TestMatrixCoefficients:
         rng = np.random.default_rng(5)
         n = 2
         psi = fock.FockVector(n, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        for _ in range(10):
-            g, h = sg.haar_sample(rng, n), sg.haar_sample(rng, n)
-            gh = sg.GroupPoint(n, g.spin_matrix @ h.spin_matrix)
-            lhs = (gh.spin_matrix @ psi.amplitudes)[0]
-            rhs = (g.spin_matrix @ (h.spin_matrix @ psi.amplitudes))[0]
+        _, u = haar_draws(rng, n, 20)
+        for g, h in zip(u[0::2], u[1::2]):
+            lhs = ((g @ h) @ psi.amplitudes)[0]
+            rhs = (g @ (h @ psi.amplitudes))[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_deck_sign_cancellation(self):
@@ -202,14 +191,14 @@ class TestMatrixCoefficients:
         n = 2
         psi = fock.FockVector(n, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         phi = fock.FockVector(n, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        for _ in range(10):
-            g = sg.haar_sample(rng, n)
-            flipped = sg.GroupPoint(n, -g.spin_matrix, g.defining_matrix)
-            a = (g.spin_matrix @ psi.amplitudes)[0]
-            af = (flipped.spin_matrix @ psi.amplitudes)[0]
+        _, u = haar_draws(rng, n, 10)
+        for g in u:
+            flipped = -g
+            a = (g @ psi.amplitudes)[0]
+            af = (flipped @ psi.amplitudes)[0]
             assert af == -a
-            b = (g.spin_matrix @ phi.amplitudes)[0]
-            bf = (flipped.spin_matrix @ phi.amplitudes)[0]
+            b = (g @ phi.amplitudes)[0]
+            bf = (flipped @ phi.amplitudes)[0]
             assert np.conj(af) * bf == pytest.approx(np.conj(a) * b, abs=1e-15)
 
 
@@ -243,19 +232,14 @@ class TestL2InnerMC:
     def test_left_invariance_evidence(self):
         # pre-multiplying every sample by a fixed element leaves the
         # statistics unchanged within error
-        rng = np.random.default_rng(24)
         n = 1
-        fixed = sg.haar_sample(rng, n)
+        _, u = haar_draws(np.random.default_rng(24), n, 1501)
+        fixed, g = u[0], u[1:]
         psi = fock.vacuum(n)
-        plain = np.empty(1500, dtype=complex)
-        shifted = np.empty(1500, dtype=complex)
-        for i in range(1500):
-            g = sg.haar_sample(rng, n)
-            a = (g.spin_matrix @ psi.amplitudes)[0]
-            plain[i] = np.conj(a) * a
-            u = fixed.spin_matrix @ g.spin_matrix
-            b = (u @ psi.amplitudes)[0]
-            shifted[i] = np.conj(b) * b
+        a = (g @ psi.amplitudes)[:, 0]
+        plain = np.conj(a) * a
+        b = ((fixed @ g) @ psi.amplitudes)[:, 0]
+        shifted = np.conj(b) * b
         m1, s1 = sg.complex_mean_stderr(plain)
         m2, s2 = sg.complex_mean_stderr(shifted)
         assert abs(m1 - m2) <= 3 * np.hypot(s1, s2)
