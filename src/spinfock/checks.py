@@ -3,6 +3,17 @@
 Every check reports its worst residual against a fixed tolerance; the suite
 passes iff every check passes. Symbolic checks are exact (residual counts
 nonzero normal forms), numeric checks compare matrices entrywise.
+
+The homomorphism checks sweep all S^2 ordered pairs of the S = n(2n+1)
+basis symbols as batched matrix products. ``run_verify`` builds the
+structure-constant tensor C[a, b, c] once and both representations share it.
+With the S images stacked as M of shape (S, d, d), row a takes three
+products: C[a] @ M for every bracket image, M_a @ [M_0 | ... | M_{S-1}] for
+every M_a M_b, and [M_0; ...; M_{S-1}] @ M_a for every M_b M_a. No
+temporary is larger than one (S, d, d) block. Every entry of a basis image
+is dyadic (0, +-1, +-1/2 or +-i/2), and so is every partial sum of these
+products, so they are exact in any summation order: a homomorphism's
+residual is exactly 0.0, whatever BLAS does.
 """
 
 from __future__ import annotations
@@ -96,25 +107,40 @@ def check_defining_trace(n: int) -> CheckResult:
     return _result("defining-trace-normalization", worst, 1e-12)
 
 
-def _homomorphism_residual(n: int, rep: so_algebra.Representation) -> float:
+def structure_constants(n: int) -> np.ndarray:
+    """C[a, b, c]: the coefficient of symbol c in [X_a, X_b], in ``symbols`` order."""
     bracket_fn = _STRUCTURE_BRACKET_OVERRIDE or so_algebra.bracket_symbols
     syms = so_algebra.symbols(n)
-    mats = {s: rep.apply(so_algebra.basis_element(n, *s)) for s in syms}
-    dim = next(iter(mats.values())).shape[0]
-    worst = 0.0
-    for sa in syms:
-        for sb in syms:
-            lhs = np.zeros((dim, dim), dtype=complex)
+    index = {s: i for i, s in enumerate(syms)}
+    structure = np.zeros((len(syms),) * 3)
+    for a, sa in enumerate(syms):
+        for b, sb in enumerate(syms):
             for sym, sign in bracket_fn(sa, sb):
-                lhs += sign * mats[sym]
-            comm = mats[sa] @ mats[sb] - mats[sb] @ mats[sa]
-            worst = max(worst, _max_abs(lhs - comm))
+                structure[a, b, index[sym]] += sign
+    return structure
+
+
+def _homomorphism_residual(structure: np.ndarray, images: np.ndarray) -> float:
+    """max over (a, b) of |sum_c C[a, b, c] M_c - (M_a M_b - M_b M_a)|."""
+    count, dim, _ = images.shape
+    flat = images.reshape(count, dim * dim)
+    beside = images.transpose(1, 0, 2).reshape(dim, count * dim)  # [M_0 | ... ]
+    stacked = images.reshape(count * dim, dim)  # [M_0; ...]
+    worst = 0.0
+    for a in range(count):
+        residual = (structure[a] @ flat).reshape(count, dim, dim)
+        residual -= (images[a] @ beside).reshape(dim, count, dim).transpose(1, 0, 2)
+        residual += (stacked @ images[a]).reshape(count, dim, dim)
+        worst = max(worst, _max_abs(residual))
     return worst
 
 
-def check_homomorphism(n: int, tag: str) -> CheckResult:
+def check_homomorphism(n: int, tag: str, structure: np.ndarray) -> CheckResult:
     rep = so_algebra.representation(tag, n)
-    return _result(f"homomorphism-{tag}", _homomorphism_residual(n, rep), 1e-12)
+    images = np.stack(
+        [rep.apply(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)]
+    )
+    return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
 
 
 def check_ladder_spin_image(n: int) -> CheckResult:
@@ -222,14 +248,15 @@ def run_verify(n: int, energies) -> list:
         hamiltonian.build_parts(spec, so_algebra.representation(tag, n))
         for tag in ("spin", "defining")
     )
+    structure = structure_constants(n)
     return [
         check_car(n),
         check_ladder_structure(n),
         check_clifford_anticommutation(n),
         check_clifford_reconstruction(n),
         check_defining_trace(n),
-        check_homomorphism(n, "defining"),
-        check_homomorphism(n, "spin"),
+        check_homomorphism(n, "defining", structure),
+        check_homomorphism(n, "spin", structure),
         check_ladder_spin_image(n),
         check_cartan_weights(n),
         check_uea_normal_order(n),

@@ -65,6 +65,14 @@ def _parse_number_list(value) -> tuple:
     return tuple(float(part) for part in value.split(","))
 
 
+def _integer(value) -> int:
+    """An int, an integral float or an integer literal; ValueError otherwise."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfock",
@@ -129,34 +137,34 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if command != args.command:
             raise UsageError(f"config file {args.config} is for the {command} command")
 
-    def pick(key, flag_value, default=None):
+    def pick(key, flag_value, convert, default=None):
+        """The flag's value, else the file's, converted; else the default."""
         if flag_value is not None:
-            return flag_value
-        if file_values.get(key) is not None:
-            return file_values[key]
-        return default
+            value, name = flag_value, "--" + key.replace("_", "-")
+        elif file_values.get(key) is not None:
+            value, name = file_values[key], f"config file {args.config}, key {key!r}"
+        else:
+            return default
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"{name}: {exc}")
 
-    n = int(pick("n", args.n, 1))
+    n = pick("n", args.n, _integer, 1)
     defaults = _command_defaults(args.command, n)
-
-    energies = pick("energies", args.energies)
-    energies = defaults["energies"] if energies is None else _parse_number_list(energies)
-    t_grid = pick("t_grid", args.t_grid)
-    t_grid = defaults["t_grid"] if t_grid is None else _parse_number_list(t_grid)
-    seed = pick("seed", args.seed)
 
     config = RunConfig(
         command=args.command,
         n=n,
-        energies=tuple(energies),
-        t_grid=tuple(t_grid),
-        dt=float(pick("dt", args.dt, defaults["dt"])),
-        paths=int(pick("paths", args.paths, defaults["paths"])),
-        seed=None if seed is None else int(seed),
-        sigma=str(pick("sigma", args.sigma, defaults["sigma"])).replace("-", "_"),
-        state=str(pick("state", args.state, defaults["state"])),
-        format=pick("format", args.format, defaults["format"]),
-        out=pick("out", args.out),
+        energies=pick("energies", args.energies, _parse_number_list, defaults["energies"]),
+        t_grid=pick("t_grid", args.t_grid, _parse_number_list, defaults["t_grid"]),
+        dt=pick("dt", args.dt, float, defaults["dt"]),
+        paths=pick("paths", args.paths, _integer, defaults["paths"]),
+        seed=pick("seed", args.seed, _integer),
+        sigma=pick("sigma", args.sigma, str, defaults["sigma"]).replace("-", "_"),
+        state=pick("state", args.state, str, defaults["state"]),
+        format=pick("format", args.format, str, defaults["format"]),
+        out=pick("out", args.out, str),
     )
     _validate(config)
     return config

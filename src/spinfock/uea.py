@@ -23,6 +23,12 @@ from .errors import SizeError
 Word = Tuple[so_algebra.Symbol, ...]
 
 
+def _accumulate(terms: dict, word, coeff) -> None:
+    """terms[word] += coeff, without adding a zero to a new word."""
+    prev = terms.get(word)
+    terms[word] = coeff if prev is None else prev + coeff
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts."""
@@ -40,6 +46,10 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
+        if not other:
+            return self
+        if not self:
+            return other
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -51,6 +61,9 @@ class GaussianRational:
         return self + (-GaussianRational.coerce(other))
 
     def __mul__(self, other):
+        # the structure constants are +-1, so these two skip most products
+        if type(other) is int and other in (1, -1):
+            return self if other == 1 else -self
         other = GaussianRational.coerce(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -85,7 +98,7 @@ class UEAPolynomial:
                 continue
             for sym in word:
                 so_algebra.check_symbol(sym, self.n)
-            canon[tuple(word)] = canon.get(tuple(word), GaussianRational()) + coeff
+            _accumulate(canon, tuple(word), coeff)
         object.__setattr__(self, "terms", {w: c for w, c in canon.items() if c})
 
     def __eq__(self, other) -> bool:
@@ -101,7 +114,7 @@ class UEAPolynomial:
             raise SizeError(f"mode counts differ: {self.n} != {other.n}")
         merged = dict(self.terms)
         for w, c in other.terms.items():
-            merged[w] = merged.get(w, GaussianRational()) + c
+            _accumulate(merged, w, c)
         return UEAPolynomial(self.n, merged)
 
     def __neg__(self) -> "UEAPolynomial":
@@ -141,8 +154,7 @@ def uea_multiply(p: UEAPolynomial, q: UEAPolynomial) -> UEAPolynomial:
     out: Dict[Word, GaussianRational] = {}
     for wp, cp in p.terms.items():
         for wq, cq in q.terms.items():
-            w = wp + wq
-            out[w] = out.get(w, GaussianRational()) + cp * cq
+            _accumulate(out, wp + wq, cp * cq)
     return UEAPolynomial(p.n, out)
 
 
@@ -170,15 +182,15 @@ def pbw_normalize(
             continue
         descents = _descents(word)
         if not descents:
-            result[word] = result.get(word, GaussianRational()) + coeff
+            _accumulate(result, word, coeff)
             continue
         i = descents[0] if descent_rng is None else descent_rng.choice(descents)
         a, b = word[i], word[i + 1]
         swapped = word[:i] + (b, a) + word[i + 2 :]
-        work[swapped] = work.get(swapped, GaussianRational()) + coeff
+        _accumulate(work, swapped, coeff)
         for sym, sign in so_algebra.bracket_symbols(a, b):
             shorter = word[:i] + (sym,) + word[i + 2 :]
-            work[shorter] = work.get(shorter, GaussianRational()) + coeff * sign
+            _accumulate(work, shorter, coeff * sign)
     return UEAPolynomial(p.n, result)
 
 

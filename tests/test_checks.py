@@ -1,0 +1,107 @@
+import numpy as np
+import pytest
+
+from spinfock import checks, so_algebra as so
+
+
+def stacked_images(n, tag):
+    rep = so.representation(tag, n)
+    return np.stack([rep.apply(so.basis_element(n, *s)) for s in so.symbols(n)])
+
+
+def pairwise_residual(n, bracket_fn, images):
+    """The sweep one ordered pair at a time: the reference for the batched one."""
+    syms = so.symbols(n)
+    mats = dict(zip(syms, images))
+    worst = 0.0
+    for sa in syms:
+        for sb in syms:
+            lhs = np.zeros_like(mats[sa])
+            for sym, sign in bracket_fn(sa, sb):
+                lhs += sign * mats[sym]
+            comm = mats[sa] @ mats[sb] - mats[sb] @ mats[sa]
+            worst = max(worst, float(np.max(np.abs(lhs - comm))))
+    return worst
+
+
+def flip_some(n, seed):
+    """Structure constants with a random tenth of the nonzero brackets negated."""
+    pairs = [(a, b) for a in so.symbols(n) for b in so.symbols(n) if so.bracket_symbols(a, b)]
+    picks = np.random.default_rng(seed).choice(len(pairs), max(1, len(pairs) // 10), replace=False)
+    flipped = {pairs[i] for i in picks}
+
+    def corrupted(a, b):
+        terms = so.bracket_symbols(a, b)
+        if (a, b) in flipped:
+            return tuple((sym, -sign) for sym, sign in terms)
+        return terms
+
+    return corrupted
+
+
+class TestHomomorphismSweep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tag", ["spin", "defining"])
+    def test_residual_exactly_zero(self, n, tag):
+        result = checks.check_homomorphism(n, tag, checks.structure_constants(n))
+        assert result.residual == 0.0
+        assert result.passed
+
+    def test_last_pair_corrupted_one_sided(self, monkeypatch):
+        # (a, b) alone, so the sweep must reach the last row and column
+        n = 3
+        last = tuple(so.symbols(n)[-2:][::-1])
+
+        def corrupted(a, b):
+            terms = so.bracket_symbols(a, b)
+            if (a, b) == last:
+                return tuple((sym, -sign) for sym, sign in terms)
+            return terms
+
+        assert so.bracket_symbols(*last)
+        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", corrupted)
+        results = checks.run_verify(n, (1.0, 2.0, 3.0))
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["homomorphism-defining", "homomorphism-spin"]
+
+    def test_perturbed_spin_image_fails(self, monkeypatch):
+        n = 2
+        perturbed = so.basis_element(n, *so.symbols(n)[-1])
+        spin_rep = so.spin_rep
+
+        def nudged(elem):
+            image = spin_rep(elem)
+            if elem == perturbed:
+                image[0, 0] += 1e-9
+            return image
+
+        monkeypatch.setattr(so, "spin_rep", nudged)
+        structure = checks.structure_constants(n)
+        spin = checks.check_homomorphism(n, "spin", structure)
+        assert not spin.passed
+        assert 1e-10 < spin.residual < 1e-8
+        assert checks.check_homomorphism(n, "defining", structure).residual == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tag", ["spin", "defining"])
+    def test_matches_pairwise_loop_on_corrupted_constants(self, monkeypatch, n, tag):
+        # dyadic images, so both sweeps are exact and agree to the bit
+        corrupted = flip_some(n, seed=n)
+        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", corrupted)
+        images = stacked_images(n, tag)
+        batched = checks._homomorphism_residual(checks.structure_constants(n), images)
+        assert batched > 0.0
+        assert batched == pairwise_residual(n, corrupted, images)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pairwise_loop_on_perturbed_images(self, n):
+        # generic images: the two sweeps sum in different orders, so they
+        # agree to rounding of entries of size about one
+        rng = np.random.default_rng(100 + n)
+        images = stacked_images(n, "spin")
+        noise = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
+        images = images + 1e-3 * noise
+        batched = checks._homomorphism_residual(checks.structure_constants(n), images)
+        reference = pairwise_residual(n, so.bracket_symbols, images)
+        assert reference > 1e-4
+        assert batched == pytest.approx(reference, rel=0, abs=1e-13)

@@ -286,6 +286,49 @@ class TestNonFinite:
         assert "finite" in err
 
 
+class TestMalformedNumbers:
+    # exit 1 means a failed check, so a number that does not parse is a
+    # usage error, named by its flag or config key
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "--energies", "1,x"], "--energies"),
+            (["fk", "--t-grid", "0.1,a", "--seed", "1"], "--t-grid"),
+        ],
+    )
+    def test_flag(self, capsys, monkeypatch, argv, name):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"n": "abc"}, "'n'"),
+            ({"n": 2.7}, "'n'"),
+            ({"paths": 300.5}, "'paths'"),
+            ({"seed": 1.5}, "'seed'"),
+        ],
+    )
+    def test_config_value(self, capsys, tmp_path, values, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert key in err and "run.json" in err
+
+    def test_integral_config_value_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2.0, "seed": "3"}))
+        code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg)])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["n"] == 2 and config["seed"] == 3
+
+
 class TestHaarTest:
     def test_small_run(self, capsys):
         code, out, _ = run_cli(capsys, ["haar-test", "--n", "1", "--paths", "400", "--seed", "6"])

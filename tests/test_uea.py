@@ -23,6 +23,12 @@ def random_poly(n, rng, max_terms=5, max_len=3, max_coeff=3):
     return uea.UEAPolynomial(n, terms)
 
 
+def gaussian_rationals():
+    parts = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    zero_or = st.one_of(st.just(Fraction(0)), parts)
+    return st.builds(uea.GaussianRational, zero_or, zero_or)
+
+
 class TestGaussianRational:
     def test_arithmetic(self):
         a = uea.GaussianRational(Fraction(1, 2), Fraction(1))
@@ -35,6 +41,31 @@ class TestGaussianRational:
     def test_coerce_rejects_floats(self):
         with pytest.raises(TypeError):
             uea.GaussianRational.coerce(0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_rationals(), gaussian_rationals())
+    def test_shortcuts_match_fraction_arithmetic(self, x, y):
+        # adding zero and multiplying by +-1 skip the arithmetic; the results
+        # must be those of plain Fraction arithmetic, on either side
+        zero = uea.GaussianRational()
+        for z in (zero, 0):
+            assert x + z == z + x == uea.GaussianRational(x.re + 0, x.im + 0)
+        assert x * 1 == 1 * x == uea.GaussianRational(x.re * 1, x.im * 1)
+        assert x * -1 == -1 * x == uea.GaussianRational(x.re * -1, x.im * -1)
+        assert x + y == uea.GaussianRational(x.re + y.re, x.im + y.im)
+        assert x * y == uea.GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+    @settings(max_examples=50, deadline=None)
+    @given(gaussian_rationals())
+    def test_cancellation_drops_term(self, x):
+        assert not x + (-x)
+        word = ((1, 2), (1, 3))
+        p = uea.word_poly(1, word, x) + uea.word_poly(1, word, -x)
+        assert p.is_zero()
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            x + 0.5
 
 
 class TestMultiply:
