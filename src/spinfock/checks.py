@@ -6,9 +6,10 @@ nonzero normal forms), numeric checks compare matrices entrywise.
 
 The homomorphism checks sweep all S^2 ordered pairs of the S = n(2n+1)
 basis symbols as batched matrix products. ``run_verify`` builds the
-structure-constant tensor C[a, b, c] once and both representations share it.
-With the S images stacked as M of shape (S, d, d), row a takes three
-products: C[a] @ M for every bracket image, M_a @ [M_0 | ... | M_{S-1}] for
+structure constants once and both representations share them: each bracket
+[X_a, X_b] is one basis symbol c times a sign, or zero. With the S images
+stacked as M of shape (S, d, d), row a gathers the bracket images
+sign[a, b] M_c, and takes two products: M_a @ [M_0 | ... | M_{S-1}] for
 every M_a M_b, and [M_0; ...; M_{S-1}] @ M_a for every M_b M_a. No
 temporary is larger than one (S, d, d) block. Every entry of a basis image
 is dyadic (0, +-1, +-1/2 or +-i/2), and so is every partial sum of these
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import clifford, fock, hamiltonian, so_algebra, uea
-from .errors import SizeError
+from .errors import DomainError, SizeError
 from .hamiltonian import HamiltonianParts, HamiltonianSpec
 
 # Test harness hook: replaces the structure constants inside the
@@ -107,35 +108,39 @@ def check_defining_trace(n: int) -> CheckResult:
     return _result("defining-trace-normalization", worst, 1e-12)
 
 
-def structure_constants(n: int) -> np.ndarray:
-    """C[a, b, c]: the coefficient of symbol c in [X_a, X_b], in ``symbols`` order."""
+def structure_constants(n: int) -> tuple:
+    """(index, sign): [X_a, X_b] = sign[a, b] X_index[a, b], sign 0 where it vanishes."""
     bracket_fn = _STRUCTURE_BRACKET_OVERRIDE or so_algebra.bracket_symbols
     syms = so_algebra.symbols(n)
-    index = {s: i for i, s in enumerate(syms)}
-    structure = np.zeros((len(syms),) * 3)
+    position = {s: i for i, s in enumerate(syms)}
+    index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
     for a, sa in enumerate(syms):
         for b, sb in enumerate(syms):
-            for sym, sign in bracket_fn(sa, sb):
-                structure[a, b, index[sym]] += sign
-    return structure
+            terms = bracket_fn(sa, sb)
+            if len(terms) > 1:
+                raise DomainError(f"[X_{sa}, X_{sb}] has {len(terms)} terms, the sweep takes one")
+            for sym, coefficient in terms:
+                index[a, b], sign[a, b] = position[sym], coefficient
+    return index, sign
 
 
-def _homomorphism_residual(structure: np.ndarray, images: np.ndarray) -> float:
-    """max over (a, b) of |sum_c C[a, b, c] M_c - (M_a M_b - M_b M_a)|."""
+def _homomorphism_residual(structure: tuple, images: np.ndarray) -> float:
+    """max over (a, b) of |sign[a, b] M_index[a, b] - (M_a M_b - M_b M_a)|."""
+    index, sign = structure
     count, dim, _ = images.shape
-    flat = images.reshape(count, dim * dim)
     beside = images.transpose(1, 0, 2).reshape(dim, count * dim)  # [M_0 | ... ]
     stacked = images.reshape(count * dim, dim)  # [M_0; ...]
     worst = 0.0
     for a in range(count):
-        residual = (structure[a] @ flat).reshape(count, dim, dim)
+        residual = images[index[a]]
+        residual *= sign[a, :, None, None]
         residual -= (images[a] @ beside).reshape(dim, count, dim).transpose(1, 0, 2)
         residual += (stacked @ images[a]).reshape(count, dim, dim)
         worst = max(worst, _max_abs(residual))
     return worst
 
 
-def check_homomorphism(n: int, tag: str, structure: np.ndarray) -> CheckResult:
+def check_homomorphism(n: int, tag: str, structure: tuple) -> CheckResult:
     rep = so_algebra.representation(tag, n)
     images = np.stack(
         [rep.apply(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)]

@@ -26,10 +26,12 @@ matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 of PATH_BLOCK, and each block draws from one stream, block_rng: first the
 Gaussian matrices whose Haar lifts start its paths, then its increments,
 time-major, in step-blocks of a fixed byte budget, so memory does not grow
-with the horizon. Results depend on the seed and the path count only; the
-last block may be partial, so a path's draws depend on the path count. One
-reducer, correlations, turns the ensemble into the per-time means and
-standard errors that both the Feynman-Kac report and the decay curve read.
+with the horizon. Chunks of blocks are evolved in turn, by default a fixed
+byte budget of rows each. Results depend on the seed and the path count
+only; the last block may be partial, so a path's draws depend on the path
+count. One reducer, correlations, turns the ensemble into the per-time
+means and standard errors that both the Feynman-Kac report and the decay
+curve read.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -59,8 +61,10 @@ SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 _BLOCK_BYTES = 1 << 21
 
 # Paths per random stream: paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from
-# block_rng(seed, b). Chunk sizes must be multiples of it.
+# block_rng(seed, b). Chunk sizes must be multiples of it; a default chunk
+# holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
 PATH_BLOCK = 1024
+_CHUNK_ROW_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def evolve_ensemble(
     config: SDEConfig,
     n_paths: int,
     t_grid,
-    chunk_size: int = 4 * PATH_BLOCK,
+    chunk_size: int | None = None,
 ):
     """Evolve independent paths, yielding per-chunk rows e_0^T U at the grid times.
 
@@ -130,14 +134,16 @@ def evolve_ensemble(
     The P paths of block b (P = PATH_BLOCK, or fewer in the last block) draw
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
     Haar starts, then the (steps, P, 2n) increments, time-major, in
-    step-blocks that together equal one draw.
-    chunk_size must be a multiple of PATH_BLOCK, so results depend on the
-    seed and the path count only, neither on the chunk size nor on the
-    step-block size.
+    step-blocks that together equal one draw, scaled in flat (path,
+    direction) rows. chunk_size, by default _CHUNK_ROW_BYTES of rows, must
+    be a multiple of PATH_BLOCK, so results depend on the seed and the path
+    count only, neither on the chunk size nor on the step-block size.
     """
+    n = config.spec.n
+    if chunk_size is None:
+        chunk_size = PATH_BLOCK * max(4, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
     if chunk_size <= 0 or chunk_size % PATH_BLOCK:
         raise DomainError(f"chunk size must be a positive multiple of {PATH_BLOCK}, got {chunk_size}")
-    n = config.spec.n
     steps_for = {}
     for t in t_grid:
         t = float(t)
@@ -150,7 +156,7 @@ def evolve_ensemble(
     total_steps = max(steps_for.values(), default=0)
     N = so_algebra.matrix_size(n)
     e0 = vacuum(n).amplitudes
-    sig = config.sigmas
+    sig = np.tile(config.sigmas, PATH_BLOCK)
     sqrt_dt = math.sqrt(config.dt)
     width = 2 * n
 
@@ -162,9 +168,10 @@ def evolve_ensemble(
             for lo in range(0, count, PATH_BLOCK)
         ]
         g = np.concatenate([rng.standard_normal((hi - lo, N, N)) for rng, lo, hi in blocks])
-        r0 = spin_group.haar_lift(g, e0)[1]
+        r0 = spin_group.haar_lift(g, e0)
         block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
         scaled = np.empty((block, count, width))
+        flat = scaled.reshape(block, count * width)
         r = np.ascontiguousarray(r0.T)
         work = np.empty_like(r)
         snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
@@ -172,9 +179,9 @@ def evolve_ensemble(
             size = min(block, total_steps - first)
             # steps on axis 0, so each step reads contiguous coefficients
             for rng, lo, hi in blocks:
-                draws = rng.standard_normal((size, hi - lo, width))
-                np.multiply(draws, sqrt_dt, out=scaled[:size, lo:hi])
-            scaled[:size] *= sig
+                draws = rng.standard_normal((size, (hi - lo) * width))
+                draws *= sqrt_dt
+                np.multiply(draws, sig[:draws.shape[1]], out=flat[:size, lo * width:hi * width])
             cos_om, coef = _noise_coefficients(scaled[:size])
             for m in range(size):
                 ladder = np.ascontiguousarray(coef[m].view(complex).T)
@@ -199,7 +206,8 @@ def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: 
     for _, r0, snaps in evolve_ensemble(config, n_paths, t_grid):
         a0 = np.conj(r0 @ psi)
         for t in t_grid:
-            values[t].append(a0 * (snaps[t] @ chi[t]))
+            # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk
+            values[t].append(np.multiply(a0, snaps[t] @ chi[t]))
     rows = []
     for t in t_grid:
         mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))

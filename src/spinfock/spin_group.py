@@ -3,10 +3,11 @@ its spin lift, and Monte Carlo Haar quadrature.
 
 Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
 with the usual R-diagonal sign fix and a determinant correction. The
-orthogonal factor is a product of Householder reflections times an even
-number of coordinate reflections, and a reflection in the unit vector u is
-the Clifford vector u. Their product lifts to the spin representation
-through Cl^0(2n+1) = Cl(2n), taken pair by pair:
+orthogonal factor is a product of Householder reflections times coordinate
+reflections, and a reflection in the unit vector u is the Clifford vector u.
+The lift reads both from one raw QR per stack: the reflectors, and the
+R-diagonal whose signs give the coordinate reflections. The product lifts to
+the spin representation through Cl^0(2n+1) = Cl(2n), taken pair by pair:
 
     u v -> (gamma(u') + u_N)(gamma(v') - v_N),
 
@@ -14,7 +15,13 @@ where u' holds the first 2n components of u and u_N the last. Each factor is
 a scalar plus a Clifford vector. The lift needs no logarithm, so no rotation
 angle is singular. It is defined up to the deck sign, which is immaterial
 here: every integrand used downstream is a product of an even number of
-half-spin matrix coefficients.
+half-spin matrix coefficients. It needs no determinant correction either:
+the correction negates the last column, which appends or removes the
+reflection in e_N, and e_N maps to the scalar -1 or 1 by its place. Where
+the reflections are odd in number the last one is left unpaired, and its
+image gamma(u') + u_N is, up to sign, that of its pair with e_N. So the
+lift never forms the rotation R; haar_rotations does, from the reduced QR of
+the same matrices, for the haar-test command and the tests.
 
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, so_algebra
-from .errors import NumericError, SizeError
+from .errors import SizeError
 
 # Bytes of lifted rows per chunk in haar_chunks.
 _LIFT_BYTES = 1 << 22
@@ -94,35 +101,31 @@ def apply_modes(rows, scalar, ladder, modes, work) -> np.ndarray:
     return out
 
 
-def _haar_qr(g: np.ndarray) -> tuple:
-    """Q factors of a stack of Gaussian matrices, sign and det fixed, and the fix.
+def haar_rotations(g: np.ndarray) -> np.ndarray:
+    """Haar rotations of a stack of Gaussian matrices: QR, sign and det fixed.
 
-    Returns (R, d) with R = Q diag(d): d is the sign of the R-diagonal of the
-    QR, with its last entry flipped where that leaves det(R) < 0.
+    R = Q diag(d), d the sign of the R-diagonal of the QR, with its last
+    entry flipped where that leaves det(R) < 0.
     """
     q, r = np.linalg.qr(g)
-    d = np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)
-    q = q * d[..., None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, -1] *= -1.0
-    d[flip, -1] *= -1.0
-    return q, d
+    q = q * np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)[..., None, :]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
 
 
 def haar_orthogonal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Haar sample on SO(size): QR of a Gaussian matrix, sign and det fixed."""
-    return _haar_qr(rng.standard_normal((1, size, size)))[0][0]
+    return haar_rotations(rng.standard_normal((1, size, size)))[0]
 
 
-def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
-    """Haar rotations of a stack of Gaussian matrices, and rows of their spin lifts.
+def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of the spin lifts of the Haar rotations of a stack of Gaussian matrices.
 
-    g stacks P Gaussian (2n+1) x (2n+1) matrices. Returns (R, lifted): R[p]
-    is the rotation haar_orthogonal makes from g[p], and lifted[p] is
-    rows @ U_p for U_p one of the two spin preimages of R[p]. rows (..., 2^n)
-    are shared by all samples; the identity gives the spin matrices. The
-    lift runs with the samples on the last axis, (2^n, ..., P), and returns
-    lifted as a C-contiguous (P, ..., 2^n) array.
+    g stacks P Gaussian (2n+1) x (2n+1) matrices. lifted[p] is rows @ U_p,
+    U_p one of the two spin preimages of the rotation haar_rotations makes
+    from g[p]. rows (..., 2^n) are shared by all samples; the identity gives
+    the spin matrices. The lift runs with the samples on the last axis,
+    (2^n, ..., P), and returns a C-contiguous (P, ..., 2^n) array.
     """
     g = np.asarray(g, dtype=float)
     N = g.shape[-1]
@@ -132,16 +135,14 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
     lifted = np.asarray(rows, dtype=complex)
     if lifted.shape[-1:] != (fock.fock_dim(n),):
         raise SizeError(f"rows must have {fock.fock_dim(n)} entries, got shape {lifted.shape}")
-    rot, d = _haar_qr(g)
     h, tau = np.linalg.qr(g, mode="raw")
     # Row i of the (transposed) raw factor holds the Householder vector
-    # e_i + sum_{k>i} h[i, k] e_k of reflector H_i, and R = H_1 ... H_N D.
-    # A zero tau marks an identity H_i, always so for the last one; D
-    # reflects the coordinates where d < 0.
+    # e_i + sum_{k>i} h[i, k] e_k of reflector H_i (identity where tau is 0,
+    # always so for the last), and its diagonal is the R-diagonal.
     v = np.triu(h, 1) + np.eye(N)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     vecs = np.concatenate([v, np.broadcast_to(np.eye(N), g.shape)], axis=1)
-    active = np.concatenate([tau != 0, d < 0], axis=1)
+    active = np.concatenate([tau != 0, np.einsum("...ii->...i", h) < 0], axis=1)
     # coordinate vector e_a needs only the mode of gamma_a (none for a = N)
     modes = [list(range(n))] * N + [[a // 2] for a in range(N - 1)] + [[]]
     lifted = np.moveaxis(lifted, -1, 0)[..., None]
@@ -156,15 +157,13 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> tuple:
         coef = np.where(on[:, None], 2.0 * u[:, :-1], 0.0)
         lifted = apply_modes(lifted, scalar, coef.view(complex).T[mk], mk, work)
         odd ^= on
-    if odd.any():
-        raise NumericError("Haar rotation is an odd product of reflections")
-    return rot, np.ascontiguousarray(np.swapaxes(lifted, 0, -1))
+    return np.ascontiguousarray(np.swapaxes(lifted, 0, -1))
 
 
 def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
     """haar_lift over count Gaussian matrices drawn one after another from rng.
 
-    Yields (start, R, lifted) for consecutive samples from start on, in
+    Yields (start, g, lifted) for consecutive samples from start on, in
     chunks of a fixed byte budget of lifted rows. The draws are those of one
     bulk draw of all count matrices, so results do not depend on the chunk.
     """
@@ -174,7 +173,7 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
     chunk = max(1, _LIFT_BYTES // (16 * rows.size))
     for start in range(0, count, chunk):
         g = rng.standard_normal((min(chunk, count - start), N, N))
-        yield (start, *haar_lift(g, rows))
+        yield start, g, haar_lift(g, rows)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinfock import checks, so_algebra as so
+from spinfock.errors import DomainError
 
 
 def stacked_images(n, tag):
@@ -63,6 +64,22 @@ class TestHomomorphismSweep:
         results = checks.run_verify(n, (1.0, 2.0, 3.0))
         failing = [r.name for r in results if not r.passed]
         assert failing == ["homomorphism-defining", "homomorphism-spin"]
+
+    def test_two_term_bracket_refused(self, monkeypatch):
+        # the sweep gathers one term per pair, so a second must not be dropped
+        n = 2
+        pair = tuple(so.symbols(n)[:2])
+
+        def doubled(a, b):
+            terms = so.bracket_symbols(a, b)
+            if (a, b) == pair:
+                return terms + ((so.symbols(n)[-1], 1),)
+            return terms
+
+        assert so.bracket_symbols(*pair)
+        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", doubled)
+        with pytest.raises(DomainError, match="2 terms"):
+            checks.structure_constants(n)
 
     def test_perturbed_spin_image_fails(self, monkeypatch):
         n = 2

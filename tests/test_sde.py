@@ -103,6 +103,32 @@ class TestEnsemble:
         assert np.array_equal(a0, b0) and np.array_equal(a0, c0)
         assert np.array_equal(at, bt) and np.array_equal(at, ct)
 
+    @pytest.mark.parametrize("n, paths", [(1, 33_000), (4, 5000)])
+    def test_default_chunks_match_single_blocks(self, n, paths, monkeypatch):
+        # n = 1: two default chunks of 32 blocks, the last block partial;
+        # n = 4: chunks of 4 blocks. The reducer must not round by chunk
+        # either, so correlations is compared against the 4-block floor.
+        spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
+        cfg = sde.SDEConfig(spec, 1e-3, "corrected", 5)
+        grid = [0.0, 0.004]
+
+        def gather(chunk):
+            items = list(sde.evolve_ensemble(cfg, paths, grid, chunk_size=chunk))
+            rows = [np.concatenate([it[1] for it in items])]
+            rows += [np.concatenate([it[2][t] for it in items]) for t in grid]
+            return len(items), rows
+
+        count, default = gather(None)
+        assert count == 2
+        blocks, single = gather(sde.PATH_BLOCK)
+        assert blocks == -(-paths // sde.PATH_BLOCK)
+        assert all(np.array_equal(a, b) for a, b in zip(default, single))
+        psi = fock.basis_vector(n, [1]).amplitudes
+        chi = dict.fromkeys(grid, psi)
+        whole = sde.correlations(cfg, paths, grid, psi, chi)
+        monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", 0)
+        assert sde.correlations(cfg, paths, grid, psi, chi) == whole
+
     @pytest.mark.parametrize("chunk", [0, 1000, 1025])
     def test_chunk_size_must_be_block_multiple(self, chunk):
         with pytest.raises(DomainError, match="multiple"):
@@ -135,7 +161,7 @@ class TestEnsemble:
         g = np.concatenate(
             [rng.standard_normal((p, 2 * n + 1, 2 * n + 1)) for rng, p in zip(rngs, sizes)]
         )
-        _, u = sg.haar_lift(g, np.eye(1 << n))
+        u = sg.haar_lift(g, np.eye(1 << n))
         dw = np.concatenate(
             [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
         ) * np.sqrt(dt)
@@ -239,7 +265,7 @@ class TestGeneratorCheck:
         assert abs(mean - target) <= 4 * stderr + 1e-3
 
     def test_haar_point_away_from_identity(self):
-        _, u = sg.haar_lift(np.random.default_rng(17).standard_normal((1, 3, 3)), np.eye(2))
+        u = sg.haar_lift(np.random.default_rng(17).standard_normal((1, 3, 3)), np.eye(2))
         cfg = config(seed=103)
         top = fock.basis_vector(1, [1]).amplitudes
         mean, stderr, target = self.one_step_mean(u[0, 0], top, 200_000, cfg)

@@ -50,9 +50,10 @@ class TestExponentials:
 
 
 def haar_draws(rng, n, count):
-    """haar_lift of count Gaussian draws from rng: rotations and spin matrices."""
+    """Rotations and spin matrices of count Gaussian draws from rng."""
     N = 2 * n + 1
-    return sg.haar_lift(rng.standard_normal((count, N, N)), np.eye(1 << n))
+    g = rng.standard_normal((count, N, N))
+    return sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
 
 
 class TestHaar:
@@ -115,7 +116,9 @@ class TestHaarLift:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lift_conjugates_spin_images(self, n):
         # U spin(X) U^dagger = spin(R X R^T) on 10^4 draws from five block
-        # streams, and R is the rotation haar_orthogonal makes from the same draw
+        # streams, and R is the rotation haar_orthogonal makes from the same
+        # draw: the lift has no determinant fix of its own, so this pins its
+        # reflections, an odd count left unpaired, to the det-fixed R
         N, paths, chunk = 2 * n + 1, 10_000, 2000
         a = np.random.default_rng(40 + n).standard_normal((N, N))
         x = a - a.T
@@ -123,7 +126,7 @@ class TestHaarLift:
         worst = 0.0
         for b in range(paths // chunk):
             g = sde.block_rng(7, b).standard_normal((chunk, N, N))
-            rot, u = sg.haar_lift(g, np.eye(1 << n))
+            rot, u = sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
             rng = sde.block_rng(7, b)
             expected = np.stack([sg.haar_orthogonal(rng, N) for _ in range(chunk)])
             assert np.array_equal(rot, expected)
@@ -138,7 +141,7 @@ class TestHaarLift:
         N = 2 * n + 1
         g = np.triu(np.random.default_rng(n).standard_normal((N, N)))
         g[np.diag_indices(N)] = [-1.0, 2.0, -3.0, 1.0, -2.0][:N]
-        rot, u = sg.haar_lift(g[None], np.eye(1 << n))
+        rot, u = sg.haar_rotations(g[None]), sg.haar_lift(g[None], np.eye(1 << n))
         assert np.array_equal(np.abs(rot[0]), np.eye(N))
         assert np.linalg.det(rot[0]) == pytest.approx(1.0)
         a = np.random.default_rng(5).standard_normal((N, N))
@@ -148,8 +151,8 @@ class TestHaarLift:
 
     def test_rows_are_rows_of_the_spin_matrix(self):
         g = np.random.default_rng(8).standard_normal((6, 5, 5))
-        _, u = sg.haar_lift(g, np.eye(4))
-        _, rows = sg.haar_lift(g, np.eye(4)[[0, 3]])
+        u = sg.haar_lift(g, np.eye(4))
+        rows = sg.haar_lift(g, np.eye(4)[[0, 3]])
         assert np.array_equal(rows, u[:, [0, 3]])
 
     def test_rejects_bad_shapes(self):
@@ -157,6 +160,21 @@ class TestHaarLift:
             sg.haar_lift(np.zeros((2, 4, 4)), np.eye(2))
         with pytest.raises(SizeError):
             sg.haar_lift(np.ones((2, 5, 5)), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_raw_qr_and_no_det(self, n, monkeypatch):
+        qr, modes, dets = np.linalg.qr, [], []
+
+        def counted_qr(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(np.linalg, "det", dets.append)
+        N = 2 * n + 1
+        sg.haar_lift(np.random.default_rng(n).standard_normal((50, N, N)), np.eye(1 << n))
+        assert modes == ["raw"]
+        assert dets == []
 
 
 class TestMatrixCoefficients:
@@ -166,7 +184,7 @@ class TestMatrixCoefficients:
         # an upper-triangular draw with a positive diagonal is the identity
         # rotation, and its lift is exactly the identity
         g = np.triu(np.random.default_rng(2).standard_normal((5, 5)), 1) + np.eye(5)
-        rot, u = sg.haar_lift(g[None], np.eye(4))
+        rot, u = sg.haar_rotations(g[None]), sg.haar_lift(g[None], np.eye(4))
         assert np.array_equal(rot[0], np.eye(5))
         e = u[0]
         assert (e @ fock.vacuum(2).amplitudes)[0] == 1.0
