@@ -1,13 +1,13 @@
 """Finite-dimensional fermions on Spin(2n+1).
 
-Fock space and ladder operators, Clifford generators, the half-spin
-representation of so(2n+1), an exact normal-ordering engine for its
-enveloping algebra, Haar sampling with spin lifts, a geometric Stratonovich
-ensemble integrator for the noise-only left-invariant diffusion, and Monte Carlo
-verification of the resulting Feynman-Kac semigroup identity.
+Fock space with ladder operators and Clifford generators, the defining and
+half-spin representations of so(2n+1) as image functions, an exact
+normal-ordering engine for its enveloping algebra, Haar sampling with spin
+lifts, a geometric Stratonovich ensemble integrator for the noise-only
+left-invariant diffusion, and Monte Carlo verification of the resulting
+Feynman-Kac semigroup identity.
 """
 
-from .clifford import CliffordGenerators, gamma, make_clifford_generators
 from .errors import (
     DomainError,
     IndexRangeError,
@@ -22,6 +22,7 @@ from .fock import (
     basis_vector,
     creation,
     fock_dim,
+    gamma,
     vacuum,
 )
 from .hamiltonian import (
@@ -29,6 +30,7 @@ from .hamiltonian import (
     HamiltonianSpec,
     build_parts,
     exact_semigroup,
+    quasi_hamiltonian,
     subset_sums,
 )
 from .sde import (
@@ -38,16 +40,13 @@ from .sde import (
 )
 from .so_algebra import (
     AlgebraElement,
-    Representation,
     basis_element,
     bracket,
     cartan_element,
     defining_basis_matrix,
     defining_rep,
-    defining_representation,
     ladder_element,
     spin_rep,
-    spin_representation,
     weight_of,
 )
 from .spin_group import (

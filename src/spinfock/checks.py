@@ -15,6 +15,9 @@ temporary is larger than one (S, d, d) block. Every entry of a basis image
 is dyadic (0, +-1, +-1/2 or +-i/2), and so is every partial sum of these
 products, so they are exact in any summation order: a homomorphism's
 residual is exactly 0.0, whatever BLAS does.
+
+A representation is its image function, looked up by the tag that names its
+report rows ("spin", "defining") when a check runs, never at import.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import clifford, fock, hamiltonian, so_algebra, uea
+from . import fock, hamiltonian, so_algebra, uea
 from .errors import DomainError, SizeError
 from .hamiltonian import HamiltonianParts, HamiltonianSpec
 
@@ -76,7 +79,7 @@ def check_ladder_structure(n: int) -> CheckResult:
 
 def check_clifford_anticommutation(n: int) -> CheckResult:
     eye = np.eye(fock.fock_dim(n))
-    gammas = clifford.make_clifford_generators(n).gammas
+    gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
     worst = 0.0
     for j, gj in enumerate(gammas):
         worst = max(worst, _max_abs(gj + gj.conj().T))
@@ -89,8 +92,8 @@ def check_clifford_anticommutation(n: int) -> CheckResult:
 def check_clifford_reconstruction(n: int) -> CheckResult:
     worst = 0.0
     for j in range(1, n + 1):
-        g_odd = clifford.gamma(2 * j - 1, n)
-        g_even = clifford.gamma(2 * j, n)
+        g_odd = fock.gamma(2 * j - 1, n)
+        g_even = fock.gamma(2 * j, n)
         worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - fock.creation(j, n)))
         worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - fock.annihilation(j, n)))
     return _result("clifford-reconstruction", worst, 1e-12)
@@ -140,11 +143,14 @@ def _homomorphism_residual(structure: tuple, images: np.ndarray) -> float:
     return worst
 
 
+def _image_function(tag: str):
+    """The image function a tag names, looked up per call, so a patch of it is seen."""
+    return {"spin": so_algebra.spin_rep, "defining": so_algebra.defining_rep}[tag]
+
+
 def check_homomorphism(n: int, tag: str, structure: tuple) -> CheckResult:
-    rep = so_algebra.representation(tag, n)
-    images = np.stack(
-        [rep.apply(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)]
-    )
+    rep = _image_function(tag)
+    images = np.stack([rep(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)])
     return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
 
 
@@ -227,18 +233,17 @@ def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
     return _result("car-on-subspace", hamiltonian.car_residual(spin.d_plus, spin.d_minus), 1e-12)
 
 
-def check_factorized_identity(spec: HamiltonianSpec, parts: tuple) -> CheckResult:
+def check_factorized_identity(spec: HamiltonianSpec, reps: tuple, parts: tuple) -> CheckResult:
     """H against -sum_k E_k (a + ib)(a - ib), with a and b rebuilt from the basis images."""
     n = spec.n
     N = so_algebra.matrix_size(n)
     worst = 0.0
-    for p in parts:
-        rep = so_algebra.representation(p.rep_tag, n)
+    for rep, p in zip(reps, parts):
         dim = p.h_tilde.shape[0]
         total = np.zeros((dim, dim), dtype=complex)
         for k, e in enumerate(spec.energies, start=1):
-            a = rep.apply(so_algebra.basis_element(n, 2 * k - 1, N))
-            b = rep.apply(so_algebra.basis_element(n, 2 * k, N))
+            a = rep(so_algebra.basis_element(n, 2 * k - 1, N))
+            b = rep(so_algebra.basis_element(n, 2 * k, N))
             total -= e * ((a + 1j * b) @ (a - 1j * b))
         worst = max(worst, _max_abs(total - p.h_tilde))
     return _result("factorized-identity", worst, 1e-12)
@@ -249,10 +254,8 @@ def run_verify(n: int, energies) -> list:
     if n > MAX_VERIFY_MODES:
         raise SizeError(f"verify sweeps are bounded at n <= {MAX_VERIFY_MODES}, got {n}")
     spec = HamiltonianSpec(n, tuple(energies))
-    parts = tuple(
-        hamiltonian.build_parts(spec, so_algebra.representation(tag, n))
-        for tag in ("spin", "defining")
-    )
+    reps = tuple(_image_function(tag) for tag in ("spin", "defining"))
+    parts = tuple(hamiltonian.build_parts(spec, rep) for rep in reps)
     structure = structure_constants(n)
     return [
         check_car(n),
@@ -269,5 +272,5 @@ def run_verify(n: int, energies) -> list:
         check_spectrum(spec, parts[0]),
         check_commutation_shadow(parts),
         check_car_on_subspace(parts[0]),
-        check_factorized_identity(spec, parts),
+        check_factorized_identity(spec, reps, parts),
     ]

@@ -1,9 +1,18 @@
-"""Fermionic Fock space over n modes, with ladder operators.
+"""Fermionic Fock space over n modes, with ladder operators and Clifford generators.
 
 Basis states are indexed by occupation bitmasks ``S``: bit ``j-1`` set means
 mode ``j`` is occupied. The vacuum is bitmask 0. Creation of mode ``j`` on a
 basis state picks up the Jordan-Wigner sign ``(-1)**(# occupied modes < j)``,
 which is the sign produced by sorting ``e_j`` into an ascending wedge word.
+
+The 2n Clifford generators satisfy {gamma_j, gamma_k} = -2 delta_jk and are
+built from the ladder operators:
+
+    gamma_{2k-1} = c_k^dagger - c_k
+    gamma_{2k}   = -i (c_k^dagger + c_k)
+
+so that c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2 and
+c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2.
 """
 
 from __future__ import annotations
@@ -94,3 +103,16 @@ def creation(j: int, n: int) -> np.ndarray:
 def annihilation(j: int, n: int) -> np.ndarray:
     """Annihilation operator c_j, the adjoint of creation(j, n)."""
     return creation(j, n).conj().T
+
+
+def gamma(j: int, n: int) -> np.ndarray:
+    """The j-th Clifford generator, 1 <= j <= 2n, as a 2^n x 2^n matrix."""
+    check_mode_count(n)
+    if not 1 <= j <= 2 * n:
+        raise IndexRangeError(f"Clifford index must satisfy 1 <= j <= {2 * n}, got {j}")
+    k = (j + 1) // 2
+    cdag = creation(k, n)
+    c = cdag.conj().T
+    if j % 2 == 1:
+        return cdag - c
+    return -1j * (cdag + c)

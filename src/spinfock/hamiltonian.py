@@ -10,6 +10,9 @@ raising/lowering elements. It decomposes as H = P0 + i B0 where
 an identity that holds in any representation because it already holds in the
 enveloping algebra. In the spin representation P0 is the scalar
 (sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2).
+
+``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``.
+``quasi_hamiltonian`` and ``build_parts`` sum H in ``_sum_modes``, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ class HamiltonianSpec:
 class HamiltonianParts:
     """All operator matrices of the quasi-Hamiltonian in one representation."""
 
-    rep_tag: str
-    n: int
     h_tilde: np.ndarray
     p0: np.ndarray
     b0: np.ndarray
@@ -68,34 +69,40 @@ def b0_element(spec: HamiltonianSpec) -> so_algebra.AlgebraElement:
     return out
 
 
-def build_parts(spec: HamiltonianSpec, rep: so_algebra.Representation) -> HamiltonianParts:
-    """Assemble H, P0, B0 and the per-mode pieces in the given representation."""
+def _sum_modes(h: np.ndarray, energies, products) -> np.ndarray:
+    """Add E_k D_k^+ D_k^- into the zero matrix h from an iterator of the products."""
+    for e in energies:
+        h += e * next(products)  # held by no name, so scaled in place and freed once added
+    return h
+
+
+def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
+    """H = sum_k E_k rep(E_k^+) rep(E_k^-) alone, building one mode's D_k^+- at a time."""
     n = spec.n
-    if rep.n != n:
-        raise SizeError(f"representation is for n={rep.n}, spec has n={n}")
+    products = (
+        rep(so_algebra.ladder_element(k, n)) @ rep(so_algebra.ladder_element(-k, n))
+        for k in range(1, n + 1)
+    )
+    return _sum_modes(rep(so_algebra.zero_element(n)), spec.energies, products)
+
+
+def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
+    """Assemble H, P0, B0 and the per-mode pieces under the image function ``rep``."""
+    n, modes = spec.n, range(1, spec.n + 1)
     N = so_algebra.matrix_size(n)
-    t_mats = []
-    l_mats = []
-    d_plus = []
-    d_minus = []
-    for k in range(1, n + 1):
-        t_mats.append(rep.apply(t_element(k, n)))
-        a = rep.apply(so_algebra.basis_element(n, 2 * k - 1, N))
-        b = rep.apply(so_algebra.basis_element(n, 2 * k, N))
-        l_mats.append(a @ a + b @ b)
-        d_plus.append(rep.apply(so_algebra.ladder_element(k, n)))
-        d_minus.append(rep.apply(so_algebra.ladder_element(-k, n)))
-    dim = d_plus[0].shape[0]
-    h = np.zeros((dim, dim), dtype=complex)
-    p0 = np.zeros((dim, dim), dtype=complex)
-    b0 = np.zeros((dim, dim), dtype=complex)
-    for e, tk, lk, dp, dm in zip(spec.energies, t_mats, l_mats, d_plus, d_minus):
-        h += e * (dp @ dm)
+    t_mats = tuple(rep(t_element(k, n)) for k in modes)
+    a_mats = [rep(so_algebra.basis_element(n, 2 * k - 1, N)) for k in modes]
+    b_mats = [rep(so_algebra.basis_element(n, 2 * k, N)) for k in modes]
+    l_mats = tuple(a @ a + b @ b for a, b in zip(a_mats, b_mats))
+    d_plus = tuple(rep(so_algebra.ladder_element(k, n)) for k in modes)
+    d_minus = tuple(rep(so_algebra.ladder_element(-k, n)) for k in modes)
+    zero = so_algebra.zero_element(n)
+    h = _sum_modes(rep(zero), spec.energies, map(np.matmul, d_plus, d_minus))
+    p0, b0 = rep(zero), rep(zero)
+    for e, tk, lk in zip(spec.energies, t_mats, l_mats):
         p0 -= e * lk
         b0 -= e * tk
-    return HamiltonianParts(
-        rep.tag, n, h, p0, b0, tuple(t_mats), tuple(l_mats), tuple(d_plus), tuple(d_minus)
-    )
+    return HamiltonianParts(h, p0, b0, t_mats, l_mats, d_plus, d_minus)
 
 
 def car_residual(plus, minus) -> float:

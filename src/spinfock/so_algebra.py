@@ -6,6 +6,9 @@ Basis elements are indexed by ordered pairs ``(j, k)`` with
 normalize to the negated ordered pair at construction time, so coefficient
 maps stay canonical.
 
+A representation is its image function, ``defining_rep`` or ``spin_rep``
+below; both read n from the element.
+
 The spin representation acts on the 2^n-dimensional Fock space:
 
     spin(X_{j,2n+1}) = gamma_j / 2             (j <= 2n)
@@ -20,11 +23,11 @@ with the wrong sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from . import clifford, fock
+from . import fock
 from .errors import IndexRangeError, NonWeightVectorError, SizeError
 
 Symbol = Tuple[int, int]
@@ -167,8 +170,8 @@ def spin_symbol_matrix(sym: Symbol, n: int) -> np.ndarray:
     check_symbol(sym, n)
     j, k = sym
     if k == matrix_size(n):
-        return 0.5 * clifford.gamma(j, n)
-    return 0.5 * (clifford.gamma(k, n) @ clifford.gamma(j, n))
+        return 0.5 * fock.gamma(j, n)
+    return 0.5 * (fock.gamma(k, n) @ fock.gamma(j, n))
 
 
 def spin_rep(elem: AlgebraElement) -> np.ndarray:
@@ -177,33 +180,6 @@ def spin_rep(elem: AlgebraElement) -> np.ndarray:
     for sym, v in elem.coefficients.items():
         out += v * spin_symbol_matrix(sym, elem.n)
     return out
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A linear map from algebra elements to operator matrices."""
-
-    tag: str  # "spin" | "defining"
-    n: int
-    apply: Callable[[AlgebraElement], np.ndarray]
-
-
-def spin_representation(n: int) -> Representation:
-    fock.check_mode_count(n)
-    return Representation("spin", n, spin_rep)
-
-
-def defining_representation(n: int) -> Representation:
-    fock.check_mode_count(n)
-    return Representation("defining", n, defining_rep)
-
-
-def representation(tag: str, n: int) -> Representation:
-    if tag == "spin":
-        return spin_representation(n)
-    if tag == "defining":
-        return defining_representation(n)
-    raise ValueError(f"unknown representation tag {tag!r}")
 
 
 def ladder_element(j: int, n: int) -> AlgebraElement:

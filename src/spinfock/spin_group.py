@@ -180,7 +180,6 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
 class MCEstimate:
     mean: complex
     std_error: float
-    n_samples: int
 
 
 def complex_mean_stderr(values: np.ndarray) -> tuple:
@@ -213,4 +212,4 @@ def l2_inner_mc(
     for start, _, r in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes):
         values[start:start + len(r)] = np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)
     mean, stderr = complex_mean_stderr(values)
-    return MCEstimate(mean, stderr, n_samples)
+    return MCEstimate(mean, stderr)

@@ -127,9 +127,6 @@ class UEAPolynomial:
         coeff = GaussianRational.coerce(coeff)
         return UEAPolynomial(self.n, {w: coeff * c for w, c in self.terms.items()})
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
 
 def unit(n: int) -> UEAPolynomial:
     return UEAPolynomial(n, {(): ONE})

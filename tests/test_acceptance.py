@@ -14,7 +14,6 @@ import pytest
 
 from spinfock import (
     cli,
-    clifford,
     fock,
     feynman_kac as fk,
     hamiltonian as ham,
@@ -59,7 +58,7 @@ def test_criterion_02_clifford_suite():
     reconstruction_exact = True
     for n in (1, 2, 3, 4):
         eye = np.eye(1 << n)
-        gammas = clifford.make_clifford_generators(n).gammas
+        gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
         for j, gj in enumerate(gammas):
             for k, gk in enumerate(gammas):
                 delta = 2.0 * eye if j == k else 0.0
@@ -81,9 +80,8 @@ def test_criterion_03_homomorphism_suite():
     start = time.perf_counter()
     worst = 0.0
     for n in (1, 2, 3):
-        for tag in ("spin", "defining"):
-            rep = so.representation(tag, n)
-            mats = {s: rep.apply(so.basis_element(n, *s)) for s in so.symbols(n)}
+        for rep in (so.spin_rep, so.defining_rep):
+            mats = {s: rep(so.basis_element(n, *s)) for s in so.symbols(n)}
             for sa, ma in mats.items():
                 for sb, mb in mats.items():
                     lhs = sum(
@@ -145,14 +143,14 @@ def test_criterion_06_decomposition_and_spectrum():
     worst = 0.0
     for n, energies in ((2, (1.0, 2.0)), (3, (1.0, 1.5, 2.5))):
         spec = ham.HamiltonianSpec(n, energies)
-        for tag in ("spin", "defining"):
-            parts = ham.build_parts(spec, so.representation(tag, n))
+        for rep in (so.spin_rep, so.defining_rep):
+            parts = ham.build_parts(spec, rep)
             worst = max(worst, np.max(np.abs(parts.h_tilde - (parts.p0 + 1j * parts.b0))))
     spec2 = ham.HamiltonianSpec(2, (1.0, 2.0))
-    eigs2 = np.sort(np.linalg.eigvalsh(ham.build_parts(spec2, so.spin_representation(2)).h_tilde))
+    eigs2 = np.sort(np.linalg.eigvalsh(ham.build_parts(spec2, so.spin_rep).h_tilde))
     dev2 = np.max(np.abs(eigs2 - np.array([0.0, 1.0, 2.0, 3.0])))
     spec3 = ham.HamiltonianSpec(3, (1.0, 1.5, 2.5))
-    eigs3 = np.sort(np.linalg.eigvalsh(ham.build_parts(spec3, so.spin_representation(3)).h_tilde))
+    eigs3 = np.sort(np.linalg.eigvalsh(ham.build_parts(spec3, so.spin_rep).h_tilde))
     dev3 = np.max(np.abs(eigs3 - ham.subset_sums(spec3)))
     report(
         "6 decomposition and spectrum",
@@ -165,8 +163,8 @@ def test_criterion_07_commutation_shadow():
     worst = 0.0
     for n in (1, 2, 3):
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
-        for tag in ("spin", "defining"):
-            parts = ham.build_parts(spec, so.representation(tag, n))
+        for rep in (so.spin_rep, so.defining_rep):
+            parts = ham.build_parts(spec, rep)
             worst = max(worst, np.max(np.abs(parts.p0 @ parts.b0 - parts.b0 @ parts.p0)))
             for tk in parts.t:
                 for lk in parts.l:

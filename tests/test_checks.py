@@ -6,8 +6,8 @@ from spinfock.errors import DomainError
 
 
 def stacked_images(n, tag):
-    rep = so.representation(tag, n)
-    return np.stack([rep.apply(so.basis_element(n, *s)) for s in so.symbols(n)])
+    rep = {"spin": so.spin_rep, "defining": so.defining_rep}[tag]
+    return np.stack([rep(so.basis_element(n, *s)) for s in so.symbols(n)])
 
 
 def pairwise_residual(n, bracket_fn, images):

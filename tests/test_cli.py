@@ -186,6 +186,26 @@ class TestFK:
         assert "non-finite" in err
 
 
+class TestOutPath:
+    def test_missing_directory_refused_before_drawing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            capsys, ["fk", "--n", "1", "--paths", "200", "--seed", "1", "--out", str(target)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "does not exist" in err
+        assert not target.parent.exists()
+
+    def test_failed_write_is_usage_error(self, capsys, tmp_path):
+        # the directory exists, so the run goes ahead and opening a directory fails
+        code, out, err = run_cli(capsys, ["verify", "--n", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cannot write" in err
+
+
 class TestCalibrate:
     def test_reports_candidates(self, capsys):
         code, out, _ = run_cli(

@@ -35,7 +35,7 @@ class TestFactorization:
     @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
     def test_semigroup_splits_scalar_times_phase(self, spec):
         # e^{-tH} = e^{-t/2 sum E} e^{-tS} on the spin side, entrywise
-        parts = ham.build_parts(spec, so.spin_representation(spec.n))
+        parts = ham.build_parts(spec, so.spin_rep)
         s_mat = ham.ib0_spin_matrix(spec)
         for t in (0.0, 0.3, 1.0):
             lhs = ham.exact_semigroup(parts.h_tilde, t)

@@ -5,9 +5,13 @@ from spinfock import hamiltonian as ham, so_algebra as so
 from spinfock.errors import DomainError, SizeError
 
 
+def image_function(tag):
+    return {"spin": so.spin_rep, "defining": so.defining_rep}[tag]
+
+
 def spin_parts(n, energies):
     spec = ham.HamiltonianSpec(n, energies)
-    return spec, ham.build_parts(spec, so.spin_representation(n))
+    return spec, ham.build_parts(spec, so.spin_rep)
 
 
 class TestSpec:
@@ -53,13 +57,13 @@ class TestBuildParts:
     @pytest.mark.parametrize("n,energies", [(1, (1.0,)), (2, (1.0, 2.0)), (3, (1.0, 1.5, 2.5))])
     def test_decomposition_identity(self, tag, n, energies):
         spec = ham.HamiltonianSpec(n, energies)
-        parts = ham.build_parts(spec, so.representation(tag, n))
+        parts = ham.build_parts(spec, image_function(tag))
         assert np.max(np.abs(parts.h_tilde - (parts.p0 + 1j * parts.b0))) < 1e-12
 
     @pytest.mark.parametrize("tag", ["spin", "defining"])
     def test_p0_hermitian_psd_and_ib0_hermitian(self, tag):
         spec = ham.HamiltonianSpec(2, (1.0, 2.0))
-        parts = ham.build_parts(spec, so.representation(tag, 2))
+        parts = ham.build_parts(spec, image_function(tag))
         assert np.max(np.abs(parts.p0 - parts.p0.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(parts.p0)) > -1e-12
         ib0 = 1j * parts.b0
@@ -76,13 +80,13 @@ class TestBuildParts:
     @pytest.mark.parametrize("n,energies", [(1, (1.0,)), (2, (1.0, 2.0)), (3, (1.0, 1.5, 2.5))])
     def test_factorized_identity(self, tag, n, energies):
         spec = ham.HamiltonianSpec(n, energies)
-        rep = so.representation(tag, n)
+        rep = image_function(tag)
         parts = ham.build_parts(spec, rep)
         N = 2 * n + 1
         total = np.zeros_like(parts.h_tilde)
         for k, e in enumerate(energies, start=1):
-            a = rep.apply(so.basis_element(n, 2 * k - 1, N))
-            b = rep.apply(so.basis_element(n, 2 * k, N))
+            a = rep(so.basis_element(n, 2 * k - 1, N))
+            b = rep(so.basis_element(n, 2 * k, N))
             total -= e * ((a + 1j * b) @ (a - 1j * b))
         assert np.max(np.abs(total - parts.h_tilde)) < 1e-12
 
@@ -90,7 +94,7 @@ class TestBuildParts:
     @pytest.mark.parametrize("n,energies", [(1, (1.0,)), (2, (1.0, 2.0)), (3, (1.0, 1.5, 2.5))])
     def test_commutation_shadow(self, tag, n, energies):
         spec = ham.HamiltonianSpec(n, energies)
-        parts = ham.build_parts(spec, so.representation(tag, n))
+        parts = ham.build_parts(spec, image_function(tag))
         assert np.max(np.abs(parts.p0 @ parts.b0 - parts.b0 @ parts.p0)) < 1e-12
         for tk in parts.t:
             for lk in parts.l:
@@ -99,17 +103,28 @@ class TestBuildParts:
                 assert np.max(np.abs(tk @ tl - tl @ tk)) < 1e-12
 
 
+class TestQuasiHamiltonian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bitwise_equal_to_build_parts(self, n):
+        # one summation: spectrum's H and verify's H are the same bits
+        spec = ham.HamiltonianSpec(n, (1.0, 1.5, 2.5, 4.0)[:n])
+        alone = ham.quasi_hamiltonian(spec, so.spin_rep)
+        parts = ham.build_parts(spec, so.spin_rep)
+        assert np.array_equal(alone, parts.h_tilde)
+        assert alone.tobytes() == parts.h_tilde.tobytes()
+
+
 class TestCAROnSubspace:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_spin_rep_satisfies_car(self, n):
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
-        parts = ham.build_parts(spec, so.spin_representation(n))
+        parts = ham.build_parts(spec, so.spin_rep)
         assert ham.car_residual(parts.d_plus, parts.d_minus) <= 1e-12
 
     def test_defining_rep_fails_car(self):
         # without projecting onto the embedded subspace the relations fail
         spec = ham.HamiltonianSpec(2, (1.0, 2.0))
-        parts = ham.build_parts(spec, so.defining_representation(2))
+        parts = ham.build_parts(spec, so.defining_rep)
         assert ham.car_residual(parts.d_plus, parts.d_minus) > 0.1
 
 
