@@ -11,14 +11,15 @@ Feynman-Kac formula applies it exactly, as the phase e^{-tS}.
 Each step right-multiplies the state by the exponential of the sampled
 algebra increment, so unitarity is preserved up to rounding. The exponent is
 a Clifford vector gamma(c)/2, whose square is the scalar -|c|^2/4, so the
-step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. The noise
-directions of mode k form one ladder pair, a gamma_{2k-1} + b gamma_{2k} =
-(a - ib) c_k^dagger - (a + ib) c_k, and both terms flip the same bit, so one
-kernel (spin_group.apply_modes, shared with the Haar lift) applies the step
-as one flip per mode, with the Jordan-Wigner signs written into it. The rows
-are held as (2^n, P), samples last, so each flip moves contiguous blocks of
-samples, and each step reads a + ib of its own coefficients as a complex
-view.
+step is cos(w) I + sinc(w/pi) gamma(c)/2 with w = |c|/2. Up to w^2 = 1/4
+both are Taylor series in w^2, within 1 ulp of libm, and beyond it libm's.
+The noise directions of mode k form one ladder pair,
+a gamma_{2k-1} + b gamma_{2k} = (a - ib) c_k^dagger - (a + ib) c_k, and both
+terms flip the same bit, so one kernel (spin_group.apply_modes, shared with
+the Haar lift) applies the step as one flip per mode, with the Jordan-Wigner
+signs written into it. The rows are held as (2^n, P), samples last, so each
+flip moves contiguous blocks of samples, and each step reads a + ib of its
+own coefficients as a complex view.
 
 Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
@@ -96,20 +97,34 @@ class SDEConfig:
         return np.sqrt(self.eprime)
 
 
+# Taylor coefficients in |c|^2 = 4 w^2, used up to |c|^2 = 1: cos(w) to w^14, sin(w)/w to w^12
+_SERIES = [[(-1) ** k / math.factorial(2 * k + j) / 4**k for k in range(8 - j)] for j in (0, 1)]
+
+
 def _noise_coefficients(scaled: np.ndarray) -> tuple:
     """cos(w) and sinc(w/pi) * c for the step exp(gamma(c)/2), w = |c|/2.
 
     scaled holds the sigma-weighted increments c on the last of at least two
     axes; it is overwritten with the second result.
     """
-    om = np.einsum("...j,...j->...", scaled, scaled)
-    np.sqrt(om, out=om)
-    om *= 0.5
-    cos_om = np.cos(om)
-    sinc = np.sin(om)
-    np.divide(sinc, om, out=sinc, where=om > 0)
-    sinc[om == 0] = 1.0
-    scaled *= sinc[..., None]
+    rows = scaled.reshape(-1, *scaled.shape[-2:])
+    square, norm2 = np.empty(rows.shape[1:]), np.empty(rows.shape[:-1])
+    # |c|^2 by step rows, so no temporary is as large as scaled; 0 on underflow
+    with np.errstate(under="ignore"):
+        for m in range(len(rows)):
+            np.matmul(np.square(rows[m], out=square), np.ones(rows.shape[-1]), out=norm2[m])
+        norm2 = norm2.reshape(scaled.shape[:-1])
+        far = np.flatnonzero(norm2 > 1.0)
+        cos_om, sinc = (norm2 * series[-1] for series in _SERIES)
+        for series, out in zip(_SERIES, (cos_om, sinc)):
+            for a in series[-2:0:-1]:
+                out += a
+                out *= norm2
+            out += series[0]
+    om = np.sqrt(norm2.flat[far]) * 0.5
+    del norm2  # before the product below casts sinc to complex through a buffer
+    cos_om.flat[far], sinc.flat[far] = np.cos(om), np.sin(om) / om
+    scaled.view(complex)[...] *= sinc[..., None]  # an axis n long, not 2n
     return cos_om, scaled
 
 
@@ -147,8 +162,8 @@ def evolve_ensemble(
     steps_for = {}
     for t in t_grid:
         t = float(t)
-        if not 0 <= t < math.inf:
-            raise DomainError(f"grid time {t} must be finite and non-negative")
+        if not 0 <= t / config.dt < math.inf:
+            raise DomainError(f"grid time {t} must be finite and non-negative, with t/dt finite")
         s = int(round(t / config.dt))
         if abs(s * config.dt - t) > 1e-9 * max(1.0, t):
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")

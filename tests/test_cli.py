@@ -305,6 +305,18 @@ class TestNonFinite:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.01")], ids=["fk", "calibrate"]
+    )
+    def test_subnormal_dt_refused_before_drawing(self, capsys, monkeypatch, command, grid):
+        # 0 < dt < inf, but 0.01 / 5e-324 overflows: no finite step count
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        argv = [command, "--n", "1", "--paths", "200", "--t-grid", grid, "--dt", "5e-324", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "t/dt finite" in err
+
 
 class TestMalformedNumbers:
     # exit 1 means a failed check, so a number that does not parse is a

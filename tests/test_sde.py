@@ -38,6 +38,24 @@ def step_mean(cfg, terms=40):
     return total
 
 
+def series_probe(c1):
+    """|c|^2, cos and sinc of _noise_coefficients at c = (2^-30, c1), and libm's.
+
+    The power-of-two component carries sinc back exactly, and the engine forms
+    |c|^2 = c_1^2 + c_2^2 with the same roundings as here, so libm is
+    evaluated at the engine's own w.
+    """
+    scaled = np.stack([np.full_like(c1, 2.0**-30), c1], axis=-1)
+    norm2 = scaled[:, 0] ** 2 + scaled[:, 1] ** 2
+    om = np.sqrt(norm2) * 0.5
+    cos_om, coef = sde._noise_coefficients(scaled[None])
+    return norm2, cos_om[0], coef[0, :, 0] * 2.0**30, np.cos(om), np.sin(om) / om
+
+
+def ulps(value, reference):
+    return np.max(np.abs(value - reference) / np.spacing(np.abs(reference)))
+
+
 class TestConfig:
     def test_diffusion_weights(self):
         cfg = config(SPEC2)
@@ -66,6 +84,39 @@ class TestStep:
             cos_om, coef = sde._noise_coefficients(scaled)
         assert np.array_equal(cos_om, np.ones((2, 3)))
         assert np.array_equal(coef, expected)
+
+    def test_series_within_two_ulp_of_libm(self):
+        # w^2 dense in [0, 1/4], then on to 1 where libm takes over: a bound
+        # raised to w^2 = 1 without more terms reads 430 ulp (cos) there, and
+        # one cos term less 7 ulp below the bound
+        c1 = 2 * np.sqrt(np.linspace(0.0, 1.0, 400_001))
+        norm2, cos_om, sinc, cos_ref, sinc_ref = series_probe(c1)
+        assert norm2[100_000] == 1.0  # the bound itself, still a series point
+        assert ulps(cos_om, cos_ref) <= 2
+        assert ulps(sinc, sinc_ref) <= 2
+
+    def test_libm_beyond_bound(self):
+        # from the first |c|^2 above 1 on, libm's values bit for bit
+        c1 = np.concatenate([1.0 + 2.0**-52 * np.arange(1, 1001), np.linspace(1.001, 8.0, 5000)])
+        norm2, cos_om, sinc, cos_ref, sinc_ref = series_probe(c1)
+        assert np.all(norm2 > 1.0)
+        assert np.array_equal(cos_om, cos_ref)
+        assert np.array_equal(sinc, sinc_ref)
+
+    def test_coefficients_memory(self):
+        # |c|^2, cos and sinc as (size, P) float arrays, plus one (P, 2n) step
+        # row of squares and bookkeeping (7 KiB here): squaring the whole
+        # block would add two more arrays, and keeping |c|^2 while the last
+        # product casts sinc to complex adds a 128 KiB buffer
+        size, paths = 13, 10_000
+        scaled = np.random.default_rng(6).standard_normal((size, paths, 2)) * math.sqrt(2e-3)
+        tracemalloc.start()
+        try:
+            sde._noise_coefficients(scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * size * paths * 8 + paths * 2 * 8 + (1 << 16)
 
     def test_unitarity_defect_thousand_steps(self):
         # no mean can see the sinc factor, since E[step] does not depend on
@@ -128,6 +179,23 @@ class TestEnsemble:
         whole = sde.correlations(cfg, paths, grid, psi, chi)
         monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", 0)
         assert sde.correlations(cfg, paths, grid, psi, chi) == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_step_block_invariance(self, n, monkeypatch):
+        # one step-block for all 20 steps against one step per block; at
+        # dt = 0.05 steps take both the series and libm (n = 1: about 0.7 %
+        # of w^2 exceed 1/4). Two path blocks, the second partial.
+        spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
+        cfg = sde.SDEConfig(spec, 0.05, "corrected", 23)
+        grid = [0.0, 0.35, 1.0]
+
+        def gather():
+            ((_, r0, snaps),) = sde.evolve_ensemble(cfg, 1500, grid)
+            return [r0] + [snaps[t] for t in grid]
+
+        whole = gather()
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", 1)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, gather()))
 
     @pytest.mark.parametrize("chunk", [0, 1000, 1025])
     def test_chunk_size_must_be_block_multiple(self, chunk):
