@@ -37,7 +37,6 @@ from .hamiltonian import HamiltonianParts, HamiltonianSpec
 _STRUCTURE_BRACKET_OVERRIDE = None
 
 MAX_VERIFY_MODES = 4
-MAX_SYMBOLIC_MODES = 3
 
 
 @dataclass(frozen=True)
@@ -57,29 +56,27 @@ def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def check_car(n: int) -> CheckResult:
-    plus = [fock.creation(j, n) for j in range(1, n + 1)]
-    minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
+# The ladder and Clifford checks take run_verify's c_1^dagger.., c_1.. and gamma_1.. lists.
+
+
+def check_car(plus: list, minus: list) -> CheckResult:
     return _result("car", hamiltonian.car_residual(plus, minus), 1e-12)
 
 
-def check_ladder_structure(n: int) -> CheckResult:
+def check_ladder_structure(plus: list, minus: list) -> CheckResult:
     worst = 0.0
-    for j in range(1, n + 1):
-        cdag = fock.creation(j, n)
-        c = fock.annihilation(j, n)
+    for cdag, c in zip(plus, minus):
         worst = max(worst, _max_abs(cdag - c.conj().T))
         worst = max(worst, _max_abs(cdag @ cdag))
         worst = max(worst, _max_abs(c @ c))
         nonzero = np.abs(cdag[np.abs(cdag) > 0])
-        if nonzero.size != fock.fock_dim(n) // 2 or np.any(nonzero != 1.0):
+        if nonzero.size != len(cdag) // 2 or np.any(nonzero != 1.0):
             worst = max(worst, 1.0)
     return _result("ladder-structure", worst, 1e-12)
 
 
-def check_clifford_anticommutation(n: int) -> CheckResult:
-    eye = np.eye(fock.fock_dim(n))
-    gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
+def check_clifford_anticommutation(gammas: list) -> CheckResult:
+    eye = np.eye(len(gammas[0]))
     worst = 0.0
     for j, gj in enumerate(gammas):
         worst = max(worst, _max_abs(gj + gj.conj().T))
@@ -89,13 +86,11 @@ def check_clifford_anticommutation(n: int) -> CheckResult:
     return _result("clifford-anticommutation", worst, 1e-12)
 
 
-def check_clifford_reconstruction(n: int) -> CheckResult:
+def check_clifford_reconstruction(gammas: list, plus: list, minus: list) -> CheckResult:
     worst = 0.0
-    for j in range(1, n + 1):
-        g_odd = fock.gamma(2 * j - 1, n)
-        g_even = fock.gamma(2 * j, n)
-        worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - fock.creation(j, n)))
-        worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - fock.annihilation(j, n)))
+    for g_odd, g_even, cdag, c in zip(gammas[::2], gammas[1::2], plus, minus):
+        worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - cdag))
+        worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - c))
     return _result("clifford-reconstruction", worst, 1e-12)
 
 
@@ -154,19 +149,12 @@ def check_homomorphism(n: int, tag: str, structure: tuple) -> CheckResult:
     return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
 
 
-def check_ladder_spin_image(n: int) -> CheckResult:
+def check_ladder_spin_image(plus: list, minus: list) -> CheckResult:
+    n = len(plus)
     worst = 0.0
-    for j in range(1, n + 1):
-        worst = max(
-            worst,
-            _max_abs(so_algebra.spin_rep(so_algebra.ladder_element(j, n)) - fock.creation(j, n)),
-        )
-        worst = max(
-            worst,
-            _max_abs(
-                so_algebra.spin_rep(so_algebra.ladder_element(-j, n)) - fock.annihilation(j, n)
-            ),
-        )
+    for j, (cdag, c) in enumerate(zip(plus, minus), start=1):
+        worst = max(worst, _max_abs(so_algebra.spin_rep(so_algebra.ladder_element(j, n)) - cdag))
+        worst = max(worst, _max_abs(so_algebra.spin_rep(so_algebra.ladder_element(-j, n)) - c))
     return _result("ladder-spin-image", worst, 1e-12)
 
 
@@ -186,16 +174,16 @@ def check_cartan_weights(n: int) -> CheckResult:
     return _result("cartan-weights", worst, 1e-12)
 
 
-def check_uea_normal_order(n: int) -> CheckResult:
+def check_uea_normal_order(spec: HamiltonianSpec) -> CheckResult:
     """Exact vanishing of the second-order/Cartan commutators, plus the
     commutation of the two quasi-Hamiltonian parts, order-by-symbol."""
-    n_sym = min(n, MAX_SYMBOLIC_MODES)
+    n = spec.n
     failures = 0
-    for ell in range(1, n_sym + 1):
-        for k in range(1, n_sym + 1):
-            if not uea.commutator_LU(ell, k, n_sym).is_zero():
+    for ell in range(1, n + 1):
+        for k in range(1, n + 1):
+            if not uea.commutator_LU(ell, k, n).is_zero():
                 failures += 1
-    second, first = uea.quasi_hamiltonian_symbols(n_sym, [Fraction(k) for k in range(1, n_sym + 1)])
+    second, first = uea.quasi_hamiltonian_symbols(n, [Fraction(e) for e in spec.energies])
     if not uea.uea_commuting_pair_check(second, first):
         failures += 1
     return _result("uea-normal-order-zero", float(failures), 0.0)
@@ -257,17 +245,20 @@ def run_verify(n: int, energies) -> list:
     reps = tuple(_image_function(tag) for tag in ("spin", "defining"))
     parts = tuple(hamiltonian.build_parts(spec, rep) for rep in reps)
     structure = structure_constants(n)
+    plus = [fock.creation(j, n) for j in range(1, n + 1)]
+    minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
+    gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
     return [
-        check_car(n),
-        check_ladder_structure(n),
-        check_clifford_anticommutation(n),
-        check_clifford_reconstruction(n),
+        check_car(plus, minus),
+        check_ladder_structure(plus, minus),
+        check_clifford_anticommutation(gammas),
+        check_clifford_reconstruction(gammas, plus, minus),
         check_defining_trace(n),
         check_homomorphism(n, "defining", structure),
         check_homomorphism(n, "spin", structure),
-        check_ladder_spin_image(n),
+        check_ladder_spin_image(plus, minus),
         check_cartan_weights(n),
-        check_uea_normal_order(n),
+        check_uea_normal_order(spec),
         check_decomposition(parts),
         check_spectrum(spec, parts[0]),
         check_commutation_shadow(parts),

@@ -27,8 +27,8 @@ EXIT_NUMERIC = 3
 STOCHASTIC_COMMANDS = ("fk", "calibrate", "haar-test")
 
 # spectrum builds H from dense 2^n x 2^n matrices and takes all its
-# eigenvalues: 0.6 s and 55 MB peak RSS at n = 9, 3.5 s and 128 MB at
-# n = 10, on one core. Each further mode quadruples the matrices.
+# eigenvalues: 0.4-0.5 s and 46 MB peak RSS at n = 9, 2.1-2.3 s and 95 MB
+# at n = 10, on one core. Each further mode quadruples the matrices.
 MAX_SPECTRUM_MODES = 10
 
 

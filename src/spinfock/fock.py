@@ -1,18 +1,18 @@
-"""Fermionic Fock space over n modes, with ladder operators and Clifford generators.
+"""Fermionic Fock space over n modes, with Clifford generators and ladder operators.
 
-Basis states are indexed by occupation bitmasks ``S``: bit ``j-1`` set means
-mode ``j`` is occupied. The vacuum is bitmask 0. Creation of mode ``j`` on a
-basis state picks up the Jordan-Wigner sign ``(-1)**(# occupied modes < j)``,
-which is the sign produced by sorting ``e_j`` into an ascending wedge word.
+Basis states are indexed by occupation bitmasks ``b``: bit ``k-1`` set means
+mode ``k`` is occupied. The vacuum is bitmask 0. The 2n Clifford generators,
+{gamma_j, gamma_k} = -2 delta_jk, flip the bit of their mode k with a sign,
+the parity of the occupied modes up to k (odd j) or below k (even j):
 
-The 2n Clifford generators satisfy {gamma_j, gamma_k} = -2 delta_jk and are
-built from the ladder operators:
+    gamma_{2k-1} e_b =    (-1)**|b & (2^k - 1)|     e_(b XOR 2^(k-1))
+    gamma_{2k}   e_b = -i (-1)**|b & (2^(k-1) - 1)| e_(b XOR 2^(k-1))
 
-    gamma_{2k-1} = c_k^dagger - c_k
-    gamma_{2k}   = -i (c_k^dagger + c_k)
-
-so that c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2 and
-c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2.
+So gamma_{i1} ... gamma_{im} takes e_b to phase[b] e_(b XOR flip), phase[b] a
+power of i; ``monomial`` computes the pair, the one Jordan-Wigner rule of the
+dense images. c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2 creates mode k
+with the sign (-1)**(# occupied modes < k), that of sorting ``e_k`` into an
+ascending wedge word, and c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2.
 """
 
 from __future__ import annotations
@@ -84,35 +84,44 @@ def basis_vector(n: int, modes: Iterable[int] = ()) -> FockVector:
     return FockVector(n, amps)
 
 
+# i**e by e mod 4; complex(0, -1), not -1j, whose real part is -0.0
+_POWERS_OF_I = (1, 1j, -1, complex(0, -1))
+
+
+def monomial(indices, n: int) -> tuple:
+    """gamma_{i1} ... gamma_{im} as (flip, phase): it takes e_b to phase[b] e_(b XOR flip)."""
+    check_mode_count(n)
+    flip, factors = 0, []
+    for j in reversed(indices):
+        if not 1 <= j <= 2 * n:
+            raise IndexRangeError(f"Clifford index must satisfy 1 <= j <= {2 * n}, got {j}")
+        bit = 1 << ((j - 1) // 2)
+        # (bit, mask of the sign's parity, exponent of i): see the module docstring
+        factors.append((bit, 2 * bit - 1, 0) if j % 2 else (bit, bit - 1, 3))
+        flip ^= bit
+    phase = []
+    for b in range(fock_dim(n)):
+        e = 0
+        for bit, mask, quarter in factors:
+            e += 2 * (b & mask).bit_count() + quarter
+            b ^= bit
+        phase.append(_POWERS_OF_I[e % 4])
+    return flip, np.array(phase, dtype=complex)
+
+
+def gamma(j: int, n: int) -> np.ndarray:
+    """The j-th Clifford generator, 1 <= j <= 2n, as a 2^n x 2^n matrix."""
+    flip, phase = monomial((j,), n)
+    return np.diag(phase)[np.arange(len(phase)) ^ flip]  # row b XOR flip holds phase[b]
+
+
 def creation(j: int, n: int) -> np.ndarray:
     """Creation operator c_j^dagger as a dense 2^n x 2^n matrix."""
     check_mode_count(n)
     _check_mode(j, n)
-    dim = fock_dim(n)
-    bit = 1 << (j - 1)
-    below = bit - 1
-    m = np.zeros((dim, dim), dtype=complex)
-    for mask in range(dim):
-        if mask & bit:
-            continue
-        sign = -1.0 if (mask & below).bit_count() % 2 else 1.0
-        m[mask | bit, mask] = sign
-    return m
+    return 0.5 * (gamma(2 * j - 1, n) + 1j * gamma(2 * j, n))
 
 
 def annihilation(j: int, n: int) -> np.ndarray:
     """Annihilation operator c_j, the adjoint of creation(j, n)."""
     return creation(j, n).conj().T
-
-
-def gamma(j: int, n: int) -> np.ndarray:
-    """The j-th Clifford generator, 1 <= j <= 2n, as a 2^n x 2^n matrix."""
-    check_mode_count(n)
-    if not 1 <= j <= 2 * n:
-        raise IndexRangeError(f"Clifford index must satisfy 1 <= j <= {2 * n}, got {j}")
-    k = (j + 1) // 2
-    cdag = creation(k, n)
-    c = cdag.conj().T
-    if j % 2 == 1:
-        return cdag - c
-    return -1j * (cdag + c)

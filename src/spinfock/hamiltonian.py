@@ -12,7 +12,7 @@ enveloping algebra. In the spin representation P0 is the scalar
 (sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2).
 
 ``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``.
-``quasi_hamiltonian`` and ``build_parts`` sum H in ``_sum_modes``, bit for bit alike.
+``build_parts`` takes H from ``quasi_hamiltonian``, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -69,21 +69,14 @@ def b0_element(spec: HamiltonianSpec) -> so_algebra.AlgebraElement:
     return out
 
 
-def _sum_modes(h: np.ndarray, energies, products) -> np.ndarray:
-    """Add E_k D_k^+ D_k^- into the zero matrix h from an iterator of the products."""
-    for e in energies:
-        h += e * next(products)  # held by no name, so scaled in place and freed once added
-    return h
-
-
 def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
     """H = sum_k E_k rep(E_k^+) rep(E_k^-) alone, building one mode's D_k^+- at a time."""
     n = spec.n
-    products = (
-        rep(so_algebra.ladder_element(k, n)) @ rep(so_algebra.ladder_element(-k, n))
-        for k in range(1, n + 1)
-    )
-    return _sum_modes(rep(so_algebra.zero_element(n)), spec.energies, products)
+    h = rep(so_algebra.zero_element(n))
+    for k, e in enumerate(spec.energies, start=1):
+        # the product is held by no name, so it is scaled in place and freed once added
+        h += e * (rep(so_algebra.ladder_element(k, n)) @ rep(so_algebra.ladder_element(-k, n)))
+    return h
 
 
 def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
@@ -97,12 +90,11 @@ def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
     d_plus = tuple(rep(so_algebra.ladder_element(k, n)) for k in modes)
     d_minus = tuple(rep(so_algebra.ladder_element(-k, n)) for k in modes)
     zero = so_algebra.zero_element(n)
-    h = _sum_modes(rep(zero), spec.energies, map(np.matmul, d_plus, d_minus))
     p0, b0 = rep(zero), rep(zero)
     for e, tk, lk in zip(spec.energies, t_mats, l_mats):
         p0 -= e * lk
         b0 -= e * tk
-    return HamiltonianParts(h, p0, b0, t_mats, l_mats, d_plus, d_minus)
+    return HamiltonianParts(quasi_hamiltonian(spec, rep), p0, b0, t_mats, l_mats, d_plus, d_minus)
 
 
 def car_residual(plus, minus) -> float:

@@ -67,6 +67,12 @@ _BLOCK_BYTES = 1 << 21
 PATH_BLOCK = 1024
 _CHUNK_ROW_BYTES = 1 << 20
 
+# Largest run evolve_ensemble takes, in amplitude updates (paths x steps x
+# 2^n), else SizeError before any draw: 400x the largest documented run
+# (fk --n 2 --paths 20000 --t-grid 0.1,0.3 at dt 1e-3, 2.4e7), or several
+# minutes to a quarter hour on one core at 1e7 to 3e7 updates per second.
+MAX_AMPLITUDE_STEPS = 10**10
+
 
 @dataclass(frozen=True)
 class SDEConfig:
@@ -169,6 +175,11 @@ def evolve_ensemble(
             raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
         steps_for[t] = s
     total_steps = max(steps_for.values(), default=0)
+    work = float(n_paths) * total_steps * (1 << n)
+    if work > MAX_AMPLITUDE_STEPS:
+        raise SizeError(
+            f"paths x steps x 2^n = {work:.3g} exceeds the budget of {MAX_AMPLITUDE_STEPS:.3g}"
+        )
     N = so_algebra.matrix_size(n)
     e0 = vacuum(n).amplitudes
     sig = np.tile(config.sigmas, PATH_BLOCK)

@@ -17,7 +17,8 @@ The spin representation acts on the 2^n-dimensional Fock space:
 The second rule is the unique choice (given the first) that turns the matrix
 commutators of the defining basis into commutators of the images; with the
 opposite product order the bracket of two vector-type generators comes out
-with the wrong sign.
+with the wrong sign. Both images are Clifford monomials, which ``spin_rep``
+writes from ``fock.monomial`` (a bit flip and a phase per state), not as products.
 """
 
 from __future__ import annotations
@@ -165,20 +166,14 @@ def defining_rep(elem: AlgebraElement) -> np.ndarray:
     return out
 
 
-def spin_symbol_matrix(sym: Symbol, n: int) -> np.ndarray:
-    """Spin image of a single basis pair."""
-    check_symbol(sym, n)
-    j, k = sym
-    if k == matrix_size(n):
-        return 0.5 * fock.gamma(j, n)
-    return 0.5 * (fock.gamma(k, n) @ fock.gamma(j, n))
-
-
 def spin_rep(elem: AlgebraElement) -> np.ndarray:
-    dim = fock.fock_dim(elem.n)
-    out = np.zeros((dim, dim), dtype=complex)
-    for sym, v in elem.coefficients.items():
-        out += v * spin_symbol_matrix(sym, elem.n)
+    """Spin image: each basis pair adds v (phase / 2) at (b XOR flip, b), from fock.monomial."""
+    N = matrix_size(elem.n)
+    cols = np.arange(fock.fock_dim(elem.n))
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for (j, k), v in elem.coefficients.items():
+        flip, phase = fock.monomial((j,) if k == N else (k, j), elem.n)
+        out[cols ^ flip, cols] += v * 0.5 * phase
     return out
 
 
@@ -236,7 +231,7 @@ def spanned_algebra_dimension(n: int, max_word_len: int | None = None) -> int:
     dim = fock.fock_dim(n)
     if max_word_len is None:
         max_word_len = matrix_size(n)
-    gens = [spin_symbol_matrix(sym, n) for sym in symbols(n)]
+    gens = [spin_rep(basis_element(n, *sym)) for sym in symbols(n)]
 
     ortho: list = []
 

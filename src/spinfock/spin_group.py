@@ -56,7 +56,8 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
 def vector_images(n: int) -> np.ndarray:
     """Spin images gamma_j / 2 of the basis pairs (j, 2n+1), stacked (2n, 2^n, 2^n)."""
     N = so_algebra.matrix_size(n)
-    return np.stack([so_algebra.spin_symbol_matrix((j, N), n) for j in range(1, 2 * n + 1)])
+    elements = (so_algebra.basis_element(n, j, N) for j in range(1, 2 * n + 1))
+    return np.stack([so_algebra.spin_rep(x) for x in elements])
 
 
 def _bit_halves(a: np.ndarray, m: int) -> np.ndarray:

@@ -243,6 +243,6 @@ def spin_matrix_of(p: UEAPolynomial) -> np.ndarray:
     for word, coeff in p.terms.items():
         mat = np.eye(dim, dtype=complex)
         for sym in word:
-            mat = mat @ so_algebra.spin_symbol_matrix(sym, p.n)
+            mat = mat @ so_algebra.spin_rep(so_algebra.basis_element(p.n, *sym))
         out += coeff.to_complex() * mat
     return out

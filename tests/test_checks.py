@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from spinfock import checks, so_algebra as so
+from spinfock import checks, so_algebra as so, uea
 from spinfock.errors import DomainError
 
 
@@ -122,3 +124,22 @@ class TestHomomorphismSweep:
         reference = pairwise_residual(n, so.bracket_symbols, images)
         assert reference > 1e-4
         assert batched == pytest.approx(reference, rel=0, abs=1e-13)
+
+
+class TestUeaNormalOrder:
+    def test_runs_at_the_verified_modes_and_energies(self, monkeypatch):
+        # the exact row is about the run's own n and energies, not a fixed stand-in
+        calls = {"commutator_LU": [], "quasi_hamiltonian_symbols": []}
+        for name, log in calls.items():
+            def spy(*args, _real=getattr(uea, name), _log=log):
+                _log.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(uea, name, spy)
+        results = checks.run_verify(4, (1, 1.5, 2.5, 4))
+        assert all(r.passed for r in results)
+        assert sorted(calls["commutator_LU"]) == [(ell, k, 4) for ell in range(1, 5) for k in range(1, 5)]
+        [(n, energies)] = calls["quasi_hamiltonian_symbols"]
+        assert n == 4
+        assert energies == [Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(4)]
+        assert all(type(e) is Fraction for e in energies)

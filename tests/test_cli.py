@@ -318,6 +318,32 @@ class TestNonFinite:
         assert "t/dt finite" in err
 
 
+class TestWorkBudget:
+    @pytest.mark.parametrize(
+        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.01")], ids=["fk", "calibrate"]
+    )
+    def test_tiny_dt_refused_before_drawing(self, capsys, monkeypatch, command, grid):
+        # t/dt = 1e298 is finite, but 200 paths x 1e298 steps x 2^1 is over the budget
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        argv = [command, "--n", "1", "--paths", "200", "--t-grid", grid, "--dt", "1e-300", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the budget" in err
+
+    def test_budget_is_inclusive(self, capsys, monkeypatch):
+        # 200 paths x 10 steps x 2^2 = 8000 amplitude updates
+        argv = ["fk", "--n", "2", "--paths", "200", "--t-grid", "0.01", "--dt", "1e-3", "--seed", "1"]
+        monkeypatch.setattr(sde, "MAX_AMPLITUDE_STEPS", 8000)
+        assert run_cli(capsys, argv)[0] == 0
+        monkeypatch.setattr(sde, "MAX_AMPLITUDE_STEPS", 7999)
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "8e+03 exceeds the budget" in err
+
+
 class TestMalformedNumbers:
     # exit 1 means a failed check, so a number that does not parse is a
     # usage error, named by its flag or config key

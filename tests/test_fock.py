@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,17 @@ def oracle_creation_matrix(j, n):
             continue
         m[mask_of(word), mask] = sign
     return m
+
+
+def oracle_gammas(n):
+    """gamma_1 .. gamma_2n from the oracle ladder operators, gamma_{2k-1} = c^dagger - c and
+    gamma_{2k} = -i (c^dagger + c), so they do not rest on fock.monomial."""
+    out = []
+    for k in range(1, n + 1):
+        c_dag = oracle_creation_matrix(k, n)
+        c = c_dag.conj().T
+        out += [c_dag - c, -1j * (c_dag + c)]
+    return out
 
 
 class TestFockSpace:
@@ -129,3 +142,27 @@ class TestLadder:
             fock.creation(0, 2)
         with pytest.raises(IndexRangeError):
             fock.creation(3, 2)
+
+
+class TestMonomial:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_words_match_oracle_products(self, n):
+        # every word of up to 4 indices, repeats included: gamma_j^2 = -1 and
+        # the reordering signs all show up in the phase
+        gammas = oracle_gammas(n)
+        cols = np.arange(1 << n)
+        for length in range(5):
+            for word in product(range(1, 2 * n + 1), repeat=length):
+                expected = np.eye(1 << n, dtype=complex)
+                for j in word:
+                    expected = expected @ gammas[j - 1]
+                flip, phase = fock.monomial(word, n)
+                dense = np.zeros_like(expected)
+                dense[cols ^ flip, cols] = phase
+                assert np.array_equal(dense, expected), word
+
+    def test_index_range(self):
+        with pytest.raises(IndexRangeError):
+            fock.monomial((1, 0), 2)
+        with pytest.raises(IndexRangeError):
+            fock.monomial((5,), 2)

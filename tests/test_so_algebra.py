@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from spinfock import fock, so_algebra as so
 from spinfock.errors import IndexRangeError, NonWeightVectorError, SizeError
+from test_fock import oracle_gammas
 
 
 def _max_coeff(elem):
@@ -130,6 +131,16 @@ class TestRepresentations:
         # generators come out right.
         x12 = so.spin_rep(so.basis_element(1, 1, 2))
         assert np.allclose(x12, np.diag([-0.5j, 0.5j]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_basis_images_match_gamma_products(self, n):
+        # X_{j,2n+1} -> gamma_j / 2 and X_{jk} -> gamma_k gamma_j / 2, with
+        # gammas built from the wedge oracle rather than fock.monomial
+        gammas = oracle_gammas(n)
+        N = so.matrix_size(n)
+        for j, k in so.symbols(n):
+            expected = gammas[j - 1] if k == N else gammas[k - 1] @ gammas[j - 1]
+            assert np.array_equal(so.spin_rep(so.basis_element(n, j, k)), 0.5 * expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_real_elements_map_to_anti_hermitian(self, n):

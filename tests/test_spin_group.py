@@ -8,7 +8,7 @@ from spinfock.errors import SizeError
 def spin_of_antisymmetric(n, x):
     """Spin image of a stack of real antisymmetric (2n+1) x (2n+1) matrices."""
     syms = so.symbols(n)
-    imgs = np.stack([so.spin_symbol_matrix(s, n) for s in syms])
+    imgs = np.stack([so.spin_rep(so.basis_element(n, *s)) for s in syms])
     coeffs = np.stack([x[..., j - 1, k - 1] for j, k in syms], axis=-1)
     return (coeffs @ imgs.reshape(len(syms), -1)).reshape(x.shape[:-2] + imgs.shape[1:])
 
