@@ -1,8 +1,11 @@
 """Command-line driver: verification suites, spectra, calibration, and
 Feynman-Kac experiments with machine-readable reports.
 
-Subcommands: verify | spectrum | fk | calibrate | haar-test. Reports echo the
-fully resolved configuration and are byte-identical for identical configs.
+Subcommands: verify | spectrum | fk | calibrate | haar-test. ``FLAGS`` names
+the flags each command reads; a command refuses any other flag, and a config
+file may hold only ``command`` and those keys. A report echoes the command and
+the resolved value of each of its flags, so the echo runs again as a config
+file, and identical configs give byte-identical reports.
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 numeric failure.
 """
 
@@ -12,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,37 +27,19 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-STOCHASTIC_COMMANDS = ("fk", "calibrate", "haar-test")
-
 # spectrum builds H from dense 2^n x 2^n matrices and takes all its
 # eigenvalues: 0.4-0.5 s and 46 MB peak RSS at n = 9, 2.1-2.3 s and 95 MB
 # at n = 10, on one core. Each further mode quadruples the matrices.
 MAX_SPECTRUM_MODES = 10
 
+# haar-test lifts every sample to a dense 2^n x 2^n spin matrix: 100 paths
+# take 0.08 / 0.26 / 1.4 / 9.2 / 29 s at n = 5 / 6 / 7 / 8 / 9 on one core,
+# and the default 10^4 paths take about 26 s at n = 6.
+MAX_HAAR_MODES = 6
+
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int
-    energies: tuple
-    t_grid: tuple
-    dt: float
-    paths: int
-    seed: int | None
-    sigma: str
-    state: str
-    format: str
-    out: str | None
-
-    def echo(self) -> dict:
-        doc = asdict(self)
-        doc["energies"] = list(self.energies)
-        doc["t_grid"] = list(self.t_grid)
-        return doc
 
 
 def _parse_number_list(value) -> tuple:
@@ -74,6 +59,30 @@ def _integer(value) -> int:
     return number
 
 
+# every flag: the conversion of its value, and its argparse settings
+OPTIONS = {
+    "n": (_integer, {"type": int, "help": "mode count"}),
+    "energies": (_parse_number_list, {"help": "comma list, e.g. 1,2"}),
+    "t_grid": (_parse_number_list, {"help": "comma list of times"}),
+    "dt": (float, {"type": float, "help": "integrator step size"}),
+    "paths": (_integer, {"type": int, "help": "Monte Carlo path/sample count"}),
+    "seed": (_integer, {"type": int, "help": "master RNG seed"}),
+    "sigma": (lambda v: str(v).replace("-", "_"), {"choices": ("corrected", "paper-literal")}),
+    "state": (str, {"help": "vacuum | top | comma list of modes"}),
+    "format": (str, {"choices": ("json", "csv")}),
+    "out": (str, {"help": "output path (default stdout)"}),
+}
+
+# the flags each command reads, in the order of its config echo
+FLAGS = {
+    "verify": ("n", "energies", "format", "out"),
+    "spectrum": ("n", "energies", "format", "out"),
+    "fk": ("n", "energies", "t_grid", "dt", "paths", "seed", "state", "format", "out"),
+    "calibrate": ("n", "energies", "t_grid", "dt", "paths", "seed", "sigma", "format", "out"),
+    "haar-test": ("n", "paths", "seed", "format", "out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfock",
@@ -89,22 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("haar-test", "statistical checks of the Haar sampler"),
     ):
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--n", type=int, default=None, help="mode count")
-        cmd.add_argument("--energies", default=None, help="comma list, e.g. 1,2")
-        cmd.add_argument("--t-grid", dest="t_grid", default=None, help="comma list of times")
-        cmd.add_argument("--dt", type=float, default=None, help="integrator step size")
-        cmd.add_argument("--paths", type=int, default=None, help="Monte Carlo path/sample count")
-        cmd.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        cmd.add_argument("--sigma", choices=("corrected", "paper-literal"), default=None)
-        cmd.add_argument("--state", default=None, help="vacuum | top | comma list of modes")
-        cmd.add_argument("--format", choices=("json", "csv"), default=None)
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        for key in FLAGS[name]:
+            flag = "--" + key.replace("_", "-")
+            cmd.add_argument(flag, dest=key, default=None, **OPTIONS[key][1])
         cmd.add_argument("--config", default=None, help="flat JSON config file")
     return parser
 
 
-def _command_defaults(command: str, n: int) -> dict:
+def _defaults(command: str, n: int) -> dict:
     defaults = {
+        "energies": tuple(float(k) for k in range(1, n + 1)),
         "t_grid": (0.25, 0.5, 1.0),
         "dt": 1e-3,
         "paths": 10000,
@@ -116,30 +119,33 @@ def _command_defaults(command: str, n: int) -> dict:
     }
     if command == "calibrate":
         defaults["t_grid"] = tuple(round(0.1 * i, 10) for i in range(11))
-    defaults["energies"] = tuple(float(k) for k in range(1, n + 1))
     return defaults
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                file_values = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a flat JSON object")
-        # the keys of a report's config echo, so an echo can be run again
-        unknown = sorted(set(file_values) - {f.name for f in fields(RunConfig)})
-        if unknown:
-            raise UsageError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
-        command = file_values.get("command", args.command)
-        if command != args.command:
-            raise UsageError(f"config file {args.config} is for the {command} command")
+def _read_config_file(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            values = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a flat JSON object")
+    # the keys of a report's config echo, so an echo can be run again
+    named = values.get("command", command)
+    if named != command:
+        raise UsageError(f"config file {path} is for the {named} command")
+    unknown = sorted(set(values) - {"command", *FLAGS[command]})
+    if unknown:
+        raise UsageError(f"unknown keys in config file {path}: {', '.join(unknown)}")
+    return values
 
-    def pick(key, flag_value, convert, default=None):
-        """The flag's value, else the file's, converted; else the default."""
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The command and the value of each flag it reads: flag, else config file, else default."""
+    file_values = {} if args.config is None else _read_config_file(args.config, args.command)
+
+    def pick(key, default):
+        flag_value = getattr(args, key)
         if flag_value is not None:
             value, name = flag_value, "--" + key.replace("_", "-")
         elif file_values.get(key) is not None:
@@ -147,82 +153,72 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         else:
             return default
         try:
-            return convert(value)
+            return OPTIONS[key][0](value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"{name}: {exc}")
 
-    n = pick("n", args.n, _integer, 1)
-    defaults = _command_defaults(args.command, n)
-
-    config = RunConfig(
-        command=args.command,
-        n=n,
-        energies=pick("energies", args.energies, _parse_number_list, defaults["energies"]),
-        t_grid=pick("t_grid", args.t_grid, _parse_number_list, defaults["t_grid"]),
-        dt=pick("dt", args.dt, float, defaults["dt"]),
-        paths=pick("paths", args.paths, _integer, defaults["paths"]),
-        seed=pick("seed", args.seed, _integer),
-        sigma=pick("sigma", args.sigma, str, defaults["sigma"]).replace("-", "_"),
-        state=pick("state", args.state, str, defaults["state"]),
-        format=pick("format", args.format, str, defaults["format"]),
-        out=pick("out", args.out, str),
-    )
+    # n comes first in every command's flags: the default energies depend on it
+    config = {"command": args.command, "n": pick("n", 1)}
+    defaults = _defaults(args.command, config["n"])
+    for key in FLAGS[args.command][1:]:
+        config[key] = pick(key, defaults[key])
     _validate(config)
     return config
 
 
-def _validate(config: RunConfig) -> None:
-    if config.sigma not in ("corrected", "paper_literal"):
-        raise UsageError(f"unknown sigma convention {config.sigma!r}")
-    if config.format not in ("json", "csv"):
-        raise UsageError(f"unknown format {config.format!r}")
-    if config.command in STOCHASTIC_COMMANDS and config.seed is None:
-        raise UsageError(f"--seed is mandatory for the {config.command} command")
-    if config.seed is not None and config.seed < 0:
+def _validate(config: dict) -> None:
+    command, n = config["command"], config["n"]
+    if "sigma" in config and config["sigma"] not in ("corrected", "paper_literal"):
+        raise UsageError(f"unknown sigma convention {config['sigma']!r}")
+    if config["format"] not in ("json", "csv"):
+        raise UsageError(f"unknown format {config['format']!r}")
+    if "seed" in config and config["seed"] is None:
+        raise UsageError(f"--seed is mandatory for the {command} command")
+    if "seed" in config and config["seed"] < 0:
         raise UsageError("--seed must be a non-negative integer")
-    if config.command == "verify" and config.n > checks.MAX_VERIFY_MODES:
+    if command == "verify" and n > checks.MAX_VERIFY_MODES:
         raise UsageError(f"verify sweeps are bounded at n <= {checks.MAX_VERIFY_MODES}")
-    if config.command == "spectrum" and config.n > MAX_SPECTRUM_MODES:
+    if command == "spectrum" and n > MAX_SPECTRUM_MODES:
         raise UsageError(f"spectrum is bounded at n <= {MAX_SPECTRUM_MODES}")
-    if config.command == "fk" and config.sigma != "corrected":
-        raise UsageError("fk requires the corrected sigma convention")
-    if not 0 < config.dt < np.inf:
+    if "dt" in config and not 0 < config["dt"] < np.inf:
         raise UsageError("--dt must be positive and finite")
-    bad = [t for t in config.t_grid if not 0 <= t < np.inf]
-    if config.command in ("fk", "calibrate") and bad:
+    bad = [t for t in config.get("t_grid", ()) if not 0 <= t < np.inf]
+    if bad:
         raise UsageError(f"--t-grid times must be finite and non-negative, got {bad}")
-    if config.paths <= 0:
+    if "paths" in config and config["paths"] <= 0:
         raise UsageError("--paths must be positive")
-    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
-        raise UsageError(f"--out {config.out}: its directory does not exist")
+    if config["out"] and not os.path.isdir(os.path.dirname(config["out"]) or "."):
+        raise UsageError(f"--out {config['out']}: its directory does not exist")
     try:
-        hamiltonian.HamiltonianSpec(config.n, config.energies)
+        if "energies" in config:
+            hamiltonian.HamiltonianSpec(n, config["energies"])
+        else:
+            fock.check_mode_count(n)
     except (SizeError, DomainError) as exc:
         raise UsageError(str(exc))
 
 
-def _resolve_state(config: RunConfig) -> fock.FockVector:
-    if config.state == "vacuum":
-        return fock.vacuum(config.n)
-    if config.state == "top":
-        return fock.basis_vector(config.n, range(1, config.n + 1))
+def _resolve_state(config: dict) -> fock.FockVector:
+    n, state = config["n"], config["state"]
+    if state == "vacuum":
+        return fock.vacuum(n)
+    if state == "top":
+        return fock.basis_vector(n, range(1, n + 1))
     try:
-        modes = [int(part) for part in str(config.state).split(",") if part.strip()]
-        return fock.basis_vector(config.n, modes)
+        modes = [int(part) for part in str(state).split(",") if part.strip()]
+        return fock.basis_vector(n, modes)
     except (ValueError, IndexError) as exc:
-        raise UsageError(f"cannot parse --state {config.state!r}: {exc}")
+        raise UsageError(f"cannot parse --state {state!r}: {exc}")
 
 
-def cmd_verify(config: RunConfig):
-    results = checks.run_verify(config.n, config.energies)
-    rows = [asdict(r) for r in results]
-    doc = {"config": config.echo(), "checks": rows}
-    code = EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE
-    return code, doc, ("name", "residual", "tolerance", "passed"), rows, None
+def cmd_verify(config: dict):
+    results = checks.run_verify(config["n"], config["energies"])
+    doc = {"config": config, "checks": [asdict(r) for r in results]}
+    return (EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE), doc
 
 
-def cmd_spectrum(config: RunConfig):
-    spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
+def cmd_spectrum(config: dict):
+    spec = hamiltonian.HamiltonianSpec(config["n"], config["energies"])
     h = hamiltonian.quasi_hamiltonian(spec, so_algebra.spin_rep)
     eigs = np.sort(np.linalg.eigvalsh(h))
     sums = hamiltonian.subset_sums(spec)
@@ -236,24 +232,17 @@ def cmd_spectrum(config: RunConfig):
         for i, (e, s) in enumerate(zip(eigs, sums))
     ]
     deviation = max((row["abs_error"] for row in rows), default=0.0)
-    doc = {
-        "config": config.echo(),
-        "rows": rows,
-        "residuals": {"max_spectrum_deviation": deviation},
-    }
-    code = EXIT_OK if deviation <= 1e-10 else EXIT_CHECK_FAILURE
-    return code, doc, ("index", "eigenvalue", "subset_sum", "abs_error"), rows, {
-        "max_spectrum_deviation": deviation
-    }
+    doc = {"config": config, "rows": rows, "residuals": {"max_spectrum_deviation": deviation}}
+    return (EXIT_OK if deviation <= 1e-10 else EXIT_CHECK_FAILURE), doc
 
 
-def cmd_fk(config: RunConfig):
-    if not config.t_grid:
+def cmd_fk(config: dict):
+    if not config["t_grid"]:
         raise UsageError("fk compares at grid times, so --t-grid needs at least one time")
-    spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
+    spec = hamiltonian.HamiltonianSpec(config["n"], config["energies"])
     state = _resolve_state(config)
     report = feynman_kac.fk_report(
-        state, state, spec, config.t_grid, config.paths, config.dt, config.seed
+        state, state, spec, config["t_grid"], config["paths"], config["dt"], config["seed"]
     )
     rows = [
         {
@@ -267,16 +256,15 @@ def cmd_fk(config: RunConfig):
         }
         for row in report
     ]
-    doc = {"config": config.echo(), "rows": rows}
-    return EXIT_OK, doc, ("t", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "std_error", "z"), rows, None
+    return EXIT_OK, {"config": config, "rows": rows}
 
 
-def cmd_calibrate(config: RunConfig):
-    if len(set(config.t_grid)) < 2:
+def cmd_calibrate(config: dict):
+    if len(set(config["t_grid"])) < 2:
         raise UsageError("calibrate fits a rate, so --t-grid needs at least two distinct times")
-    spec = hamiltonian.HamiltonianSpec(config.n, config.energies)
+    spec = hamiltonian.HamiltonianSpec(config["n"], config["energies"])
     curve = sde.decay_curve(
-        spec, config.t_grid, config.paths, config.dt, config.seed, config.sigma
+        spec, config["t_grid"], config["paths"], config["dt"], config["seed"], config["sigma"]
     )
     rate, rate_se = sde.fit_decay_rate(curve)
     total = sum(spec.energies)
@@ -291,16 +279,16 @@ def cmd_calibrate(config: RunConfig):
         "candidate_rate_corrected": 0.5 * total,
         "candidate_rate_paper_literal": 0.25 * total,
     }
-    doc = {"config": config.echo(), "rows": rows, "estimates": estimates}
-    return EXIT_OK, doc, ("t", "corr_re", "corr_im", "std_error"), rows, estimates
+    return EXIT_OK, {"config": config, "rows": rows, "estimates": estimates}
 
 
-def cmd_haar_test(config: RunConfig):
-    n = config.n
-    n_samples = config.paths
+def cmd_haar_test(config: dict):
+    n, n_samples = config["n"], config["paths"]
     if n_samples < 100:
         raise UsageError(f"haar-test needs at least 100 paths, got {n_samples}")
-    rng = np.random.default_rng(config.seed)
+    if n > MAX_HAAR_MODES:
+        raise UsageError(f"haar-test is bounded at n <= {MAX_HAAR_MODES}")
+    rng = np.random.default_rng(config["seed"])
     dim = fock.fock_dim(n)
     top = fock.basis_vector(n, range(1, n + 1)).amplitudes
 
@@ -323,7 +311,7 @@ def cmd_haar_test(config: RunConfig):
         deck = max(deck, float(np.max(np.abs(a * b - fa * fb))))
 
     vac = fock.vacuum(n)
-    schur = spin_group.l2_inner_mc(vac, vac, n_samples, np.random.default_rng(config.seed + 1))
+    schur = spin_group.l2_inner_mc(vac, vac, n_samples, np.random.default_rng(config["seed"] + 1))
 
     def standard_error(values):
         return float(np.std(values, ddof=1) / np.sqrt(len(values)))
@@ -345,9 +333,8 @@ def cmd_haar_test(config: RunConfig):
         exact_check("spin-unitarity", unitarity, 1e-10),
         exact_check("deck-invariance", deck, 1e-12),
     ]
-    doc = {"config": config.echo(), "checks": rows}
-    code = EXIT_OK if all(row["passed"] for row in rows) else EXIT_CHECK_FAILURE
-    return code, doc, ("name", "value", "target", "std_error", "z", "passed"), rows, None
+    doc = {"config": config, "checks": rows}
+    return (EXIT_OK if all(row["passed"] for row in rows) else EXIT_CHECK_FAILURE), doc
 
 
 COMMANDS = {
@@ -359,17 +346,18 @@ COMMANDS = {
 }
 
 
-def _emit(config: RunConfig, doc: dict, fieldnames, rows, extra) -> None:
-    if config.format == "json":
+def _emit(doc: dict) -> None:
+    config = doc["config"]
+    if config["format"] == "json":
         text = report_io.render_json(doc) + "\n"
     else:
-        text = report_io.render_csv(config.echo(), fieldnames, rows, extra)
-    if config.out:
+        text = report_io.render_csv(doc)
+    if config["out"]:
         try:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+            with open(config["out"], "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --out {config.out}: {exc}")
+            raise UsageError(f"cannot write --out {config['out']}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -383,8 +371,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code, doc, fieldnames, rows, extra = COMMANDS[config.command](config)
-        _emit(config, doc, fieldnames, rows, extra)
+        code, doc = COMMANDS[config["command"]](config)
+        _emit(doc)
     except (UsageError, SizeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

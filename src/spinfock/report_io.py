@@ -1,8 +1,12 @@
 """Byte-stable report rendering.
 
-Floating-point values are printed with up to 17 significant digits (%.17g),
-which round-trips float64 exactly, in both the JSON and CSV renderers. Key
-order is insertion order, so identical documents render to identical bytes.
+A report is one document: ``{"config": {...}, "checks"|"rows": [...]}``,
+optionally followed by a summary (``"residuals"`` or ``"estimates"``). JSON is
+the standard library's encoder with a two-space indent; CSV puts the config
+and the summary in leading ``# key=value`` lines and the rows below a header
+of their keys. Floats are written as their shortest round-trip repr in both,
+and key order is insertion order, so identical documents render to identical
+bytes. A non-finite float raises NumericError.
 """
 
 from __future__ import annotations
@@ -13,69 +17,35 @@ import math
 from .errors import NumericError
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise NumericError(f"non-finite value in report: {x}")
-    return "%.17g" % x
-
-
-def _render_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported report value {value!r}")
-
-
-def render_json(doc, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in doc.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        parts = [f"{inner}{render_json(v, indent + 1)}" for v in doc]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _render_value(doc)
+def render_json(doc: dict) -> str:
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in report: {exc}") from exc
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ",".join(_csv_cell(v) for v in value)
     if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return str(value)
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite value in report: {value}")
+        return repr(float(value))
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _flatten_config_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return ",".join(_csv_cell(v) for v in value)
-    if value is None:
-        return ""
-    return _csv_cell(value)
-
-
-def render_csv(config: dict, fieldnames, rows, extra: dict | None = None) -> str:
-    lines = [f"# {key}={_flatten_config_value(value)}" for key, value in config.items()]
-    if extra:
-        lines += [f"# {key}={_flatten_config_value(value)}" for key, value in extra.items()]
-    lines.append(",".join(fieldnames))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[name]) for name in fieldnames))
+def render_csv(doc: dict) -> str:
+    config, rows, *summary = doc.values()
+    echoed = [item for part in (config, *summary) for item in part.items()]
+    lines = [f"# {key}={_csv_cell(value)}" for key, value in echoed]
+    header = list(rows[0]) if rows else []
+    lines.append(",".join(header))
+    lines += [",".join(_csv_cell(row[key]) for key in header) for row in rows]
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import time
 import pytest
 
 import spinfock
-from spinfock import checks, cli, hamiltonian, sde, spin_group
+from spinfock import checks, cli, hamiltonian, report_io, sde, spin_group
+from spinfock.errors import NumericError
 
 
 def run_cli(capsys, argv):
@@ -19,6 +21,32 @@ def run_cli(capsys, argv):
 
 def refuse_to_draw(*args):
     raise AssertionError("a path was drawn")
+
+
+# the flags each command reads, in the order of its config echo
+READS = {
+    "verify": ["n", "energies", "format", "out"],
+    "spectrum": ["n", "energies", "format", "out"],
+    "fk": ["n", "energies", "t_grid", "dt", "paths", "seed", "state", "format", "out"],
+    "calibrate": ["n", "energies", "t_grid", "dt", "paths", "seed", "sigma", "format", "out"],
+    "haar-test": ["n", "paths", "seed", "format", "out"],
+}
+
+# a valid value of every flag
+FLAG_VALUES = {
+    "n": "1", "energies": "1", "t_grid": "0.05", "dt": "0.005", "paths": "200", "seed": "1",
+    "sigma": "corrected", "state": "top", "format": "json", "out": "report.json",
+}
+
+# a short passing run of each command
+RUNS = {
+    "verify": ["--n", "1"],
+    "spectrum": ["--n", "2"],
+    "fk": ["--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "5", "--dt", "0.005"],
+    "calibrate": ["--n", "1", "--t-grid", "0,0.05", "--paths", "200", "--seed", "5",
+                  "--dt", "0.005"],
+    "haar-test": ["--n", "1", "--paths", "200", "--seed", "5"],
+}
 
 
 class TestVerify:
@@ -126,11 +154,11 @@ class TestFK:
         assert out == ""
         assert "at least one time" in err
 
-    def test_rejects_literal_sigma(self, capsys):
-        code, _, _ = run_cli(
-            capsys, ["fk", "--n", "1", "--seed", "1", "--sigma", "paper-literal"]
-        )
-        assert code == 2
+    def test_rejects_literal_sigma(self):
+        # fk runs the corrected convention only, so it has no --sigma flag
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fk", "--n", "1", "--seed", "1", "--sigma", "paper-literal"])
+        assert exc.value.code == 2
 
     def test_report_shape(self, capsys):
         code, out, _ = run_cli(
@@ -370,10 +398,12 @@ class TestMalformedNumbers:
             ({"seed": 1.5}, "'seed'"),
         ],
     )
-    def test_config_value(self, capsys, tmp_path, values, key):
+    def test_config_value(self, capsys, monkeypatch, tmp_path, values, key):
+        # haar-test reads n, paths and seed
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
-        code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+        code, out, err = run_cli(capsys, ["haar-test", "--config", str(cfg)])
         assert code == 2
         assert out == ""
         assert key in err and "run.json" in err
@@ -381,7 +411,7 @@ class TestMalformedNumbers:
     def test_integral_config_value_runs(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 2.0, "seed": "3"}))
-        code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg)])
+        code, out, _ = run_cli(capsys, ["haar-test", "--config", str(cfg)])
         assert code == 0
         config = json.loads(out)["config"]
         assert config["n"] == 2 and config["seed"] == 3
@@ -402,6 +432,24 @@ class TestHaarTest:
         assert code == 2
         assert out == ""
         assert "at least 100 paths" in err
+
+    def test_mode_bound_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        n = cli.MAX_HAAR_MODES + 1
+        argv = ["haar-test", "--n", str(n), "--paths", "100", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"n <= {cli.MAX_HAAR_MODES}" in err
+
+    def test_mode_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_HAAR_MODES", 1)
+        assert run_cli(capsys, ["haar-test", *RUNS["haar-test"]])[0] == 0
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        code, out, err = run_cli(capsys, ["haar-test", "--n", "2", "--paths", "200", "--seed", "5"])
+        assert code == 2
+        assert out == ""
+        assert "n <= 1" in err
 
 
 class TestImport:
@@ -441,18 +489,20 @@ class TestConfigResolution:
         assert key in err
 
     def test_config_echo_runs_again(self, capsys, tmp_path):
-        argv = ["fk", "--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "5",
-                "--dt", "0.005"]
-        code, first, _ = run_cli(capsys, argv)
-        assert code == 0
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(json.loads(first)["config"]))
-        code, again, _ = run_cli(capsys, ["fk", "--config", str(cfg)])
-        assert code == 0
-        assert again == first
-        code, _, err = run_cli(capsys, ["calibrate", "--config", str(cfg)])
-        assert code == 2
-        assert "fk" in err
+        for command, args in RUNS.items():
+            code, first, _ = run_cli(capsys, [command, *args])
+            assert code == 0
+            cfg.write_text(json.dumps(json.loads(first)["config"]))
+            code, again, _ = run_cli(capsys, [command, "--config", str(cfg)])
+            assert code == 0
+            assert again == first, command
+            if command == "fk":
+                # the echo holds state, which calibrate does not read: the
+                # command is named first
+                code, _, err = run_cli(capsys, ["calibrate", "--config", str(cfg)])
+                assert code == 2
+                assert "fk command" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["fk", "--config", "/nonexistent.json"])
@@ -472,3 +522,100 @@ class TestConfigResolution:
         with pytest.raises(SystemExit) as exc:
             cli.main(["transmogrify"])
         assert exc.value.code == 2
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command in READS for flag in FLAG_VALUES
+         if flag not in READS[command]],
+    )
+    def test_refuses_unread_flag(self, command, flag):
+        argv = [command, *RUNS[command], "--" + flag.replace("_", "-"), FLAG_VALUES[flag]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", READS)
+    def test_echo_holds_the_flags_read(self, capsys, command):
+        code, out, _ = run_cli(capsys, [command, *RUNS[command]])
+        assert code == 0
+        assert list(json.loads(out)["config"]) == ["command", *READS[command]]
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("verify", "seed"), ("spectrum", "paths"), ("fk", "sigma"), ("calibrate", "state"),
+         ("haar-test", "energies")],
+    )
+    def test_config_refuses_unread_key(self, capsys, monkeypatch, tmp_path, command, key):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 1, key: FLAG_VALUES[key]}))
+        code, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "unknown keys" in err and key in err
+
+
+def leaves(value):
+    """The scalars of a document, depth first, with lists and tuples alike."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+class TestRendering:
+    @staticmethod
+    def document(command):
+        config = cli.resolve_config(cli.build_parser().parse_args([command, *RUNS[command]]))
+        return cli.COMMANDS[command](config)[1]
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_json_floats_parse_back(self, command):
+        doc = self.document(command)
+        parsed = list(leaves(json.loads(report_io.render_json(doc))))
+        expected = list(leaves(doc))
+        assert parsed == expected
+        assert [type(v) for v in parsed] == [type(v) for v in expected]
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_csv_floats_parse_back(self, command):
+        doc = self.document(command)
+        config, rows, *summary = doc.values()
+        echoed = {key: value for part in (config, *summary) for key, value in part.items()}
+        lines = report_io.render_csv(doc).splitlines()
+        comments = [line[2:].split("=", 1) for line in lines if line.startswith("# ")]
+        assert [key for key, _ in comments] == list(echoed)
+        for key, text in comments:
+            value = echoed[key]
+            if isinstance(value, tuple):
+                assert [float(x) for x in text.split(",")] == list(value)
+            elif isinstance(value, float):
+                assert float(text) == value
+        table = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert table[0] == list(rows[0])
+        for cells, row in zip(table[1:], rows, strict=True):
+            for cell, value in zip(cells, row.values(), strict=True):
+                if isinstance(value, float):
+                    assert float(cell) == value
+
+    def test_shortest_spelling(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--n", "1"])
+        assert code == 0
+        assert '"tolerance": 1e-12,' in out
+        code, out, _ = run_cli(capsys, ["verify", "--n", "1", "--format", "csv"])
+        assert code == 0
+        assert "# energies=1.0" in out and ",1e-12,true" in out
+
+    @pytest.mark.parametrize("render", [report_io.render_json, report_io.render_csv])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_refused(self, render, bad):
+        doc = {"config": {"command": "fk"}, "rows": [{"t": 0.0, "z": bad}]}
+        with pytest.raises(NumericError, match="non-finite"):
+            render(doc)
