@@ -87,6 +87,8 @@ def check_clifford_anticommutation(gammas: list) -> CheckResult:
 
 
 def check_clifford_reconstruction(gammas: list, plus: list, minus: list) -> CheckResult:
+    # Cannot fail: fock.creation is built by this very expression, and c is its
+    # adjoint, so this repeats the anti-Hermitian gammas of the row above
     worst = 0.0
     for g_odd, g_even, cdag, c in zip(gammas[::2], gammas[1::2], plus, minus):
         worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - cdag))

@@ -67,8 +67,6 @@ def fk_report(
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         return []
-    if n_paths < 100:
-        raise SizeError(f"need at least 100 paths, got {n_paths}")
     for t in t_grid:
         if not 0 <= t < np.inf:
             raise DomainError(f"grid times must be finite and >= 0, got {t}")

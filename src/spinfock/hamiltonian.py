@@ -18,7 +18,6 @@ enveloping algebra. In the spin representation P0 is the scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -140,12 +139,8 @@ def number_hamiltonian_diagonal(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def subset_sums(spec: HamiltonianSpec) -> np.ndarray:
-    """Sorted multiset { sum_{k in S} E_k : S subset of modes }."""
-    sums = []
-    for r in range(spec.n + 1):
-        for combo in combinations(spec.energies, r):
-            sums.append(sum(combo))
-    return np.sort(np.array(sums))
+    """Sorted multiset { sum_{k in S} E_k : S subset of modes }, the sorted diagonal."""
+    return np.sort(number_hamiltonian_diagonal(spec))
 
 
 def ib0_spin_matrix(spec: HamiltonianSpec) -> np.ndarray:

@@ -222,9 +222,12 @@ def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: 
     """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi[t]> at each grid time.
 
     chi maps each grid time to the amplitudes read at that time. Returns
-    (t, mean, std_error) rows in grid order. A repeated grid time would count
-    every path twice, so it is refused with DomainError.
+    (t, mean, std_error) rows in grid order. Fewer than 100 paths are refused
+    with SizeError, and so is a repeated grid time, which would count every
+    path twice, with DomainError.
     """
+    if n_paths < 100:
+        raise SizeError(f"need at least 100 paths, got {n_paths}")
     t_grid = [float(t) for t in t_grid]
     if len(set(t_grid)) != len(t_grid):
         raise DomainError(f"grid times must be distinct, got {t_grid}")
@@ -256,8 +259,6 @@ def decay_curve(
     (1/2) sum E_k for the corrected convention and (1/4) sum E_k for the
     literal one. Returns rows (t, mean, std_error) in increasing t.
     """
-    if n_paths < 100:
-        raise SizeError(f"need at least 100 paths, got {n_paths}")
     if psi is None:
         psi = vacuum(spec.n)
     grid = sorted(float(t) for t in t_grid)

@@ -557,6 +557,47 @@ class TestFlagTable:
         assert out == ""
         assert "unknown keys" in err and key in err
 
+    @staticmethod
+    def seeded(command, key):
+        # the seed is mandatory where it is read, so it comes along as a flag
+        return ["--seed", "5"] if "seed" in READS[command] and key != "seed" else []
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [(command, key, FLAG_VALUES[key]) for command in READS for key in READS[command]]
+        + [("calibrate", "sigma", "paper_literal"), ("calibrate", "sigma", "paper-literal"),
+           ("fk", "state", "1"), ("verify", "format", "csv"), ("haar-test", "n", "2")],
+    )
+    def test_flag_and_config_value_resolve_alike(self, tmp_path, command, key, value):
+        # one converter and one check for both ways of giving a value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        base = [command, *self.seeded(command, key)]
+        from_flag = cli.build_parser().parse_args([*base, "--" + key.replace("_", "-"), value])
+        from_file = cli.build_parser().parse_args([*base, "--config", str(cfg)])
+        assert cli.resolve_config(from_flag) == cli.resolve_config(from_file)
+
+    @pytest.mark.parametrize(
+        "command, key, bad, flag_name, key_name",
+        [(command, "n", "abc", "--n", "'n'") for command in READS]
+        + [(command, "format", "xml", "--format", "format") for command in READS]
+        + [(command, "dt", "x", "--dt", "'dt'") for command in ("fk", "calibrate")]
+        + [("calibrate", "sigma", "bogus", "sigma", "sigma")],
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_value_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, command, key, bad, flag_name, key_name, via
+    ):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: bad}))
+        given = ["--" + key, bad] if via == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, [command, *self.seeded(command, key), *given])
+        assert code == 2
+        assert out == ""
+        assert (flag_name if via == "flag" else key_name) in err and repr(bad) in err
+
 
 def leaves(value):
     """The scalars of a document, depth first, with lists and tuples alike."""
