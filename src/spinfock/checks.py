@@ -17,7 +17,11 @@ products, so they are exact in any summation order: a homomorphism's
 residual is exactly 0.0, whatever BLAS does.
 
 A representation is its image function, looked up by the tag that names its
-report rows ("spin", "defining") when a check runs, never at import.
+report rows ("spin", "defining") when a check runs, never at import; the
+elements it maps are ``so_algebra.UEAPolynomial``. ``clifford-reconstruction``
+compares (gamma_{2k-1} + i gamma_{2k}) / 2 with exterior multiplication by
+e_k written from bit masks, not through ``fock.monomial``, so a wrong
+Jordan-Wigner order fails it.
 """
 
 from __future__ import annotations
@@ -86,23 +90,27 @@ def check_clifford_anticommutation(gammas: list) -> CheckResult:
     return _result("clifford-anticommutation", worst, 1e-12)
 
 
-def check_clifford_reconstruction(gammas: list, plus: list, minus: list) -> CheckResult:
-    # Cannot fail: fock.creation is built by this very expression, and c is its
-    # adjoint, so this repeats the anti-Hermitian gammas of the row above
+def check_clifford_reconstruction(gammas: list) -> CheckResult:
+    """(g_{2k-1} + i g_{2k}) / 2 against wedge(e_k): e_b -> (-1)^|b & (2^(k-1) - 1)| e_(b | 2^(k-1)),
+    0 where bit k-1 is set; and (-g_{2k-1} + i g_{2k}) / 2 against its adjoint."""
+    dim = len(gammas[0])
     worst = 0.0
-    for g_odd, g_even, cdag, c in zip(gammas[::2], gammas[1::2], plus, minus):
-        worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - cdag))
-        worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - c))
+    for k, (g_odd, g_even) in enumerate(zip(gammas[::2], gammas[1::2])):
+        bit, wedge = 1 << k, np.zeros((dim, dim))
+        for b in range(dim):
+            if not b & bit:
+                wedge[b | bit, b] = (-1) ** (b & (bit - 1)).bit_count()
+        worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - wedge))
+        worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - wedge.T))
     return _result("clifford-reconstruction", worst, 1e-12)
 
 
 def check_defining_trace(n: int) -> CheckResult:
     N = so_algebra.matrix_size(n)
+    images = [so_algebra.defining_rep(so_algebra.basis_element(n, a, N)) for a in range(1, 2 * n + 1)]
     worst = 0.0
-    for a in range(1, 2 * n + 1):
-        xa = so_algebra.defining_basis_matrix(a, N, n)
-        for b in range(1, 2 * n + 1):
-            xb = so_algebra.defining_basis_matrix(b, N, n)
+    for a, xa in enumerate(images):
+        for b, xb in enumerate(images):
             delta = -2.0 if a == b else 0.0
             worst = max(worst, abs(np.trace(xa @ xb) - delta))
     return _result("defining-trace-normalization", worst, 1e-12)
@@ -165,12 +173,13 @@ def check_cartan_weights(n: int) -> CheckResult:
     vac = fock.vacuum(n).amplitudes
     top = fock.basis_vector(n, range(1, n + 1)).amplitudes
     for j in range(1, n + 1):
-        half_bracket = 0.5 * so_algebra.bracket(
+        cartan = so_algebra.cartan_element(j, n)
+        half_bracket = so_algebra.bracket(
             so_algebra.ladder_element(j, n), so_algebra.ladder_element(-j, n)
-        )
-        diff = half_bracket - so_algebra.cartan_element(j, n)
-        worst = max(worst, max((abs(v) for v in diff.coefficients.values()), default=0.0))
-        h = so_algebra.spin_rep(so_algebra.cartan_element(j, n))
+        ).scale(Fraction(1, 2))
+        diff = half_bracket - cartan
+        worst = max(worst, max((abs(v.to_complex()) for v in diff.terms.values()), default=0.0))
+        h = so_algebra.spin_rep(cartan)
         worst = max(worst, _max_abs(h @ vac + 0.5 * vac))
         worst = max(worst, _max_abs(h @ top - 0.5 * top))
     return _result("cartan-weights", worst, 1e-12)
@@ -254,7 +263,7 @@ def run_verify(n: int, energies) -> list:
         check_car(plus, minus),
         check_ladder_structure(plus, minus),
         check_clifford_anticommutation(gammas),
-        check_clifford_reconstruction(gammas, plus, minus),
+        check_clifford_reconstruction(gammas),
         check_defining_trace(n),
         check_homomorphism(n, "defining", structure),
         check_homomorphism(n, "spin", structure),

@@ -37,8 +37,8 @@ def fk_lhs_exact(psi: FockVector, phi: FockVector, spec: HamiltonianSpec, t: flo
     """2^{-n} <psi, e^{-t H} phi> with H the diagonal number Hamiltonian."""
     if psi.n != spec.n or phi.n != spec.n:
         raise SizeError("mode counts differ")
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t}")
     diag = hamiltonian.number_hamiltonian_diagonal(spec)
     weights = np.exp(-t * diag)
     return complex(np.sum(np.conj(psi.amplitudes) * weights * phi.amplitudes) / (1 << spec.n))
@@ -67,9 +67,6 @@ def fk_report(
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         return []
-    for t in t_grid:
-        if not 0 <= t < np.inf:
-            raise DomainError(f"grid times must be finite and >= 0, got {t}")
     config = sde.SDEConfig(spec, dt, "corrected", seed)
     chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
     rows = []

@@ -4,7 +4,7 @@ For mode energies 0 < E_1 <= ... <= E_n the quasi-Hamiltonian is
 H = sum_k E_k D_k^+ D_k^- with D_k^+/- the representation images of the
 raising/lowering elements. It decomposes as H = P0 + i B0 where
 
-    P0 = -sum_k E_k L_k,   L_k = rep(X_{2k-1,2n+1})^2 + rep(X_{2k,2n+1})^2,
+    P0 = -sum_k E_k L_k,   L_k = rep(X_{2k-1,2n+1}^2 + X_{2k,2n+1}^2),
     B0 = -sum_k E_k T_k,   T_k = rep(X_{2k-1,2k}),
 
 an identity that holds in any representation because it already holds in the
@@ -12,7 +12,11 @@ enveloping algebra. In the spin representation P0 is the scalar
 (sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2).
 
 ``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``.
-``build_parts`` takes H from ``quasi_hamiltonian``, so the two agree bit for bit.
+T_k, L_k and B0 are images of the ``uea`` polynomials ``cartan_symbol``,
+``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so each part is defined
+once. H stays the dense sum of ladder products, the independent route the
+decomposition check compares against; ``build_parts`` takes it from
+``quasi_hamiltonian``, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import so_algebra
+from . import so_algebra, uea
 from .errors import DomainError, SizeError
 from .fock import check_mode_count, fock_dim
 
@@ -56,22 +60,10 @@ class HamiltonianParts:
     d_minus: tuple
 
 
-def t_element(k: int, n: int) -> so_algebra.AlgebraElement:
-    return so_algebra.basis_element(n, 2 * k - 1, 2 * k)
-
-
-def b0_element(spec: HamiltonianSpec) -> so_algebra.AlgebraElement:
-    """First-order part: B0 = -sum_k E_k X_{2k-1,2k}."""
-    out = so_algebra.zero_element(spec.n)
-    for k, e in enumerate(spec.energies, start=1):
-        out = out + t_element(k, spec.n) * (-e)
-    return out
-
-
 def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
     """H = sum_k E_k rep(E_k^+) rep(E_k^-) alone, building one mode's D_k^+- at a time."""
     n = spec.n
-    h = rep(so_algebra.zero_element(n))
+    h = rep(uea.zero(n))
     for k, e in enumerate(spec.energies, start=1):
         # the product is held by no name, so it is scaled in place and freed once added
         h += e * (rep(so_algebra.ladder_element(k, n)) @ rep(so_algebra.ladder_element(-k, n)))
@@ -81,15 +73,11 @@ def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
 def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
     """Assemble H, P0, B0 and the per-mode pieces under the image function ``rep``."""
     n, modes = spec.n, range(1, spec.n + 1)
-    N = so_algebra.matrix_size(n)
-    t_mats = tuple(rep(t_element(k, n)) for k in modes)
-    a_mats = [rep(so_algebra.basis_element(n, 2 * k - 1, N)) for k in modes]
-    b_mats = [rep(so_algebra.basis_element(n, 2 * k, N)) for k in modes]
-    l_mats = tuple(a @ a + b @ b for a, b in zip(a_mats, b_mats))
+    t_mats = tuple(rep(uea.symbol_poly(n, uea.cartan_symbol(k, n))) for k in modes)
+    l_mats = tuple(rep(uea.mode_laplacian(k, n)) for k in modes)
     d_plus = tuple(rep(so_algebra.ladder_element(k, n)) for k in modes)
     d_minus = tuple(rep(so_algebra.ladder_element(-k, n)) for k in modes)
-    zero = so_algebra.zero_element(n)
-    p0, b0 = rep(zero), rep(zero)
+    p0, b0 = rep(uea.zero(n)), rep(uea.zero(n))
     for e, tk, lk in zip(spec.energies, t_mats, l_mats):
         p0 -= e * lk
         b0 -= e * tk
@@ -119,8 +107,8 @@ def car_residual(plus, minus) -> float:
 def exact_semigroup(m: np.ndarray, t: float) -> np.ndarray:
     """e^{-t m} for Hermitian m, via eigendecomposition."""
     m = np.asarray(m, dtype=complex)
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t}")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
         raise DomainError("matrix is not Hermitian within 1e-10")
@@ -145,4 +133,4 @@ def subset_sums(spec: HamiltonianSpec) -> np.ndarray:
 
 def ib0_spin_matrix(spec: HamiltonianSpec) -> np.ndarray:
     """Hermitian matrix of i B0 in the spin representation, sum_k E_k (N_k - 1/2)."""
-    return 1j * so_algebra.spin_rep(b0_element(spec))
+    return 1j * so_algebra.spin_rep(uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1])

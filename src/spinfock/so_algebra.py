@@ -1,14 +1,19 @@
-"""The complex Lie algebra so(2n+1): basis, brackets, and representations.
+"""The complex Lie algebra so(2n+1): basis, brackets, elements, and representations.
 
 Basis elements are indexed by ordered pairs ``(j, k)`` with
 ``1 <= j < k <= 2n+1``; the defining matrix of ``(j, k)`` has ``+1`` at row
-``j``, column ``k`` and ``-1`` at row ``k``, column ``j``. Reversed pairs
-normalize to the negated ordered pair at construction time, so coefficient
-maps stay canonical.
+``j``, column ``k`` and ``-1`` at row ``k``, column ``j``.
+
+One element type serves so(2n+1) and its enveloping algebra:
+``UEAPolynomial``, a sum of words in the basis symbols with exact
+``GaussianRational`` coefficients, so zero tests are exact. An element of
+so(2n+1) is a sum of one-symbol words. The constructor reads a reversed pair
+``(k, j)`` as -X_jk in every symbol of a word, and converts a float or
+complex coefficient exactly, as the Fraction of each part. ``uea`` adds
+normal ordering and the named polynomials of the quasi-Hamiltonian.
 
 A representation is its image function, ``defining_rep`` or ``spin_rep``
-below; both read n from the element.
-
+below; both read n from the element and extend multiplicatively to words.
 The spin representation acts on the 2^n-dimensional Fock space:
 
     spin(X_{j,2n+1}) = gamma_j / 2             (j <= 2n)
@@ -17,21 +22,26 @@ The spin representation acts on the 2^n-dimensional Fock space:
 The second rule is the unique choice (given the first) that turns the matrix
 commutators of the defining basis into commutators of the images; with the
 opposite product order the bracket of two vector-type generators comes out
-with the wrong sign. Both images are Clifford monomials, which ``spin_rep``
-writes from ``fock.monomial`` (a bit flip and a phase per state), not as products.
+with the wrong sign. A product of Clifford monomials is a monomial, so a
+word of m symbols maps to 2^-m times the one monomial of its concatenated
+gamma indices, which ``spin_rep`` writes from one ``fock.monomial`` call (a
+bit flip and a phase per state), with no dense product.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import fock
-from .errors import IndexRangeError, NonWeightVectorError, SizeError
+from .errors import DomainError, IndexRangeError, NonWeightVectorError, SizeError
 
 Symbol = Tuple[int, int]
+Word = Tuple[Symbol, ...]
 
 
 def matrix_size(n: int) -> int:
@@ -44,71 +54,130 @@ def symbols(n: int) -> list:
     return [(j, k) for j in range(1, N + 1) for k in range(j + 1, N + 1)]
 
 
-def check_symbol(sym: Symbol, n: int) -> None:
-    j, k = sym
-    if not (1 <= j < k <= matrix_size(n)):
-        raise IndexRangeError(
-            f"basis pair must satisfy 1 <= j < k <= {matrix_size(n)}, got {sym}"
+def accumulate(terms: dict, word, coeff) -> None:
+    """terms[word] += coeff, without adding a zero to a new word."""
+    prev = terms.get(word)
+    terms[word] = coeff if prev is None else prev + coeff
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def coerce(value) -> "GaussianRational":
+        if isinstance(value, GaussianRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return GaussianRational(Fraction(value))
+        raise TypeError(f"cannot coerce {value!r} to an exact Gaussian rational")
+
+    def __add__(self, other):
+        other = GaussianRational.coerce(other)
+        if not other:
+            return self
+        if not self:
+            return other
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-GaussianRational.coerce(other))
+
+    def __mul__(self, other):
+        # the structure constants are +-1, so these two skip most products
+        if type(other) is int and other in (1, -1):
+            return self if other == 1 else -self
+        other = GaussianRational.coerce(other)
+        if not (self.im or other.im):  # energies and structure constants are real
+            return GaussianRational(self.re * other.re)
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """Sparse complex combination of the basis elements X_{jk}."""
-
-    n: int
-    coefficients: Dict[Symbol, complex]
-
-    def __post_init__(self):
-        fock.check_mode_count(self.n)
-        canon: Dict[Symbol, complex] = {}
-        for (j, k), value in self.coefficients.items():
-            value = complex(value)
-            if j == k:
-                raise IndexRangeError(f"diagonal pair ({j}, {k}) is not a basis element")
-            if j > k:
-                j, k, value = k, j, -value
-            check_symbol((j, k), self.n)
-            canon[(j, k)] = canon.get((j, k), 0.0) + value
-        object.__setattr__(
-            self, "coefficients", {s: v for s, v in sorted(canon.items()) if v != 0}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.n == other.n and self.coefficients == other.coefficients
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.n != other.n:
-            raise SizeError(f"mode counts differ: {self.n} != {other.n}")
-        merged = dict(self.coefficients)
-        for sym, v in other.coefficients.items():
-            merged[sym] = merged.get(sym, 0.0) + v
-        return AlgebraElement(self.n, merged)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.n, {s: -v for s, v in self.coefficients.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        scalar = complex(scalar)
-        return AlgebraElement(self.n, {s: scalar * v for s, v in self.coefficients.items()})
 
     __rmul__ = __mul__
 
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+
+I = GaussianRational(Fraction(0), Fraction(1))
+
+
+def _exact(value) -> GaussianRational:
+    """A polynomial coefficient, exact: a float or complex becomes the Fraction of each part."""
+    if isinstance(value, (GaussianRational, int, Fraction)):
+        return GaussianRational.coerce(value)
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"coefficients must be finite, got {value}")
+    return GaussianRational(Fraction(value.real), Fraction(value.imag))
+
+
+@dataclass(frozen=True, eq=False)
+class UEAPolynomial:
+    """Sum of words with exact coefficients; the empty word is the unit."""
+
+    n: int
+    terms: Dict[Word, GaussianRational]
+
+    def __post_init__(self):
+        fock.check_mode_count(self.n)
+        N = matrix_size(self.n)
+        canon: Dict[Word, GaussianRational] = {}
+        for word, coeff in self.terms.items():
+            if type(coeff) is not GaussianRational:
+                coeff = _exact(coeff)
+            ordered = []
+            for j, k in word:
+                if j > k:
+                    j, k, coeff = k, j, -coeff
+                if not 1 <= j < k <= N:
+                    raise IndexRangeError(f"basis pair must satisfy 1 <= j < k <= {N}, got {(j, k)}")
+                ordered.append((j, k))
+            accumulate(canon, tuple(ordered), coeff)
+        object.__setattr__(self, "terms", {w: c for w, c in canon.items() if c})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UEAPolynomial):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.terms
+
+    def __add__(self, other: "UEAPolynomial") -> "UEAPolynomial":
+        if self.n != other.n:
+            raise SizeError(f"mode counts differ: {self.n} != {other.n}")
+        merged = dict(self.terms)
+        for w, c in other.terms.items():
+            accumulate(merged, w, c)
+        return UEAPolynomial(self.n, merged)
+
+    def __neg__(self) -> "UEAPolynomial":
+        return UEAPolynomial(self.n, {w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other: "UEAPolynomial") -> "UEAPolynomial":
+        return self + (-other)
+
+    def scale(self, coeff) -> "UEAPolynomial":
+        coeff = _exact(coeff)
+        return UEAPolynomial(self.n, {w: coeff * c for w, c in self.terms.items()})
 
 
-def zero_element(n: int) -> AlgebraElement:
-    return AlgebraElement(n, {})
-
-
-def basis_element(n: int, j: int, k: int, coeff=1.0) -> AlgebraElement:
-    return AlgebraElement(n, {(j, k): coeff})
+def basis_element(n: int, j: int, k: int, coeff=1) -> UEAPolynomial:
+    return UEAPolynomial(n, {((j, k),): coeff})
 
 
 def bracket_symbols(a: Symbol, b: Symbol):
@@ -135,49 +204,52 @@ def bracket_symbols(a: Symbol, b: Symbol):
     return tuple((sym, sign) for sym, sign in acc.items() if sign != 0)
 
 
-def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Lie bracket, extended bilinearly from the basis structure constants."""
+def bracket(a: UEAPolynomial, b: UEAPolynomial) -> UEAPolynomial:
+    """Lie bracket of two sums of one-symbol words, bilinear over the structure constants."""
     if a.n != b.n:
         raise SizeError(f"mode counts differ: {a.n} != {b.n}")
-    terms: Dict[Symbol, complex] = {}
-    for sa, va in a.coefficients.items():
-        for sb, vb in b.coefficients.items():
+    terms: Dict[Word, GaussianRational] = {}
+    for (sa,), va in a.terms.items():
+        for (sb,), vb in b.terms.items():
             for sym, sign in bracket_symbols(sa, sb):
-                terms[sym] = terms.get(sym, 0.0) + va * vb * sign
-    return AlgebraElement(a.n, terms)
+                accumulate(terms, (sym,), va * vb * sign)
+    return UEAPolynomial(a.n, terms)
 
 
-def defining_basis_matrix(j: int, k: int, n: int) -> np.ndarray:
-    """Real antisymmetric (2n+1) x (2n+1) matrix of the basis pair (j, k)."""
-    check_symbol((j, k), n)
-    N = matrix_size(n)
-    m = np.zeros((N, N))
-    m[j - 1, k - 1] = 1.0
-    m[k - 1, j - 1] = -1.0
-    return m
+def defining_rep(elem: UEAPolynomial) -> np.ndarray:
+    """Defining image: a word maps to the product of its symbols' unit matrices.
 
-
-def defining_rep(elem: AlgebraElement) -> np.ndarray:
+    X_jk takes e_k to e_j, e_j to -e_k and the rest to 0, so the product is a signed
+    partial permutation, followed from the two columns the last symbol keeps.
+    """
     N = matrix_size(elem.n)
     out = np.zeros((N, N), dtype=complex)
-    for (j, k), v in elem.coefficients.items():
-        out[j - 1, k - 1] += v
-        out[k - 1, j - 1] -= v
+    for word, coeff in elem.terms.items():
+        value = coeff.to_complex()
+        for col in word[-1] if word else range(1, N + 1):
+            row, image = col, value
+            for j, k in reversed(word):
+                if row not in (j, k):
+                    break
+                row, image = (j, image) if row == k else (k, -image)
+            else:
+                out[row - 1, col - 1] += image
     return out
 
 
-def spin_rep(elem: AlgebraElement) -> np.ndarray:
-    """Spin image: each basis pair adds v (phase / 2) at (b XOR flip, b), from fock.monomial."""
+def spin_rep(elem: UEAPolynomial) -> np.ndarray:
+    """Spin image: a word of m symbols adds coeff 2^-m phase at (b XOR flip, b), from one monomial."""
     N = matrix_size(elem.n)
     cols = np.arange(fock.fock_dim(elem.n))
     out = np.zeros((len(cols), len(cols)), dtype=complex)
-    for (j, k), v in elem.coefficients.items():
-        flip, phase = fock.monomial((j,) if k == N else (k, j), elem.n)
-        out[cols ^ flip, cols] += v * 0.5 * phase
+    for word, coeff in elem.terms.items():
+        indices = [i for j, k in word for i in ((j,) if k == N else (k, j))]
+        flip, phase = fock.monomial(indices, elem.n)
+        out[cols ^ flip, cols] += coeff.to_complex() * 0.5 ** len(word) * phase
     return out
 
 
-def ladder_element(j: int, n: int) -> AlgebraElement:
+def ladder_element(j: int, n: int) -> UEAPolynomial:
     """Raising element for j > 0, lowering for j < 0.
 
     The spin image of the raising element is c_|j|^dagger, of the lowering
@@ -186,16 +258,15 @@ def ladder_element(j: int, n: int) -> AlgebraElement:
     k = abs(j)
     if j == 0 or k > n:
         raise IndexRangeError(f"signed mode must satisfy 1 <= |j| <= {n}, got {j}")
-    sign = 1.0 if j > 0 else -1.0
     N = matrix_size(n)
-    return AlgebraElement(n, {(2 * k - 1, N): sign, (2 * k, N): 1j})
+    return UEAPolynomial(n, {((2 * k - 1, N),): 1 if j > 0 else -1, ((2 * k, N),): I})
 
 
-def cartan_element(j: int, n: int) -> AlgebraElement:
+def cartan_element(j: int, n: int) -> UEAPolynomial:
     """H_j = (1/2) [E_j, E_{-j}] = -i X_{2j-1,2j}; spin image N_j - 1/2."""
     if not 1 <= j <= n:
         raise IndexRangeError(f"mode index must satisfy 1 <= j <= {n}, got {j}")
-    return AlgebraElement(n, {(2 * j - 1, 2 * j): -1j})
+    return UEAPolynomial(n, {((2 * j - 1, 2 * j),): -I})
 
 
 def weight_of(v: fock.FockVector, tol: float = 1e-10) -> np.ndarray:

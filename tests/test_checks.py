@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinfock import checks, so_algebra as so, uea
+from spinfock import checks, fock, so_algebra as so, uea
 from spinfock.errors import DomainError
 
 
@@ -143,3 +143,27 @@ class TestUeaNormalOrder:
         assert n == 4
         assert energies == [Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(4)]
         assert all(type(e) is Fraction for e in energies)
+
+
+def reversed_order_gammas(n):
+    """Gammas whose Jordan-Wigner sign counts the modes above k instead of below:
+    fock's gammas with the modes relabeled k -> n + 1 - k."""
+    reverse = np.eye(1 << n)[[int(f"{b:0{n}b}"[::-1], 2) for b in range(1 << n)]]
+    out = []
+    for k in range(n, 0, -1):
+        out += [reverse @ fock.gamma(j, n) @ reverse for j in (2 * k - 1, 2 * k)]
+    return out
+
+
+class TestCliffordReconstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reads_zero(self, n):
+        result = checks.check_clifford_reconstruction([fock.gamma(j, n) for j in range(1, 2 * n + 1)])
+        assert result.residual == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reversed_jordan_wigner_order_fails(self, n):
+        # still a Clifford algebra, so only this row tells the orders apart
+        gammas = reversed_order_gammas(n)
+        assert checks.check_clifford_anticommutation(gammas).residual == 0.0
+        assert not checks.check_clifford_reconstruction(gammas).passed

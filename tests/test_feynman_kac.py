@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ class TestExactSide:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             fk.fk_lhs_exact(fock.vacuum(1), fock.vacuum(1), SPEC1, -0.1)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            fk.fk_lhs_exact(fock.vacuum(1), fock.vacuum(1), SPEC1, t)
 
 
 class TestFactorization:
@@ -100,6 +107,17 @@ class TestMonteCarlo:
 
     def test_empty_grid(self):
         assert fk.fk_report(fock.vacuum(1), fock.vacuum(1), SPEC1, [], 1000, 1e-3, 1) == []
+
+    @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
+    def test_bad_grid_time_refused_before_drawing(self, monkeypatch, t):
+        def refuse_to_draw(*args):
+            raise AssertionError("drew paths for a refused grid time")
+
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                fk.fk_report(fock.vacuum(2), fock.vacuum(2), SPEC2, [0.1, t], 1000, 1e-3, 1)
 
     def test_path_count_floor(self):
         with pytest.raises(SizeError):

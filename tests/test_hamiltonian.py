@@ -161,3 +161,9 @@ class TestExactSemigroup:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             ham.exact_semigroup(np.eye(2), -0.1)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, t):
+        s_mat = ham.ib0_spin_matrix(ham.HamiltonianSpec(2, (1.0, 1.0)))
+        with pytest.raises(DomainError):
+            ham.exact_semigroup(s_mat, t)

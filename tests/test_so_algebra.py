@@ -1,30 +1,34 @@
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfock import fock, so_algebra as so
-from spinfock.errors import IndexRangeError, NonWeightVectorError, SizeError
+from spinfock import fock, so_algebra as so, uea
+from spinfock.errors import DomainError, IndexRangeError, NonWeightVectorError, SizeError
 from test_fock import oracle_gammas
 
 
-def _max_coeff(elem):
-    return max((abs(v) for v in elem.coefficients.values()), default=0.0)
-
-
 def random_element(n, rng, real=False):
+    """A sum of one-symbol words with float coefficients, which the constructor takes exactly."""
     coeffs = {}
     for sym in so.symbols(n):
         if rng.random() < 0.4:
             re = rng.uniform(-1, 1)
             im = 0.0 if real else rng.uniform(-1, 1)
-            coeffs[sym] = complex(re, im)
-    return so.AlgebraElement(n, coeffs)
+            coeffs[(sym,)] = complex(re, im)
+    return so.UEAPolynomial(n, coeffs)
+
+
+def defining_matrix(n, j, k):
+    return so.defining_rep(so.basis_element(n, j, k))
 
 
 class TestDefiningBasis:
     def test_x12_matrix(self):
-        m = so.defining_basis_matrix(1, 2, 1)
+        m = defining_matrix(1, 1, 2)
         expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
         expected[1, 0] = -1.0
@@ -33,7 +37,7 @@ class TestDefiningBasis:
     def test_antisymmetry_all_pairs(self):
         for n in (1, 2):
             for j, k in so.symbols(n):
-                m = so.defining_basis_matrix(j, k, n)
+                m = defining_matrix(n, j, k)
                 assert np.array_equal(m.T, -m)
                 assert np.count_nonzero(m) == 2
 
@@ -42,17 +46,17 @@ class TestDefiningBasis:
         for n in (1, 2, 3):
             N = 2 * n + 1
             for a in range(1, 2 * n + 1):
-                xa = so.defining_basis_matrix(a, N, n)
+                xa = defining_matrix(n, a, N)
                 for b in range(1, 2 * n + 1):
-                    xb = so.defining_basis_matrix(b, N, n)
+                    xb = defining_matrix(n, b, N)
                     expected = -2.0 if a == b else 0.0
                     assert np.trace(xa @ xb) == expected
 
     def test_index_violations(self):
         with pytest.raises(IndexRangeError):
-            so.defining_basis_matrix(2, 2, 1)
+            so.basis_element(1, 2, 2)
         with pytest.raises(IndexRangeError):
-            so.defining_basis_matrix(1, 4, 1)
+            so.basis_element(1, 1, 4)
         with pytest.raises(IndexRangeError):
             so.basis_element(1, 3, 3)
 
@@ -63,12 +67,12 @@ class TestBracket:
         # independent oracle: expand the defining-rep commutator in the basis
         for a in so.symbols(n):
             for b in so.symbols(n):
-                ma = so.defining_basis_matrix(*a, n)
-                mb = so.defining_basis_matrix(*b, n)
+                ma = defining_matrix(n, *a)
+                mb = defining_matrix(n, *b)
                 comm = ma @ mb - mb @ ma
                 expected = np.zeros_like(comm)
                 for (j, k), sign in so.bracket_symbols(a, b):
-                    expected += sign * so.defining_basis_matrix(j, k, n)
+                    expected += sign * defining_matrix(n, j, k)
                 assert np.array_equal(comm, expected)
 
     def test_examples(self):
@@ -76,21 +80,34 @@ class TestBracket:
         assert so.bracket(so.basis_element(2, 1, 2), so.basis_element(2, 3, 4)).is_zero()
 
     def test_reversed_index_normalization(self):
-        elem = so.AlgebraElement(2, {(3, 1): 2.0})
+        elem = so.UEAPolynomial(2, {((3, 1),): 2.0})
         assert elem == so.basis_element(2, 1, 3, -2.0)
 
     def test_mismatched_n(self):
         with pytest.raises(SizeError):
             so.bracket(so.basis_element(1, 1, 2), so.basis_element(2, 1, 2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bracket_is_normal_ordered_commutator(self, n):
+        # the Lie bracket and the enveloping algebra's commutator are one type
+        for a in so.symbols(n):
+            for b in so.symbols(n):
+                xa, xb = so.basis_element(n, *a), so.basis_element(n, *b)
+                assert so.bracket(xa, xb) == uea.pbw_normalize(uea.commutator(xa, xb))
+
+    def test_bracket_refuses_other_words(self):
+        x12 = so.basis_element(1, 1, 2)
+        for other in (uea.unit(1), uea.word_poly(1, ((1, 2), (1, 3)))):
+            with pytest.raises(ValueError):
+                so.bracket(x12, other)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_self_bracket_vanishes(self, seed):
-        # float coefficients cancel only up to rounding when a symbol
-        # accumulates three or more contributions
+        # float coefficients are taken exactly, so the terms cancel exactly
         rng = np.random.default_rng(seed)
         elem = random_element(2, rng)
-        assert _max_coeff(so.bracket(elem, elem)) < 1e-12
+        assert so.bracket(elem, elem).is_zero()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -99,9 +116,66 @@ class TestBracket:
         a, b = random_element(2, rng), random_element(2, rng)
         lhs = so.bracket(a, b)
         rhs = so.bracket(b, a)
-        assert _max_coeff(lhs + rhs) < 1e-12
-        scaled = so.bracket(2.5 * a, b)
-        assert _max_coeff(scaled - 2.5 * lhs) < 1e-12
+        assert (lhs + rhs).is_zero()
+        assert so.bracket(a.scale(2.5), b) == lhs.scale(2.5)
+
+
+class TestElements:
+    def test_reversed_pair_in_every_symbol(self):
+        assert so.UEAPolynomial(2, {((3, 1), (1, 2)): 1}) == uea.word_poly(2, ((1, 3), (1, 2)), -1)
+        assert so.UEAPolynomial(2, {((3, 1), (2, 1)): 1}) == uea.word_poly(2, ((1, 3), (1, 2)))
+
+    def test_float_coefficients_taken_exactly(self):
+        elem = so.basis_element(1, 1, 2, complex(0.1, -2.5))
+        assert elem.terms == {((1, 2),): uea.GaussianRational(Fraction(0.1), Fraction(-2.5))}
+        assert so.ladder_element(1, 1) == uea.symbol_poly(1, (1, 3)) + uea.symbol_poly(1, (2, 3), uea.I)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_coefficient_refused(self, bad):
+        with pytest.raises(DomainError):
+            so.basis_element(1, 1, 2, bad)
+        with pytest.raises(DomainError):
+            so.basis_element(1, 1, 2).scale(bad)
+
+
+def spin_symbol_oracle(n, sym):
+    """gamma_j / 2 or gamma_k gamma_j / 2 from the wedge-oracle gammas."""
+    gammas = oracle_gammas(n)
+    j, k = sym
+    return 0.5 * (gammas[j - 1] if k == so.matrix_size(n) else gammas[k - 1] @ gammas[j - 1])
+
+
+def defining_symbol_oracle(n, sym):
+    m = np.zeros((so.matrix_size(n),) * 2)
+    m[sym[0] - 1, sym[1] - 1], m[sym[1] - 1, sym[0] - 1] = 1.0, -1.0
+    return m
+
+
+def words_to_check(n):
+    """Every word of up to 3 symbols at n <= 2; 120 random words of up to 4 at larger n."""
+    syms = so.symbols(n)
+    if n <= 2:
+        return [w for m in range(4) for w in product(syms, repeat=m)]
+    rng = np.random.default_rng(40 + n)
+    return [tuple(syms[i] for i in rng.integers(len(syms), size=rng.integers(5))) for _ in range(120)]
+
+
+class TestWordImages:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tag", ["spin", "defining"])
+    def test_word_image_is_product_of_symbol_images(self, n, tag):
+        # one monomial per word (spin), one product of unit matrices (defining)
+        rep, oracle = {
+            "spin": (so.spin_rep, spin_symbol_oracle),
+            "defining": (so.defining_rep, defining_symbol_oracle),
+        }[tag]
+        images = {sym: oracle(n, sym) for sym in so.symbols(n)}
+        dim = len(images[(1, 2)])
+        for word in words_to_check(n):
+            expected = np.eye(dim)
+            for sym in word:
+                expected = expected @ images[sym]
+            assert np.array_equal(rep(uea.word_poly(n, word)), expected), word
 
 
 class TestRepresentations:
@@ -120,7 +194,7 @@ class TestRepresentations:
         rng = np.random.default_rng(0)
         a, b = random_element(2, rng), random_element(2, rng)
         for rep in (so.spin_rep, so.defining_rep):
-            lhs = rep(2.0 * a + (1 - 3j) * b)
+            lhs = rep(a.scale(2.0) + b.scale(1 - 3j))
             rhs = 2.0 * rep(a) + (1 - 3j) * rep(b)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -148,7 +222,7 @@ class TestRepresentations:
         for _ in range(10):
             elem = random_element(n, rng, real=True)
             m = so.spin_rep(elem)
-            assert np.max(np.abs(m + m.conj().T)) < 1e-12
+            assert np.array_equal(m, -m.conj().T)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_irreducibility_evidence(self, n):
@@ -180,7 +254,7 @@ class TestLadderAndCartan:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cartan_is_half_bracket(self, n):
         for j in range(1, n + 1):
-            half = 0.5 * so.bracket(so.ladder_element(j, n), so.ladder_element(-j, n))
+            half = so.bracket(so.ladder_element(j, n), so.ladder_element(-j, n)).scale(Fraction(1, 2))
             assert half == so.cartan_element(j, n)
 
     def test_cartan_spin_matrix_n1(self):

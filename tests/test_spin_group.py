@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinfock import fock, sde, so_algebra as so, spin_group as sg
+from spinfock import fock, sde, so_algebra as so, spin_group as sg, uea
 from spinfock.errors import SizeError
 
 
@@ -15,7 +15,7 @@ def spin_of_antisymmetric(n, x):
 
 class TestExponentials:
     def test_exp_zero_is_identity(self):
-        zero = so.zero_element(1)
+        zero = uea.zero(1)
         assert np.allclose(sg.expm_antihermitian(so.spin_rep(zero)), np.eye(2), atol=1e-14)
         assert np.allclose(sg.expm_antihermitian(so.defining_rep(zero)), np.eye(3), atol=1e-14)
 
@@ -37,8 +37,8 @@ class TestExponentials:
     def test_unitary_output(self):
         rng = np.random.default_rng(1)
         for n in (1, 2):
-            coeffs = {s: rng.uniform(-2, 2) for s in so.symbols(n)}
-            u = sg.expm_antihermitian(so.spin_rep(so.AlgebraElement(n, coeffs)))
+            coeffs = {(s,): rng.uniform(-2, 2) for s in so.symbols(n)}
+            u = sg.expm_antihermitian(so.spin_rep(so.UEAPolynomial(n, coeffs)))
             assert np.max(np.abs(u.conj().T @ u - np.eye(1 << n))) < 1e-12
 
     def test_stacked_exponentials(self):

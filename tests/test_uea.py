@@ -127,13 +127,14 @@ class TestNormalize:
             assert shuffled == reference
 
     def test_representation_compatibility(self):
+        # Gaussian-integer coefficients on dyadic images: both sides are exact
         rng = random.Random(5)
         for _ in range(40):
             n = rng.choice([1, 2, 3])
             p = random_poly(n, rng)
-            lhs = uea.spin_matrix_of(uea.pbw_normalize(p))
-            rhs = uea.spin_matrix_of(p)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+            lhs = so.spin_rep(uea.pbw_normalize(p))
+            rhs = so.spin_rep(p)
+            assert np.array_equal(lhs, rhs)
 
     def test_exact_coefficients_preserved(self):
         rng = random.Random(9)
