@@ -25,14 +25,18 @@ Right-multiplication maps rows to rows, and every estimator reads only the
 matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 (2^n numbers per path) rather than the spin matrices U. Paths come in blocks
 of PATH_BLOCK, and each block draws from one stream, block_rng: first the
-Gaussian matrices whose Haar lifts start its paths, then its increments,
-time-major, in step-blocks of a fixed byte budget, so memory does not grow
-with the horizon. Chunks of blocks are evolved in turn, by default a fixed
-byte budget of rows each. Results depend on the seed and the path count
-only; the last block may be partial, so a path's draws depend on the path
-count. One reducer, correlations, turns the ensemble into the per-time
-means and standard errors that both the Feynman-Kac report and the decay
-curve read.
+Gaussian matrices whose Haar lifts start its paths, lifted block by block,
+then its increments, time-major. Two byte budgets fix the working set, so
+it grows with neither the horizon nor the path count: chunks of blocks are
+evolved in turn, by default _CHUNK_ROW_BYTES of rows each, and a chunk's
+increments and their coefficients take _BLOCK_BYTES. Results depend on the
+seed and the path count only; the last block may be partial, so a path's
+draws depend on the path count. One reducer, correlations, turns the
+ensemble into the per-time means and standard errors that both the
+Feynman-Kac report and the decay curve read. At each grid step it reduces
+every block to its count, mean and sum of squared deviations, and it merges
+the blocks in block order with the pairwise update of Chan, Golub and
+LeVeque (Am. Stat. 37, 1983), so no per-path value outlives its chunk.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -43,7 +47,9 @@ command measures.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +62,11 @@ from .spin_group import apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
-# Bytes of Gaussian increments drawn per chunk at a time. Memory per chunk
-# scales with this budget, not with the horizon; every step-block costs one
-# draw call per path block, so a smaller budget adds interpreter overhead.
-_BLOCK_BYTES = 1 << 21
+# Bytes of one step-block of a chunk: its increments and their cos, sinc and
+# |c|^2, (2n + 3) x 8 bytes per path and step, but at least one step. Every
+# step-block costs one draw call per path block, so a smaller budget adds
+# interpreter overhead.
+_BLOCK_BYTES = 1 << 20
 
 # Paths per random stream: paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from
 # block_rng(seed, b). Chunk sizes must be multiples of it; a default chunk
@@ -139,26 +146,23 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def evolve_ensemble(
-    config: SDEConfig,
-    n_paths: int,
-    t_grid,
-    chunk_size: int | None = None,
-):
-    """Evolve independent paths, yielding per-chunk rows e_0^T U at the grid times.
+def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read, chunk_size: int | None = None):
+    """Evolve independent paths in chunks, reading their rows e_0^T U at the grid times.
 
-    Yields (start_index, r0, snapshots) where r0 stacks the rows e_0^T U0 of
-    the Haar-distributed initial spin matrices, paths on axis 0, and
-    snapshots maps each grid time to the stack of rows e_0^T U at that time.
-    A matrix coefficient <e_0, U psi> is r @ psi.
+    Yields (start_index, r0, reads) per chunk. r0 stacks the rows e_0^T U0
+    of the Haar-distributed initial spin matrices, paths on axis 0. When
+    step t/dt is reached, read(t, r0, rows) gets the chunk's rows e_0^T U
+    at t, paths on axis 0 as in r0 and valid only during the call, and reads
+    maps each grid time to what it returned. A matrix coefficient <e_0, U psi> is
+    rows @ psi; the identity read, rows.copy(), keeps the full rows.
 
     The P paths of block b (P = PATH_BLOCK, or fewer in the last block) draw
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
-    Haar starts, then the (steps, P, 2n) increments, time-major, in
-    step-blocks that together equal one draw, scaled in flat (path,
-    direction) rows. chunk_size, by default _CHUNK_ROW_BYTES of rows, must
-    be a multiple of PATH_BLOCK, so results depend on the seed and the path
-    count only, neither on the chunk size nor on the step-block size.
+    Haar starts, lifted block by block, then the (steps, P, 2n) increments,
+    time-major, in step-blocks that together equal one draw, scaled in flat
+    (path, direction) rows. chunk_size, by default _CHUNK_ROW_BYTES of rows,
+    must be a multiple of PATH_BLOCK, so results depend on the seed and the
+    path count only, neither on the chunk size nor on the step-block size.
     """
     n = config.spec.n
     if chunk_size is None:
@@ -180,68 +184,88 @@ def evolve_ensemble(
         raise SizeError(
             f"paths x steps x 2^n = {work:.3g} exceeds the budget of {MAX_AMPLITUDE_STEPS:.3g}"
         )
+    for start in range(0, n_paths, chunk_size):
+        # nothing of a chunk but what it yields outlives it
+        yield (start, *_evolve_chunk(config, start, min(chunk_size, n_paths - start), steps_for, read))
+
+
+def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, read) -> tuple:
+    """(r0, reads) of the count paths from path start on, for evolve_ensemble."""
+    n, width = config.spec.n, 2 * config.spec.n
     N = so_algebra.matrix_size(n)
-    e0 = vacuum(n).amplitudes
+    total_steps = max(steps_for.values(), default=0)
     sig = np.tile(config.sigmas, PATH_BLOCK)
     sqrt_dt = math.sqrt(config.dt)
-    width = 2 * n
+    # (stream, first row, end row) per path block of the chunk
+    blocks = [
+        (block_rng(config.seed, (start + lo) // PATH_BLOCK), lo, min(lo + PATH_BLOCK, count))
+        for lo in range(0, count, PATH_BLOCK)
+    ]
+    r0 = np.empty((count, 1 << n), dtype=complex)
+    for rng, lo, hi in blocks:
+        r0[lo:hi] = spin_group.haar_lift(rng.standard_normal((hi - lo, N, N)), vacuum(n).amplitudes)
+    block = max(1, min(total_steps, _BLOCK_BYTES // (count * (width + 3) * 8)))
+    scaled = np.empty((block, count, width))
+    flat = scaled.reshape(block, count * width)
+    r = np.ascontiguousarray(r0.T)
+    work = np.empty_like(r)
+    reads = {t: read(t, r0, r0) for t, s in steps_for.items() if s == 0}
+    for first in range(0, total_steps, block):
+        size = min(block, total_steps - first)
+        # steps on axis 0, so each step reads contiguous coefficients
+        for rng, lo, hi in blocks:
+            draws = rng.standard_normal((size, (hi - lo) * width))
+            draws *= sqrt_dt
+            np.multiply(draws, sig[:draws.shape[1]], out=flat[:size, lo * width:hi * width])
+        cos_om, coef = _noise_coefficients(scaled[:size])
+        for m in range(size):
+            ladder = np.ascontiguousarray(coef[m].view(complex).T)
+            r = apply_modes(r, cos_om[m], ladder, range(n), work)
+            for t, s in steps_for.items():
+                if s == first + m + 1:
+                    reads[t] = read(t, r0, r.T)
+    return r0, reads
 
-    for start in range(0, n_paths, chunk_size):
-        count = min(chunk_size, n_paths - start)
-        # (stream, first row, end row) per path block of the chunk
-        blocks = [
-            (block_rng(config.seed, (start + lo) // PATH_BLOCK), lo, min(lo + PATH_BLOCK, count))
-            for lo in range(0, count, PATH_BLOCK)
-        ]
-        g = np.concatenate([rng.standard_normal((hi - lo, N, N)) for rng, lo, hi in blocks])
-        r0 = spin_group.haar_lift(g, e0)
-        block = max(1, min(total_steps, _BLOCK_BYTES // (count * width * 8)))
-        scaled = np.empty((block, count, width))
-        flat = scaled.reshape(block, count * width)
-        r = np.ascontiguousarray(r0.T)
-        work = np.empty_like(r)
-        snapshots = {t: r0 for t, s in steps_for.items() if s == 0}
-        for first in range(0, total_steps, block):
-            size = min(block, total_steps - first)
-            # steps on axis 0, so each step reads contiguous coefficients
-            for rng, lo, hi in blocks:
-                draws = rng.standard_normal((size, (hi - lo) * width))
-                draws *= sqrt_dt
-                np.multiply(draws, sig[:draws.shape[1]], out=flat[:size, lo * width:hi * width])
-            cos_om, coef = _noise_coefficients(scaled[:size])
-            for m in range(size):
-                ladder = np.ascontiguousarray(coef[m].view(complex).T)
-                r = apply_modes(r, cos_om[m], ladder, range(n), work)
-                for t, s in steps_for.items():
-                    if s == first + m + 1:
-                        snapshots[t] = r.T
-        yield start, r0, snapshots
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """(count, mean, sum of |value - mean|^2) of two blocks: Chan, Golub and LeVeque's update."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    total, delta = n_a + n_b, mean_b - mean_a
+    return total, mean_a + delta * (n_b / total), m2_a + m2_b + abs(delta) ** 2 * (n_a * n_b / total)
 
 
 def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: dict) -> list:
     """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi[t]> at each grid time.
 
     chi maps each grid time to the amplitudes read at that time. Returns
-    (t, mean, std_error) rows in grid order. Fewer than 100 paths are refused
-    with SizeError, and so is a repeated grid time, which would count every
-    path twice, with DomainError.
+    (t, mean, std_error) rows in grid order, std_error as in
+    spin_group.complex_mean_stderr, from block moments merged in block order.
+    Fewer than 100 paths are refused with SizeError, and so is a repeated
+    grid time, which would count every path twice, with DomainError.
     """
     if n_paths < 100:
         raise SizeError(f"need at least 100 paths, got {n_paths}")
     t_grid = [float(t) for t in t_grid]
     if len(set(t_grid)) != len(t_grid):
         raise DomainError(f"grid times must be distinct, got {t_grid}")
-    values = {t: [] for t in t_grid}
-    for _, r0, snaps in evolve_ensemble(config, n_paths, t_grid):
-        a0 = np.conj(r0 @ psi)
-        for t in t_grid:
-            # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk
-            values[t].append(np.multiply(a0, snaps[t] @ chi[t]))
-    rows = []
-    for t in t_grid:
-        mean, stderr = spin_group.complex_mean_stderr(np.concatenate(values[t]))
-        rows.append((t, mean, stderr))
-    return rows
+    shift = {}
+
+    def read(t, r0, rows):
+        # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk
+        values = np.multiply(np.conj(r0 @ psi), rows @ chi[t])
+        # about the first block's mean, so a large common offset leaves the
+        # differences of block means that the merge takes unrounded
+        values -= shift.setdefault(t, values[:PATH_BLOCK].mean())
+        blocks = np.split(values, range(PATH_BLOCK, len(values), PATH_BLOCK))
+        return [(len(b), b.mean(), len(b) * b.var()) for b in blocks]
+
+    totals = dict.fromkeys(t_grid, (0, 0.0, 0.0))
+    # itemgetter keeps no chunk's r0 alive while the next one is evolved
+    for reads in map(operator.itemgetter(2), evolve_ensemble(config, n_paths, t_grid, read)):
+        for t, blocks in reads.items():
+            totals[t] = functools.reduce(_merge, blocks, totals[t])
+    return [(t, complex(shift[t] + mean), math.sqrt(m2 / (count - 1) / count))
+            for t, (count, mean, m2) in totals.items()]
 
 
 def decay_curve(

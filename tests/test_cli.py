@@ -9,7 +9,7 @@ import time
 import pytest
 
 import spinfock
-from spinfock import checks, cli, hamiltonian, report_io, sde, spin_group
+from spinfock import checks, cli, fock, hamiltonian, report_io, sde, spin_group
 from spinfock.errors import NumericError
 
 
@@ -204,7 +204,7 @@ class TestFK:
 
     def test_non_finite_estimate_is_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            spin_group, "complex_mean_stderr", lambda values: (complex("nan"), math.nan)
+            sde, "correlations", lambda *args: [(0.05, complex("nan"), math.nan)]
         )
         code, out, err = run_cli(
             capsys, ["fk", "--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "1"]
@@ -423,8 +423,19 @@ class TestHaarTest:
         assert code == 0
         names = {c["name"] for c in json.loads(out)["checks"]}
         assert names == {
-            "entry-mean", "trace-moment", "schur-inner-vacuum", "spin-unitarity", "deck-invariance",
+            "entry-mean", "trace-moment", "schur-inner-vacuum", "spin-unitarity", "spin-cover",
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unitary_wrong_lift_fails_spin_cover(self, capsys, monkeypatch, n):
+        # U gamma_1 is unitary, but it covers R composed with a reflection, not R
+        lift = spin_group.haar_lift
+        monkeypatch.setattr(spin_group, "haar_lift", lambda g, rows: lift(g, rows) @ fock.gamma(1, n))
+        code, out, _ = run_cli(capsys, ["haar-test", "--n", str(n), "--paths", "400", "--seed", "6"])
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1
+        assert checks["spin-unitarity"]["passed"]
+        assert not checks["spin-cover"]["passed"] and checks["spin-cover"]["value"] > 0.1
 
     def test_sample_floor_before_drawing(self, capsys, monkeypatch):
         monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)

@@ -76,7 +76,7 @@ class TestMonteCarlo:
         psi = fock.basis_vector(1, [1]).amplitudes
         chi = fk._phase_evolved(fock.basis_vector(1, [1]), SPEC1, 0.1)
         cfg = sde.SDEConfig(SPEC1, 1e-3, "corrected", 3)
-        _, r0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1]))
+        _, r0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1], lambda t, r0, rows: rows.copy()))
         rt = snaps[0.1]
         plain = np.conj(r0 @ psi) * (rt @ chi)
         # the deck flip of X(0) propagates to X(t) = X(0) M(t)

@@ -38,6 +38,32 @@ def step_mean(cfg, terms=40):
     return total
 
 
+def keep_rows(t, r0, rows):
+    """The identity read of evolve_ensemble: the full rows e_0^T U at each grid time."""
+    return rows.copy()
+
+
+def skip_rows(t, r0, rows):
+    """A read of evolve_ensemble that keeps nothing."""
+    return None
+
+
+def fed_ensemble(values, chunk):
+    """A stand-in for evolve_ensemble whose n = 1 vacuum reads are the given values.
+
+    Each path starts and stays at the row e_0 scaled by its value, and the
+    chunks hold chunk paths each.
+    """
+    def evolve(config, n_paths, t_grid, read, chunk_size=None):
+        for start in range(0, n_paths, chunk):
+            part = values[start:start + chunk]
+            r0 = np.zeros((len(part), 2), dtype=complex)
+            r0[:, 0] = 1.0
+            yield start, r0, {t: read(t, r0, r0 * part[:, None]) for t in t_grid}
+
+    return evolve
+
+
 def series_probe(c1):
     """|c|^2, cos and sinc of _noise_coefficients at c = (2^-30, c1), and libm's.
 
@@ -122,7 +148,7 @@ class TestStep:
         # no mean can see the sinc factor, since E[step] does not depend on
         # it; the norm of every row after 1000 steps does
         cfg = sde.SDEConfig(SPEC2, 1e-3, "corrected", 5)
-        ((_, _, snaps),) = sde.evolve_ensemble(cfg, sde.PATH_BLOCK, [1.0])
+        ((_, _, snaps),) = sde.evolve_ensemble(cfg, sde.PATH_BLOCK, [1.0], keep_rows)
         assert np.max(np.abs(np.linalg.norm(snaps[1.0], axis=1) - 1.0)) <= 1e-8
 
 
@@ -144,7 +170,7 @@ class TestEnsemble:
         cfg = config(spec=SPEC2, seed=42)
         def gather(chunk):
             r0s, rts = [], []
-            for _, r0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], chunk_size=chunk):
+            for _, r0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], keep_rows, chunk_size=chunk):
                 r0s.append(r0)
                 rts.append(snaps[0.02])
             return np.concatenate(r0s), np.concatenate(rts)
@@ -164,7 +190,7 @@ class TestEnsemble:
         grid = [0.0, 0.004]
 
         def gather(chunk):
-            items = list(sde.evolve_ensemble(cfg, paths, grid, chunk_size=chunk))
+            items = list(sde.evolve_ensemble(cfg, paths, grid, keep_rows, chunk_size=chunk))
             rows = [np.concatenate([it[1] for it in items])]
             rows += [np.concatenate([it[2][t] for it in items]) for t in grid]
             return len(items), rows
@@ -190,9 +216,10 @@ class TestEnsemble:
         grid = [0.0, 0.35, 1.0]
 
         def gather():
-            ((_, r0, snaps),) = sde.evolve_ensemble(cfg, 1500, grid)
+            ((_, r0, snaps),) = sde.evolve_ensemble(cfg, 1500, grid, keep_rows)
             return [r0] + [snaps[t] for t in grid]
 
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", 20 * 1500 * (2 * n + 3) * 8)
         whole = gather()
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 1)
         assert all(np.array_equal(a, b) for a, b in zip(whole, gather()))
@@ -200,12 +227,12 @@ class TestEnsemble:
     @pytest.mark.parametrize("chunk", [0, 1000, 1025])
     def test_chunk_size_must_be_block_multiple(self, chunk):
         with pytest.raises(DomainError, match="multiple"):
-            next(sde.evolve_ensemble(config(), 10, [0.0], chunk_size=chunk))
+            next(sde.evolve_ensemble(config(), 10, [0.0], keep_rows, chunk_size=chunk))
 
     def test_grid_alignment_required(self):
         cfg = config()
         with pytest.raises(DomainError):
-            list(sde.evolve_ensemble(cfg, 4, [0.0005]))
+            list(sde.evolve_ensemble(cfg, 4, [0.0005], keep_rows))
 
     @pytest.mark.parametrize(
         "n, dt",
@@ -217,12 +244,12 @@ class TestEnsemble:
         # boundaries and ends on a partial block; paths come in two streams,
         # the second partial. At dt = 0.1 the step angles w reach 2.
         paths, steps, seed = 6, 30, 19
-        monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * 2 * n * 8)
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * (2 * n + 3) * 8)
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
         grid = [s * dt for s in (0, 7, 16, 30)]
-        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, chunk_size=8)
+        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, keep_rows, chunk_size=8)
 
         rngs = [sde.block_rng(seed, b) for b in range(2)]
         sizes = [4, 2]
@@ -250,7 +277,7 @@ class TestEnsemble:
             cfg = config(seed=4)
             tracemalloc.start()
             try:
-                for _ in sde.evolve_ensemble(cfg, 4096, [t]):
+                for _ in sde.evolve_ensemble(cfg, 4096, [t], skip_rows):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -259,11 +286,12 @@ class TestEnsemble:
         assert peak(1.0) <= 1.25 * peak(0.1)
 
     def test_memory_within_step_block_budget(self):
-        # increments take one step-block budget, and their coefficients are
-        # cast to complex one step at a time: a whole-block cast peaks at 6.9x
+        # the increments and their cos, sinc and |c|^2 share one step-block
+        # budget, and the coefficients are cast to complex one step at a
+        # time; with the four arrays of rows (128 KiB each) the peak is 2.4x
         tracemalloc.start()
         try:
-            for _ in sde.evolve_ensemble(config(seed=4), 4096, [0.1]):
+            for _ in sde.evolve_ensemble(config(seed=4), 4096, [0.1], skip_rows):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -271,18 +299,62 @@ class TestEnsemble:
         assert peak <= 4.5 * sde._BLOCK_BYTES
 
     def test_memory_within_rows_budget(self):
-        # n = 6, 4096 paths, in units of the rows, 16 2^n P bytes: one
-        # gather per generator peaks at 12.55 rows, and a rows-sized
-        # temporary in the paired kernel adds about one more
+        # n = 6, 4096 paths, in units of the rows, 16 2^n P bytes: the
+        # starts r0, the rows, the kernel's scratch and its output make 4,
+        # and the starts, lifted one path block at a time, add 0.4
         spec = ham.HamiltonianSpec(6, tuple(float(k) for k in range(1, 7)))
         tracemalloc.start()
         try:
-            for _ in sde.evolve_ensemble(config(spec, seed=4), 4096, [0.0, 0.02]):
+            for _ in sde.evolve_ensemble(config(spec, seed=4), 4096, [0.0, 0.02], skip_rows):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 12.8 * 16 * (1 << 6) * 4096
+
+
+class TestReducer:
+    @pytest.mark.parametrize(
+        "paths, offset",
+        [(5000, 0.5), (sde.PATH_BLOCK, 0.5), (100, 0.5j), (5000, 1e6 + 2e6j), (3000, -1e6)],
+    )
+    def test_matches_complex_mean_stderr(self, paths, offset, monkeypatch):
+        # blocks merged in order against one pass over all values: partial
+        # last blocks (5000, 3000, 100 paths), one whole block, and offsets
+        # of 1e6 under a spread of 0.5, where a sum of squares loses the spread
+        rng = np.random.default_rng(paths)
+        values = offset + 0.5 * (rng.standard_normal(paths) + 1j * rng.standard_normal(paths))
+        ref_mean, ref_se = sg.complex_mean_stderr(values)
+        naive = (np.sum(np.abs(values) ** 2) - paths * abs(values.mean()) ** 2) / (paths - 1) / paths
+        assert (abs(naive - ref_se**2) > 1e-6 * ref_se**2) == (abs(offset) > 1)
+        vac = fock.vacuum(1).amplitudes
+        grid = [0.0, 0.1]
+        results = []
+        for chunk in (1, 3, 8):
+            monkeypatch.setattr(sde, "evolve_ensemble", fed_ensemble(values, chunk * sde.PATH_BLOCK))
+            results.append(sde.correlations(config(), paths, grid, vac, dict.fromkeys(grid, vac)))
+        assert results[1] == results[0] and results[2] == results[0]
+        for _, mean, stderr in results[0]:
+            assert abs(mean - ref_mean) <= 1e-12 * abs(ref_mean)
+            assert abs(stderr - ref_se) <= 1e-12 * ref_se
+
+    def test_memory_does_not_grow_with_path_count(self):
+        # each block is reduced at the grid step, so four default chunks at
+        # n = 1 cost no more memory than one
+        psi = fock.basis_vector(1, [1]).amplitudes
+        grid = [0.01, 0.02]
+
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                sde.correlations(config(seed=1), paths, grid, psi, dict.fromkeys(grid, psi))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(sde.PATH_BLOCK)  # one-time allocations
+        chunk = 32 * sde.PATH_BLOCK
+        assert peak(4 * chunk) <= 1.1 * peak(chunk)
 
 
 class TestGeneratorCheck:
