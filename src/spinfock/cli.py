@@ -283,14 +283,8 @@ def cmd_haar_test(config: dict):
         raise UsageError(f"haar-test needs at least 100 paths, got {n_samples}")
     if n > MAX_HAAR_MODES:
         raise UsageError(f"haar-test is bounded at n <= {MAX_HAAR_MODES}")
-    rng = np.random.default_rng(config["seed"])
-    dim = fock.fock_dim(n)
-
-    entry_means = np.empty(n_samples)
-    trace_sq = np.empty(n_samples)
-    unitarity = 0.0
-    cover = 0.0
-    eye = np.eye(dim)
+    eye = np.eye(fock.fock_dim(n))
+    entry_mean, trace_moment = spin_group.BlockReducer(), spin_group.BlockReducer()
     # the covering relation U spin(X) = spin(R X R^T) U on the vacuum row, for
     # one fixed X = sum_jk x_jk X_jk: both deck signs satisfy it, a wrong lift fails
     syms = so_algebra.symbols(n)
@@ -300,25 +294,28 @@ def cmd_haar_test(config: dict):
     x = np.zeros((2 * n + 1,) * 2)
     x[j, k], x[k, j] = coeffs, -coeffs
     spin_x = np.tensordot(coeffs, images, axes=1)
-    for start, g, u in spin_group.haar_chunks(rng, n, n_samples, eye):
+
+    def check_chunk(g, u):
+        """Feed the chunk's rows to the reducers; its worst cover and unitarity gaps."""
         rot = spin_group.haar_rotations(g)
-        stop = start + len(rot)
-        entry_means[start:stop] = rot.reshape(len(rot), -1).mean(axis=1)
-        trace_sq[start:stop] = np.trace(rot, axis1=1, axis2=2) ** 2
+        entry_mean.add(rot.reshape(len(rot), -1).mean(axis=1))
+        trace_moment.add(np.trace(rot, axis1=1, axis2=2) ** 2)
         rotated_row = (rot @ x @ np.swapaxes(rot, 1, 2))[:, j, k] @ images[:, 0]
         gap = u[:, 0] @ spin_x - np.einsum("pa,pab->pb", rotated_row, u)
-        cover = max(cover, float(np.max(np.abs(gap))))
         gram = np.conj(np.swapaxes(u, 1, 2)) @ u
         gram -= eye
-        unitarity = max(unitarity, float(np.max(np.abs(gram))))
+        return float(np.max(np.abs(gap))), float(np.max(np.abs(gram)))
+
+    cover = unitarity = 0.0
+    rng = np.random.default_rng(config["seed"])
+    for gaps in spin_group.haar_chunks(rng, n, n_samples, eye, check_chunk):
+        cover, unitarity = max(cover, gaps[0]), max(unitarity, gaps[1])
 
     vac = fock.vacuum(n)
     schur = spin_group.l2_inner_mc(vac, vac, n_samples, np.random.default_rng(config["seed"] + 1))
 
-    def standard_error(values):
-        return float(np.std(values, ddof=1) / np.sqrt(len(values)))
-
-    def stat_check(name, mean, target, std_error):
+    def stat_check(name, estimate, target):
+        mean, std_error = estimate.mean.real, estimate.std_error
         z = abs(mean - target) / std_error if std_error > 0 else float("inf")
         return {"name": name, "value": mean, "target": float(target), "std_error": std_error,
                 "z": z, "passed": z <= 3.0}
@@ -327,11 +324,11 @@ def cmd_haar_test(config: dict):
         return {"name": name, "value": value, "target": 0.0, "std_error": 0.0, "z": 0.0,
                 "passed": value <= tolerance}
 
-    # the Schur mean's imaginary part is exactly 0: conj(x) x cancels exactly
+    # the Schur integrand conj(x) x is real; its mean's imaginary part is rounding
     rows = [
-        stat_check("entry-mean", float(np.mean(entry_means)), 0.0, standard_error(entry_means)),
-        stat_check("trace-moment", float(np.mean(trace_sq)), 1.0, standard_error(trace_sq)),
-        stat_check("schur-inner-vacuum", schur.mean.real, 0.5**n, schur.std_error),
+        stat_check("entry-mean", entry_mean.estimate(), 0.0),
+        stat_check("trace-moment", trace_moment.estimate(), 1.0),
+        stat_check("schur-inner-vacuum", schur, 0.5**n),
         exact_check("spin-unitarity", unitarity, 1e-10),
         exact_check("spin-cover", cover, 1e-12),
     ]

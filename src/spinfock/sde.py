@@ -31,12 +31,10 @@ it grows with neither the horizon nor the path count: chunks of blocks are
 evolved in turn, by default _CHUNK_ROW_BYTES of rows each, and a chunk's
 increments and their coefficients take _BLOCK_BYTES. Results depend on the
 seed and the path count only; the last block may be partial, so a path's
-draws depend on the path count. One reducer, correlations, turns the
-ensemble into the per-time means and standard errors that both the
-Feynman-Kac report and the decay curve read. At each grid step it reduces
-every block to its count, mean and sum of squared deviations, and it merges
-the blocks in block order with the pairwise update of Chan, Golub and
-LeVeque (Am. Stat. 37, 1983), so no per-path value outlives its chunk.
+draws depend on the path count. correlations turns the ensemble into the
+per-time means and standard errors that the Feynman-Kac report and the decay
+curve read: at each grid step it feeds the chunk's values to the grid time's
+spin_group.BlockReducer, so no per-path value outlives its chunk.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -47,9 +45,8 @@ command measures.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +55,7 @@ from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
 from .fock import FockVector, vacuum
 from .hamiltonian import HamiltonianSpec
-from .spin_group import apply_modes
+from .spin_group import PATH_BLOCK, apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
@@ -68,10 +65,8 @@ SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 # interpreter overhead.
 _BLOCK_BYTES = 1 << 20
 
-# Paths per random stream: paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from
-# block_rng(seed, b). Chunk sizes must be multiples of it; a default chunk
-# holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
-PATH_BLOCK = 1024
+# Paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from block_rng(seed, b). A
+# default chunk holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
 _CHUNK_ROW_BYTES = 1 << 20
 
 # Largest run evolve_ensemble takes, in amplitude updates (paths x steps x
@@ -227,45 +222,28 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     return r0, reads
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """(count, mean, sum of |value - mean|^2) of two blocks: Chan, Golub and LeVeque's update."""
-    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
-    total, delta = n_a + n_b, mean_b - mean_a
-    return total, mean_a + delta * (n_b / total), m2_a + m2_b + abs(delta) ** 2 * (n_a * n_b / total)
-
-
 def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: dict) -> list:
     """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi[t]> at each grid time.
 
     chi maps each grid time to the amplitudes read at that time. Returns
-    (t, mean, std_error) rows in grid order, std_error as in
-    spin_group.complex_mean_stderr, from block moments merged in block order.
-    Fewer than 100 paths are refused with SizeError, and so is a repeated
-    grid time, which would count every path twice, with DomainError.
+    (t, mean, std_error) rows in grid order, from one spin_group.BlockReducer
+    per grid time. Fewer than 100 paths are refused with SizeError, and so is
+    a repeated grid time, which would count every path twice, with DomainError.
     """
     if n_paths < 100:
         raise SizeError(f"need at least 100 paths, got {n_paths}")
     t_grid = [float(t) for t in t_grid]
     if len(set(t_grid)) != len(t_grid):
         raise DomainError(f"grid times must be distinct, got {t_grid}")
-    shift = {}
+    reducers = {t: spin_group.BlockReducer() for t in t_grid}
 
     def read(t, r0, rows):
         # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk
-        values = np.multiply(np.conj(r0 @ psi), rows @ chi[t])
-        # about the first block's mean, so a large common offset leaves the
-        # differences of block means that the merge takes unrounded
-        values -= shift.setdefault(t, values[:PATH_BLOCK].mean())
-        blocks = np.split(values, range(PATH_BLOCK, len(values), PATH_BLOCK))
-        return [(len(b), b.mean(), len(b) * b.var()) for b in blocks]
+        reducers[t].add(np.multiply(np.conj(r0 @ psi), rows @ chi[t]))
 
-    totals = dict.fromkeys(t_grid, (0, 0.0, 0.0))
-    # itemgetter keeps no chunk's r0 alive while the next one is evolved
-    for reads in map(operator.itemgetter(2), evolve_ensemble(config, n_paths, t_grid, read)):
-        for t, blocks in reads.items():
-            totals[t] = functools.reduce(_merge, blocks, totals[t])
-    return [(t, complex(shift[t] + mean), math.sqrt(m2 / (count - 1) / count))
-            for t, (count, mean, m2) in totals.items()]
+    # a deque of length 0 keeps no chunk's r0 alive while the next one is evolved
+    collections.deque(evolve_ensemble(config, n_paths, t_grid, read), maxlen=0)
+    return [(t, *reducer.estimate()) for t, reducer in reducers.items()]
 
 
 def decay_curve(

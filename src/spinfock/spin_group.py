@@ -23,6 +23,10 @@ image gamma(u') + u_N is, up to sign, that of its pair with e_N. So the
 lift never forms the rotation R; haar_rotations does, from the reduced QR of
 the same matrices, for the haar-test command and the tests.
 
+haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as what
+it holds while lifted and checked: its Gaussian matrix and factors, eight
+(2n+1)^2 float arrays, and its lifted rows, the kernel's scratch and output.
+
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
 i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
@@ -36,15 +40,20 @@ exact targets and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
+import math
 
 import numpy as np
 
 from . import fock, so_algebra
 from .errors import SizeError
 
-# Bytes of lifted rows per chunk in haar_chunks.
+# Bytes of a chunk of haar_chunks, as the module docstring counts them, and
+# values per block of BlockReducer (in sde, paths per random stream).
 _LIFT_BYTES = 1 << 22
+PATH_BLOCK = 1024
+
+MCEstimate = collections.namedtuple("MCEstimate", "mean std_error")
 
 
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
@@ -161,37 +170,53 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(lifted, 0, -1))
 
 
-def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray):
-    """haar_lift over count Gaussian matrices drawn one after another from rng.
+def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, read):
+    """Yields read(g, haar_lift(g, rows)) over chunks of count Gaussian matrices g from rng.
 
-    Yields (start, g, lifted) for consecutive samples from start on, in
-    chunks of a fixed byte budget of lifted rows. The draws are those of one
-    bulk draw of all count matrices, so results do not depend on the chunk.
+    The draws are those of one bulk draw, so results do not depend on the chunk.
     """
     fock.check_mode_count(n)
     N = so_algebra.matrix_size(n)
-    rows = np.asarray(rows)
-    chunk = max(1, _LIFT_BYTES // (16 * rows.size))
+    chunk = max(1, _LIFT_BYTES // (8 * 8 * N * N + 3 * 16 * np.size(rows)))
     for start in range(0, count, chunk):
         g = rng.standard_normal((min(chunk, count - start), N, N))
-        yield start, g, haar_lift(g, rows)
+        yield read(g, haar_lift(g, rows))
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: complex
-    std_error: float
+class BlockReducer:
+    """Mean and standard error of values taken chunk by chunk, in order.
 
+    Blocks of PATH_BLOCK values, cut on the index in the whole sequence, are
+    reduced to their count, mean and sum of squared deviations about the first
+    block's mean, so a common offset does not round them, and merged in order
+    by the update of Chan, Golub and LeVeque (Am. Stat. 37, 1983): the chunks
+    do not change the result, and at most a block of values outlives an add.
+    """
 
-def complex_mean_stderr(values: np.ndarray) -> tuple:
-    """Mean and combined standard error sqrt((var Re + var Im)/N)."""
-    values = np.asarray(values)
-    n = values.size
-    mean = complex(values.mean())
-    if n < 2:
-        return mean, float("inf")
-    var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-    return mean, float(np.sqrt(var / n))
+    def __init__(self):
+        self.shift, self.moments, self.head = None, (0, 0.0, 0.0), np.empty(0)
+
+    def _merged(self, block: np.ndarray) -> tuple:
+        if self.shift is None:
+            self.shift = block.mean()
+        b = block - self.shift
+        (n_a, mean_a, m2_a), n_b = self.moments, len(b)
+        total, delta = n_a + n_b, b.mean() - mean_a
+        m2 = m2_a + n_b * b.var() + abs(delta) ** 2 * (n_a * n_b / total)
+        return total, mean_a + delta * (n_b / total), m2
+
+    def add(self, values: np.ndarray) -> None:
+        """Take the next values, a 1-D array."""
+        values = np.concatenate([self.head, values]) if len(self.head) else values
+        whole = len(values) - len(values) % PATH_BLOCK
+        for lo in range(0, whole, PATH_BLOCK):
+            self.moments = self._merged(values[lo:lo + PATH_BLOCK])
+        self.head = values[whole:].copy()
+
+    def estimate(self) -> MCEstimate:
+        """The mean and sqrt(sum |value - mean|^2 / (N - 1) / N) of the N values taken."""
+        count, mean, m2 = self._merged(self.head) if len(self.head) else self.moments
+        return MCEstimate((self.shift + mean).item(), math.sqrt(m2 / (count - 1) / count))
 
 
 def l2_inner_mc(
@@ -209,8 +234,8 @@ def l2_inner_mc(
         raise SizeError(f"mode counts differ: {psi.n} != {phi.n}")
     if n_samples < 100:
         raise SizeError(f"need at least 100 samples, got {n_samples}")
-    values = np.empty(n_samples, dtype=complex)
-    for start, _, r in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes):
-        values[start:start + len(r)] = np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)
-    mean, stderr = complex_mean_stderr(values)
-    return MCEstimate(mean, stderr)
+    reducer = BlockReducer()
+    for values in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes,
+                              lambda g, r: np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)):
+        reducer.add(values)
+    return reducer.estimate()

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import spinfock
@@ -21,6 +23,11 @@ def run_cli(capsys, argv):
 
 def refuse_to_draw(*args):
     raise AssertionError("a path was drawn")
+
+
+def chunk_size(g, lifted):
+    """A read of spin_group.haar_chunks: the number of samples in the chunk."""
+    return len(g)
 
 
 # the flags each command reads, in the order of its config echo
@@ -436,6 +443,34 @@ class TestHaarTest:
         assert code == 1
         assert checks["spin-unitarity"]["passed"]
         assert not checks["spin-cover"]["passed"] and checks["spin-cover"]["value"] > 0.1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_report_does_not_depend_on_chunk_size(self, capsys, monkeypatch, n):
+        # 16000 bytes hold 20 samples a chunk at n = 1 and 6 at n = 2, so the
+        # reducer's blocks straddle chunks; 2500 paths end on a partial block
+        argv = ["haar-test", "--n", str(n), "--paths", "2500", "--seed", "3"]
+        code, default, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(spin_group, "_LIFT_BYTES", 16000)
+        eye = np.eye(1 << n)
+        assert next(spin_group.haar_chunks(np.random.default_rng(0), n, 100, eye, chunk_size)) <= 20
+        assert run_cli(capsys, argv) == (code, default, "")
+
+    def test_memory_does_not_grow_with_path_count(self, capsys):
+        # every row is reduced chunk by chunk, so four chunks of samples cost
+        # no more memory than one
+        chunk = next(spin_group.haar_chunks(np.random.default_rng(0), 1, 10**9, np.eye(2), chunk_size))
+
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                cli.main(["haar-test", "--n", "1", "--paths", str(paths), "--seed", "2"])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(100)  # one-time allocations
+        assert peak(4 * chunk) <= 1.1 * peak(chunk)
 
     def test_sample_floor_before_drawing(self, capsys, monkeypatch):
         monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)

@@ -319,12 +319,13 @@ class TestReducer:
         [(5000, 0.5), (sde.PATH_BLOCK, 0.5), (100, 0.5j), (5000, 1e6 + 2e6j), (3000, -1e6)],
     )
     def test_matches_complex_mean_stderr(self, paths, offset, monkeypatch):
-        # blocks merged in order against one pass over all values: partial
+        # blocks merged in order against two passes over all values: partial
         # last blocks (5000, 3000, 100 paths), one whole block, and offsets
         # of 1e6 under a spread of 0.5, where a sum of squares loses the spread
         rng = np.random.default_rng(paths)
         values = offset + 0.5 * (rng.standard_normal(paths) + 1j * rng.standard_normal(paths))
-        ref_mean, ref_se = sg.complex_mean_stderr(values)
+        ref_mean = values.mean()
+        ref_se = np.sqrt((values.real.var(ddof=1) + values.imag.var(ddof=1)) / paths)
         naive = (np.sum(np.abs(values) ** 2) - paths * abs(values.mean()) ** 2) / (paths - 1) / paths
         assert (abs(naive - ref_se**2) > 1e-6 * ref_se**2) == (abs(offset) > 1)
         vac = fock.vacuum(1).amplitudes
@@ -388,9 +389,10 @@ class TestGeneratorCheck:
         work = np.empty((len(rows), n_samples), dtype=complex)
         stepped = sg.apply_modes(rows, cos_om, ladder, range(cfg.spec.n), work).T
         f0 = row @ psi
-        values = (stepped @ psi - f0) / cfg.dt
-        mean, stderr = sg.complex_mean_stderr(values)
-        return mean, stderr, (step_mean(cfg) - 1) / cfg.dt * f0
+        reducer = sg.BlockReducer()
+        reducer.add((stepped @ psi - f0) / cfg.dt)
+        est = reducer.estimate()
+        return est.mean, est.std_error, (step_mean(cfg) - 1) / cfg.dt * f0
 
     def test_corrected_rate_at_identity(self):
         cfg = config(seed=101)

@@ -220,6 +220,32 @@ class TestMatrixCoefficients:
             assert np.conj(af) * bf == pytest.approx(np.conj(a) * b, abs=1e-15)
 
 
+class TestBlockReducer:
+    @pytest.mark.parametrize("n, count, kind", [(1, 2500, "entry"), (2, 3000, "trace"), (1, 700, "trace")])
+    def test_matches_two_pass_on_real_values(self, n, count, kind):
+        # haar-test's real rows, entry means and squared traces of Haar
+        # rotations, in chunks of 1, 7 and 1000 samples and in one: blocks
+        # straddle chunks, the last block is partial, and 700 make no whole block
+        rot, _ = haar_draws(np.random.default_rng(count), n, count)
+        if kind == "entry":
+            values = rot.reshape(count, -1).mean(axis=1)
+        else:
+            values = np.trace(rot, axis1=1, axis2=2) ** 2
+        ref_mean = values.mean()
+        ref_se = np.sqrt(values.var(ddof=1) / count)
+        results = []
+        for chunk in (1, 7, 1000, count):
+            reducer = sg.BlockReducer()
+            for start in range(0, count, chunk):
+                reducer.add(values[start:start + chunk])
+            results.append(reducer.estimate())
+        assert all(est == results[0] for est in results)
+        est = results[0]
+        assert isinstance(est.mean, float)
+        assert abs(est.mean - ref_mean) <= 1e-12 * np.max(np.abs(values))
+        assert abs(est.std_error - ref_se) <= 1e-12 * ref_se
+
+
 class TestL2InnerMC:
     def test_schur_normalization_vacuum(self):
         est = sg.l2_inner_mc(fock.vacuum(1), fock.vacuum(1), 2000, np.random.default_rng(21))
@@ -258,6 +284,8 @@ class TestL2InnerMC:
         plain = np.conj(a) * a
         b = ((fixed @ g) @ psi.amplitudes)[:, 0]
         shifted = np.conj(b) * b
-        m1, s1 = sg.complex_mean_stderr(plain)
-        m2, s2 = sg.complex_mean_stderr(shifted)
+        (m1, s1), (m2, s2) = [
+            (v.mean(), np.sqrt((v.real.var(ddof=1) + v.imag.var(ddof=1)) / len(v)))
+            for v in (plain, shifted)
+        ]
         assert abs(m1 - m2) <= 3 * np.hypot(s1, s2)
