@@ -35,11 +35,6 @@ from . import fock, hamiltonian, so_algebra, uea
 from .errors import DomainError, SizeError
 from .hamiltonian import HamiltonianParts, HamiltonianSpec
 
-# Test harness hook: replaces the structure constants inside the
-# homomorphism sweep so the failure path of the verify command can be
-# exercised deliberately.
-_STRUCTURE_BRACKET_OVERRIDE = None
-
 MAX_VERIFY_MODES = 4
 
 
@@ -118,13 +113,12 @@ def check_defining_trace(n: int) -> CheckResult:
 
 def structure_constants(n: int) -> tuple:
     """(index, sign): [X_a, X_b] = sign[a, b] X_index[a, b], sign 0 where it vanishes."""
-    bracket_fn = _STRUCTURE_BRACKET_OVERRIDE or so_algebra.bracket_symbols
     syms = so_algebra.symbols(n)
     position = {s: i for i, s in enumerate(syms)}
     index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
     for a, sa in enumerate(syms):
         for b, sb in enumerate(syms):
-            terms = bracket_fn(sa, sb)
+            terms = so_algebra.bracket_symbols(sa, sb)
             if len(terms) > 1:
                 raise DomainError(f"[X_{sa}, X_{sb}] has {len(terms)} terms, the sweep takes one")
             for sym, coefficient in terms:
@@ -159,13 +153,10 @@ def check_homomorphism(n: int, tag: str, structure: tuple) -> CheckResult:
     return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
 
 
-def check_ladder_spin_image(plus: list, minus: list) -> CheckResult:
-    n = len(plus)
-    worst = 0.0
-    for j, (cdag, c) in enumerate(zip(plus, minus), start=1):
-        worst = max(worst, _max_abs(so_algebra.spin_rep(so_algebra.ladder_element(j, n)) - cdag))
-        worst = max(worst, _max_abs(so_algebra.spin_rep(so_algebra.ladder_element(-j, n)) - c))
-    return _result("ladder-spin-image", worst, 1e-12)
+def check_ladder_spin_image(plus: list, minus: list, spin: HamiltonianParts) -> CheckResult:
+    """fock's c_k^dagger and c_k against the spin images D_k^+ and D_k^- of build_parts."""
+    pairs = zip([*plus, *minus], [*spin.d_plus, *spin.d_minus])
+    return _result("ladder-spin-image", max(_max_abs(image - c) for c, image in pairs), 1e-12)
 
 
 def check_cartan_weights(n: int) -> CheckResult:
@@ -233,7 +224,12 @@ def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
 
 
 def check_factorized_identity(spec: HamiltonianSpec, reps: tuple, parts: tuple) -> CheckResult:
-    """H against -sum_k E_k (a + ib)(a - ib), with a and b rebuilt from the basis images."""
+    """H against -sum_k E_k (a + ib)(a - ib), a and b the basis images multiplied as matrices.
+
+    H is built from exact ladder products in the enveloping algebra, so this
+    is the dense reference for H: a representation that maps a word to the
+    wrong product of its letters' images fails here and in the decomposition.
+    """
     n = spec.n
     N = so_algebra.matrix_size(n)
     worst = 0.0
@@ -267,7 +263,7 @@ def run_verify(n: int, energies) -> list:
         check_defining_trace(n),
         check_homomorphism(n, "defining", structure),
         check_homomorphism(n, "spin", structure),
-        check_ladder_spin_image(plus, minus),
+        check_ladder_spin_image(plus, minus, parts[0]),
         check_cartan_weights(n),
         check_uea_normal_order(spec),
         check_decomposition(parts),

@@ -11,12 +11,14 @@ an identity that holds in any representation because it already holds in the
 enveloping algebra. In the spin representation P0 is the scalar
 (sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2).
 
-``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``.
-T_k, L_k and B0 are images of the ``uea`` polynomials ``cartan_symbol``,
-``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so each part is defined
-once. H stays the dense sum of ladder products, the independent route the
-decomposition check compares against; ``build_parts`` takes it from
-``quasi_hamiltonian``, so the two agree bit for bit.
+``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``, the
+one place where an algebra element becomes a matrix. H is the sum of E_k times
+the image of each mode's exact ladder product D_k^+ D_k^- in the enveloping
+algebra; T_k, L_k and B0 are images of the ``uea`` polynomials
+``cartan_symbol``, ``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so
+each part is defined once. ``build_parts`` takes H from ``quasi_hamiltonian``,
+so the two agree bit for bit; the dense reference for H is the
+``factorized-identity`` check, which multiplies basis images as matrices.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ class HamiltonianParts:
 
 
 def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
-    """H = sum_k E_k rep(E_k^+) rep(E_k^-) alone, building one mode's D_k^+- at a time."""
+    """H = sum_k E_k rep(D_k^+ D_k^-), each ladder product exact in the enveloping algebra."""
     n = spec.n
     h = rep(uea.zero(n))
     for k, e in enumerate(spec.energies, start=1):
-        # the product is held by no name, so it is scaled in place and freed once added
-        h += e * (rep(so_algebra.ladder_element(k, n)) @ rep(so_algebra.ladder_element(-k, n)))
+        d_plus, d_minus = so_algebra.ladder_element(k, n), so_algebra.ladder_element(-k, n)
+        h += e * rep(uea.uea_multiply(d_plus, d_minus))
     return h
 
 

@@ -28,7 +28,7 @@ of PATH_BLOCK, and each block draws from one stream, block_rng: first the
 Gaussian matrices whose Haar lifts start its paths, lifted block by block,
 then its increments, time-major. Two byte budgets fix the working set, so
 it grows with neither the horizon nor the path count: chunks of blocks are
-evolved in turn, by default _CHUNK_ROW_BYTES of rows each, and a chunk's
+evolved in turn, _CHUNK_ROW_BYTES of rows each, and a chunk's
 increments and their coefficients take _BLOCK_BYTES. Results depend on the
 seed and the path count only; the last block may be partial, so a path's
 draws depend on the path count. correlations turns the ensemble into the
@@ -66,7 +66,7 @@ SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 _BLOCK_BYTES = 1 << 20
 
 # Paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from block_rng(seed, b). A
-# default chunk holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
+# chunk holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
 _CHUNK_ROW_BYTES = 1 << 20
 
 # Largest run evolve_ensemble takes, in amplitude updates (paths x steps x
@@ -141,7 +141,7 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read, chunk_size: int | None = None):
+def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     """Evolve independent paths in chunks, reading their rows e_0^T U at the grid times.
 
     Yields (start_index, r0, reads) per chunk. r0 stacks the rows e_0^T U0
@@ -155,15 +155,12 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read, chunk_size: i
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
     Haar starts, lifted block by block, then the (steps, P, 2n) increments,
     time-major, in step-blocks that together equal one draw, scaled in flat
-    (path, direction) rows. chunk_size, by default _CHUNK_ROW_BYTES of rows,
-    must be a multiple of PATH_BLOCK, so results depend on the seed and the
-    path count only, neither on the chunk size nor on the step-block size.
+    (path, direction) rows. A chunk holds whole blocks, _CHUNK_ROW_BYTES of
+    rows and at least 4 blocks, so results depend on the seed and the path
+    count only, neither on the chunk size nor on the step-block size.
     """
     n = config.spec.n
-    if chunk_size is None:
-        chunk_size = PATH_BLOCK * max(4, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
-    if chunk_size <= 0 or chunk_size % PATH_BLOCK:
-        raise DomainError(f"chunk size must be a positive multiple of {PATH_BLOCK}, got {chunk_size}")
+    chunk_size = PATH_BLOCK * max(4, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
     steps_for = {}
     for t in t_grid:
         t = float(t)

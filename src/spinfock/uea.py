@@ -23,20 +23,12 @@ from .errors import SizeError
 from .so_algebra import I, GaussianRational, UEAPolynomial, Word, accumulate
 
 
-def unit(n: int) -> UEAPolynomial:
-    return UEAPolynomial(n, {(): 1})
-
-
 def zero(n: int) -> UEAPolynomial:
     return UEAPolynomial(n, {})
 
 
 def symbol_poly(n: int, sym: so_algebra.Symbol, coeff=1) -> UEAPolynomial:
     return so_algebra.basis_element(n, *sym, coeff)
-
-
-def word_poly(n: int, word: Word, coeff=1) -> UEAPolynomial:
-    return UEAPolynomial(n, {tuple(word): coeff})
 
 
 def uea_multiply(p: UEAPolynomial, q: UEAPolynomial) -> UEAPolynomial:

@@ -29,17 +29,23 @@ def pairwise_residual(n, bracket_fn, images):
 
 def flip_some(n, seed):
     """Structure constants with a random tenth of the nonzero brackets negated."""
-    pairs = [(a, b) for a in so.symbols(n) for b in so.symbols(n) if so.bracket_symbols(a, b)]
+    bracket_symbols = so.bracket_symbols  # the real one: corrupted replaces it
+    pairs = [(a, b) for a in so.symbols(n) for b in so.symbols(n) if bracket_symbols(a, b)]
     picks = np.random.default_rng(seed).choice(len(pairs), max(1, len(pairs) // 10), replace=False)
     flipped = {pairs[i] for i in picks}
 
     def corrupted(a, b):
-        terms = so.bracket_symbols(a, b)
+        terms = bracket_symbols(a, b)
         if (a, b) in flipped:
             return tuple((sym, -sign) for sym, sign in terms)
         return terms
 
     return corrupted
+
+
+def reverse_words(rep):
+    """An image function that maps each word as rep maps the word with its letters reversed."""
+    return lambda elem: rep(so.UEAPolynomial(elem.n, {w[::-1]: c for w, c in elem.terms.items()}))
 
 
 class TestHomomorphismSweep:
@@ -54,15 +60,20 @@ class TestHomomorphismSweep:
         # (a, b) alone, so the sweep must reach the last row and column
         n = 3
         last = tuple(so.symbols(n)[-2:][::-1])
+        bracket_symbols = so.bracket_symbols
 
         def corrupted(a, b):
-            terms = so.bracket_symbols(a, b)
+            terms = bracket_symbols(a, b)
             if (a, b) == last:
                 return tuple((sym, -sign) for sym, sign in terms)
             return terms
 
         assert so.bracket_symbols(*last)
-        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", corrupted)
+        # only the sweep's constants change, not the normal ordering that uses brackets too
+        with monkeypatch.context() as patch:
+            patch.setattr(so, "bracket_symbols", corrupted)
+            structure = checks.structure_constants(n)
+        monkeypatch.setattr(checks, "structure_constants", lambda _: structure)
         results = checks.run_verify(n, (1.0, 2.0, 3.0))
         failing = [r.name for r in results if not r.passed]
         assert failing == ["homomorphism-defining", "homomorphism-spin"]
@@ -71,15 +82,16 @@ class TestHomomorphismSweep:
         # the sweep gathers one term per pair, so a second must not be dropped
         n = 2
         pair = tuple(so.symbols(n)[:2])
+        bracket_symbols = so.bracket_symbols
 
         def doubled(a, b):
-            terms = so.bracket_symbols(a, b)
+            terms = bracket_symbols(a, b)
             if (a, b) == pair:
                 return terms + ((so.symbols(n)[-1], 1),)
             return terms
 
         assert so.bracket_symbols(*pair)
-        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", doubled)
+        monkeypatch.setattr(so, "bracket_symbols", doubled)
         with pytest.raises(DomainError, match="2 terms"):
             checks.structure_constants(n)
 
@@ -106,8 +118,8 @@ class TestHomomorphismSweep:
     def test_matches_pairwise_loop_on_corrupted_constants(self, monkeypatch, n, tag):
         # dyadic images, so both sweeps are exact and agree to the bit
         corrupted = flip_some(n, seed=n)
-        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", corrupted)
         images = stacked_images(n, tag)
+        monkeypatch.setattr(so, "bracket_symbols", corrupted)
         batched = checks._homomorphism_residual(checks.structure_constants(n), images)
         assert batched > 0.0
         assert batched == pairwise_residual(n, corrupted, images)
@@ -124,6 +136,19 @@ class TestHomomorphismSweep:
         reference = pairwise_residual(n, so.bracket_symbols, images)
         assert reference > 1e-4
         assert batched == pytest.approx(reference, rel=0, abs=1e-13)
+
+
+class TestWordImages:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["spin_rep", "defining_rep"])
+    def test_reversed_word_images_fail_the_dense_reference(self, monkeypatch, n, name):
+        # one-letter words and the squares of L_k read the same reversed, so
+        # only H's ladder products change, and only the rows that compare H
+        # with P0 + i B0 or with dense products of basis images see it
+        monkeypatch.setattr(so, name, reverse_words(getattr(so, name)))
+        results = checks.run_verify(n, (1.0, 1.5, 2.5)[:n])
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["hamiltonian-decomposition", "factorized-identity"]
 
 
 class TestUeaNormalOrder:

@@ -80,13 +80,18 @@ class TestVerify:
         assert json.loads(out)["config"]["energies"] == [1.0, 2.0]
 
     def test_corrupted_structure_constant_fails_named_check(self, capsys, monkeypatch):
+        bracket_symbols = checks.so_algebra.bracket_symbols
+
         def corrupted(a, b):
-            terms = checks.so_algebra.bracket_symbols(a, b)
+            terms = bracket_symbols(a, b)
             if (a, b) == ((1, 2), (2, 3)):
                 return tuple((sym, -sign) for sym, sign in terms)
             return terms
 
-        monkeypatch.setattr(checks, "_STRUCTURE_BRACKET_OVERRIDE", corrupted)
+        with monkeypatch.context() as patch:
+            patch.setattr(checks.so_algebra, "bracket_symbols", corrupted)
+            structure = checks.structure_constants(1)
+        monkeypatch.setattr(checks, "structure_constants", lambda _: structure)
         code, out, _ = run_cli(capsys, ["verify", "--n", "1"])
         assert code == 1
         doc = json.loads(out)

@@ -113,6 +113,20 @@ class TestQuasiHamiltonian:
         assert np.array_equal(alone, parts.h_tilde)
         assert alone.tobytes() == parts.h_tilde.tobytes()
 
+    @pytest.mark.parametrize(
+        "tag, n", [("spin", n) for n in range(1, 11)] + [("defining", n) for n in range(1, 5)]
+    )
+    def test_bitwise_equal_to_dense_ladder_products(self, tag, n):
+        # the exact products' images sum to the bits of the dense route, so
+        # reports keep their bytes; non-dyadic energies round every product
+        energies = (0.48, 0.85, 1.22, 1.59, 1.96, 2.33, 2.7, 3.07, 3.44, 3.81)[:n]
+        rep = image_function(tag)
+        dense = rep(so.UEAPolynomial(n, {}))
+        for k, e in enumerate(energies, start=1):
+            dense += e * (rep(so.ladder_element(k, n)) @ rep(so.ladder_element(-k, n)))
+        exact = ham.quasi_hamiltonian(ham.HamiltonianSpec(n, energies), rep)
+        assert exact.tobytes() == dense.tobytes()
+
 
 class TestCAROnSubspace:
     @pytest.mark.parametrize("n", [1, 2, 3])

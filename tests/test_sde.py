@@ -54,7 +54,7 @@ def fed_ensemble(values, chunk):
     Each path starts and stays at the row e_0 scaled by its value, and the
     chunks hold chunk paths each.
     """
-    def evolve(config, n_paths, t_grid, read, chunk_size=None):
+    def evolve(config, n_paths, t_grid, read):
         for start in range(0, n_paths, chunk):
             part = values[start:start + chunk]
             r0 = np.zeros((len(part), 2), dtype=complex)
@@ -164,44 +164,50 @@ class TestVectorImages:
 
 class TestEnsemble:
     def test_chunk_size_invariance(self, monkeypatch):
-        # 37 paths in blocks of 4: chunks of one block, of three, and one
-        # chunk for all, the last block partial
+        # 37 paths in blocks of 4, 64 bytes of rows a path at n = 2: chunks
+        # of the 4-block floor, of five blocks, and one chunk for all, the
+        # last block partial
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         cfg = config(spec=SPEC2, seed=42)
-        def gather(chunk):
-            r0s, rts = [], []
-            for _, r0, snaps in sde.evolve_ensemble(cfg, 37, [0.02], keep_rows, chunk_size=chunk):
-                r0s.append(r0)
-                rts.append(snaps[0.02])
-            return np.concatenate(r0s), np.concatenate(rts)
-        a0, at = gather(4)
-        b0, bt = gather(12)
-        c0, ct = gather(40)
+        def gather(row_bytes):
+            monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", row_bytes)
+            items = list(sde.evolve_ensemble(cfg, 37, [0.02], keep_rows))
+            r0 = np.concatenate([it[1] for it in items])
+            return len(items), r0, np.concatenate([it[2][0.02] for it in items])
+        a, a0, at = gather(0)
+        b, b0, bt = gather(5 * 4 * 64)
+        c, c0, ct = gather(10 * 4 * 64)
+        assert (a, b, c) == (3, 2, 1)
         assert np.array_equal(a0, b0) and np.array_equal(a0, c0)
         assert np.array_equal(at, bt) and np.array_equal(at, ct)
 
     @pytest.mark.parametrize("n, paths", [(1, 33_000), (4, 5000)])
     def test_default_chunks_match_single_blocks(self, n, paths, monkeypatch):
         # n = 1: two default chunks of 32 blocks, the last block partial;
-        # n = 4: chunks of 4 blocks. The reducer must not round by chunk
-        # either, so correlations is compared against the 4-block floor.
+        # n = 4: chunks of 4 blocks. Against the smallest chunks, the 4-block
+        # floor, and one chunk for all paths. The reducer must not round by
+        # chunk either, so correlations is compared against the floor.
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, 1e-3, "corrected", 5)
         grid = [0.0, 0.004]
 
-        def gather(chunk):
-            items = list(sde.evolve_ensemble(cfg, paths, grid, keep_rows, chunk_size=chunk))
+        def gather(row_bytes):
+            monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", row_bytes)
+            items = list(sde.evolve_ensemble(cfg, paths, grid, keep_rows))
             rows = [np.concatenate([it[1] for it in items])]
             rows += [np.concatenate([it[2][t] for it in items]) for t in grid]
             return len(items), rows
 
-        count, default = gather(None)
+        default_bytes = sde._CHUNK_ROW_BYTES
+        count, default = gather(default_bytes)
         assert count == 2
-        blocks, single = gather(sde.PATH_BLOCK)
-        assert blocks == -(-paths // sde.PATH_BLOCK)
-        assert all(np.array_equal(a, b) for a, b in zip(default, single))
+        for row_bytes, chunks in ((0, -(-paths // (4 * sde.PATH_BLOCK))), (1 << 30, 1)):
+            count, other = gather(row_bytes)
+            assert count == chunks
+            assert all(np.array_equal(a, b) for a, b in zip(default, other))
         psi = fock.basis_vector(n, [1]).amplitudes
         chi = dict.fromkeys(grid, psi)
+        monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", default_bytes)
         whole = sde.correlations(cfg, paths, grid, psi, chi)
         monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", 0)
         assert sde.correlations(cfg, paths, grid, psi, chi) == whole
@@ -224,11 +230,6 @@ class TestEnsemble:
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 1)
         assert all(np.array_equal(a, b) for a, b in zip(whole, gather()))
 
-    @pytest.mark.parametrize("chunk", [0, 1000, 1025])
-    def test_chunk_size_must_be_block_multiple(self, chunk):
-        with pytest.raises(DomainError, match="multiple"):
-            next(sde.evolve_ensemble(config(), 10, [0.0], keep_rows, chunk_size=chunk))
-
     def test_grid_alignment_required(self):
         cfg = config()
         with pytest.raises(DomainError):
@@ -249,7 +250,7 @@ class TestEnsemble:
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
         grid = [s * dt for s in (0, 7, 16, 30)]
-        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, keep_rows, chunk_size=8)
+        ((_, r0, snaps),) = sde.evolve_ensemble(cfg, paths, grid, keep_rows)
 
         rngs = [sde.block_rng(seed, b) for b in range(2)]
         sizes = [4, 2]

@@ -97,7 +97,7 @@ class TestBracket:
 
     def test_bracket_refuses_other_words(self):
         x12 = so.basis_element(1, 1, 2)
-        for other in (uea.unit(1), uea.word_poly(1, ((1, 2), (1, 3)))):
+        for other in (so.UEAPolynomial(1, {(): 1}), so.UEAPolynomial(1, {((1, 2), (1, 3)): 1})):
             with pytest.raises(ValueError):
                 so.bracket(x12, other)
 
@@ -122,8 +122,8 @@ class TestBracket:
 
 class TestElements:
     def test_reversed_pair_in_every_symbol(self):
-        assert so.UEAPolynomial(2, {((3, 1), (1, 2)): 1}) == uea.word_poly(2, ((1, 3), (1, 2)), -1)
-        assert so.UEAPolynomial(2, {((3, 1), (2, 1)): 1}) == uea.word_poly(2, ((1, 3), (1, 2)))
+        assert so.UEAPolynomial(2, {((3, 1), (1, 2)): 1}) == so.UEAPolynomial(2, {((1, 3), (1, 2)): -1})
+        assert so.UEAPolynomial(2, {((3, 1), (2, 1)): 1}) == so.UEAPolynomial(2, {((1, 3), (1, 2)): 1})
 
     def test_float_coefficients_taken_exactly(self):
         elem = so.basis_element(1, 1, 2, complex(0.1, -2.5))
@@ -175,7 +175,7 @@ class TestWordImages:
             expected = np.eye(dim)
             for sym in word:
                 expected = expected @ images[sym]
-            assert np.array_equal(rep(uea.word_poly(n, word)), expected), word
+            assert np.array_equal(rep(so.UEAPolynomial(n, {word: 1})), expected), word
 
 
 class TestRepresentations:
