@@ -279,14 +279,13 @@ def fit_decay_rate(rows) -> tuple:
     used = [row for row in rows if usable_for_fit(row)]
     ts = np.array([t for t, _, _ in used])
     ys = np.log(np.array([mean.real for _, mean, _ in used]))
-    if ts.size < 2:
-        raise SizeError("need at least two usable grid points to fit a rate")
+    if ts.size < 3:
+        raise SizeError("need at least three usable grid points to fit a rate and its error")
     tbar = ts.mean()
     sxx = np.sum((ts - tbar) ** 2)
     if sxx == 0:
         raise SizeError("grid times are all equal")
     slope = np.sum((ts - tbar) * (ys - ys.mean())) / sxx
     resid = ys - (ys.mean() + slope * (ts - tbar))
-    dof = max(ts.size - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    stderr = math.sqrt(float(np.sum(resid**2)) / (ts.size - 2) / sxx)
     return -float(slope), stderr

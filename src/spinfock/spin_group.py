@@ -19,13 +19,13 @@ half-spin matrix coefficients. It needs no determinant correction either:
 the correction negates the last column, which appends or removes the
 reflection in e_N, and e_N maps to the scalar -1 or 1 by its place. Where
 the reflections are odd in number the last one is left unpaired, and its
-image gamma(u') + u_N is, up to sign, that of its pair with e_N. So the
-lift never forms the rotation R; haar_rotations does, from the reduced QR of
-the same matrices, for the haar-test command and the tests.
+image gamma(u') + u_N is, up to sign, that of its pair with e_N. The lift
+skips each reflection no sample of a stack uses, always the last Householder
+one, and never forms R; haar_rotations does, for haar-test and the tests.
 
-haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as what
-it holds while lifted and checked: its Gaussian matrix and factors, eight
-(2n+1)^2 float arrays, and its lifted rows, the kernel's scratch and output.
+haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as at
+most what it holds while lifted and checked: its Gaussian matrix and factors,
+eight (2n+1)^2 float arrays, and its lifted rows, the kernel's scratch and output.
 
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
@@ -135,7 +135,8 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     U_p one of the two spin preimages of the rotation haar_rotations makes
     from g[p]. rows (..., 2^n) are shared by all samples; the identity gives
     the spin matrices. The lift runs with the samples on the last axis,
-    (2^n, ..., P), and returns a C-contiguous (P, ..., 2^n) array.
+    (2^n, ..., P), and returns a C-contiguous (P, ..., 2^n) array. It applies
+    the Householder reflectors, then those in e_a where R_aa < 0, if in use.
     """
     g = np.asarray(g, dtype=float)
     N = g.shape[-1]
@@ -151,21 +152,24 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # always so for the last), and its diagonal is the R-diagonal.
     v = np.triu(h, 1) + np.eye(N)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    vecs = np.concatenate([v, np.broadcast_to(np.eye(N), g.shape)], axis=1)
-    active = np.concatenate([tau != 0, np.einsum("...ii->...i", h) < 0], axis=1)
-    # coordinate vector e_a needs only the mode of gamma_a (none for a = N)
-    modes = [list(range(n))] * N + [[a // 2] for a in range(N - 1)] + [[]]
     lifted = np.moveaxis(lifted, -1, 0)[..., None]
     work = np.empty(lifted.shape[:-1] + (len(g),), dtype=complex)
     odd = np.zeros(len(g), dtype=bool)
-    for k, mk in enumerate(modes):
-        on = active[:, k]
-        u = vecs[:, k]
-        # the vector at an odd place maps to gamma(u') + u_N, at an even
-        # place to gamma(u') - u_N; apply_modes applies gamma_j / 2, so 2 u'
-        scalar = np.where(on, np.where(odd, -u[:, -1], u[:, -1]), 1.0)
-        coef = np.where(on[:, None], 2.0 * u[:, :-1], 0.0)
-        lifted = apply_modes(lifted, scalar, coef.view(complex).T[mk], mk, work)
+    for k in range(2 * N):
+        a = k - N  # the coordinate reflections come last, a = 0 .. N - 1
+        on = tau[:, k] != 0 if a < 0 else h[:, a, a] < 0
+        if not on.any():
+            continue
+        # the vector at an odd place maps to gamma(u') + u_N, at an even place
+        # to gamma(u') - u_N; apply_modes applies gamma_j / 2, so 2 u', which
+        # for e_a is 2 or 2i on the mode of its gamma alone (none for the last)
+        if a < 0:
+            u_n, modes = v[:, k, -1], range(n)
+            ladder = np.where(on[:, None], 2.0 * v[:, k, :-1], 0.0).view(complex).T
+        else:
+            u_n, modes = float(a == N - 1), [a // 2] if a < N - 1 else []
+            ladder = [np.where(on, 2j if a % 2 else 2.0, 0j)]
+        lifted = apply_modes(lifted, np.where(on, np.where(odd, -u_n, u_n), 1.0), ladder, modes, work)
         odd ^= on
     return np.ascontiguousarray(np.swapaxes(lifted, 0, -1))
 

@@ -50,7 +50,7 @@ RUNS = {
     "verify": ["--n", "1"],
     "spectrum": ["--n", "2"],
     "fk": ["--n", "1", "--t-grid", "0.05", "--paths", "200", "--seed", "5", "--dt", "0.005"],
-    "calibrate": ["--n", "1", "--t-grid", "0,0.05", "--paths", "200", "--seed", "5",
+    "calibrate": ["--n", "1", "--t-grid", "0,0.05,0.1", "--paths", "200", "--seed", "5",
                   "--dt", "0.005"],
     "haar-test": ["--n", "1", "--paths", "200", "--seed", "5"],
 }
@@ -274,20 +274,22 @@ class TestCalibrate:
         assert out == ""
         assert "distinct" in err
 
-    @pytest.mark.parametrize("grid", ["", "0.1", "0.1,0.1"])
+    @pytest.mark.parametrize("grid", ["", "0.1", "0.1,0.1", "0,0.1", "0,0.1,0.1"])
     def test_refuses_short_grid_before_drawing(self, capsys, monkeypatch, grid):
+        # a line through two times fits exactly, with no residual to give its error
         monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
         code, out, err = run_cli(
             capsys, ["calibrate", "--n", "1", "--t-grid=" + grid, "--seed", "1", "--dt", "0.005"]
         )
         assert code == 2
         assert out == ""
-        assert "two distinct times" in err
+        assert "three distinct times" in err
 
     def test_path_floor_before_drawing(self, capsys, monkeypatch):
         monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
         code, out, err = run_cli(
-            capsys, ["calibrate", "--n", "1", "--paths", "1", "--seed", "1", "--t-grid", "0,0.1"]
+            capsys,
+            ["calibrate", "--n", "1", "--paths", "1", "--seed", "1", "--t-grid", "0,0.05,0.1"],
         )
         assert code == 2
         assert out == ""
@@ -346,7 +348,7 @@ class TestNonFinite:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.01")], ids=["fk", "calibrate"]
+        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.005,0.01")], ids=["fk", "calibrate"]
     )
     def test_subnormal_dt_refused_before_drawing(self, capsys, monkeypatch, command, grid):
         # 0 < dt < inf, but 0.01 / 5e-324 overflows: no finite step count
@@ -360,7 +362,7 @@ class TestNonFinite:
 
 class TestWorkBudget:
     @pytest.mark.parametrize(
-        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.01")], ids=["fk", "calibrate"]
+        "command, grid", [("fk", "0.01"), ("calibrate", "0,0.005,0.01")], ids=["fk", "calibrate"]
     )
     def test_tiny_dt_refused_before_drawing(self, capsys, monkeypatch, command, grid):
         # t/dt = 1e298 is finite, but 200 paths x 1e298 steps x 2^1 is over the budget
@@ -459,6 +461,26 @@ class TestHaarTest:
         eye = np.eye(1 << n)
         assert next(spin_group.haar_chunks(np.random.default_rng(0), n, 100, eye, chunk_size)) <= 20
         assert run_cli(capsys, argv) == (code, default, "")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_schur_row_reads_the_lifted_samples(self, capsys, n):
+        # the row reduces conj(U_00) U_00 of the spin matrices the run lifts
+        # from its own stream; a second draw, as from seed + 1, differs
+        N, paths, seed = 2 * n + 1, 2500, 4
+        argv = ["haar-test", "--n", str(n), "--paths", str(paths), "--seed", str(seed)]
+        code, out, _ = run_cli(capsys, argv)
+        row = {c["name"]: c for c in json.loads(out)["checks"]}["schur-inner-vacuum"]
+
+        def schur(rng):
+            u = spin_group.haar_lift(rng.standard_normal((paths, N, N)), np.eye(1 << n))
+            reducer = spin_group.BlockReducer()
+            reducer.add(np.conj(u[:, 0, 0]) * u[:, 0, 0])
+            estimate = reducer.estimate()
+            return estimate.mean.real, estimate.std_error
+
+        assert code == 0
+        assert (row["value"], row["std_error"]) == schur(np.random.default_rng(seed))
+        assert row["value"] != schur(np.random.default_rng(seed + 1))[0]
 
     def test_memory_does_not_grow_with_path_count(self, capsys):
         # every row is reduced chunk by chunk, so four chunks of samples cost

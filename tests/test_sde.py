@@ -461,6 +461,14 @@ class TestDecay:
         with pytest.raises(SizeError):
             sde.fit_decay_rate([(0.0, 0.5 + 0j, 0.01)])
 
+    @pytest.mark.parametrize("dropped", [0.0, -0.01])
+    def test_fit_needs_three_usable_points(self, dropped):
+        # a line through the two usable points fits them exactly, so no
+        # residual is left to give its standard error
+        rows = [(0.0, 0.5 + 0j, 0.01), (0.5, 0.4 + 0j, 0.01), (1.0, dropped + 0j, 0.01)]
+        with pytest.raises(SizeError, match="three usable"):
+            sde.fit_decay_rate(rows)
+
     def test_fit_skips_non_positive_point(self):
         # ln Re mean is undefined at the last point; the fit uses the rest
         rows = [(t, 0.5 * np.exp(-0.5 * t) + 0j, 0.01) for t in (0.0, 0.5, 1.0)]

@@ -149,6 +149,46 @@ class TestHaarLift:
         lhs = u[0] @ spin_of_antisymmetric(n, x) @ u[0].conj().T
         assert np.max(np.abs(lhs - spin_of_antisymmetric(n, rot[0] @ x @ rot[0].T))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reflections_some_samples_skip(self, n):
+        # Gaussian draws, triangular draws, whose Householder reflectors are
+        # all the identity, and draws with a positive R-diagonal, so no
+        # coordinate reflection: each sample lifts as it does alone, and covers
+        N, count, rng = 2 * n + 1, 4, np.random.default_rng(60 + n)
+        gauss, tri, pos = rng.standard_normal((3, count, N, N))
+        tri = np.triu(tri)
+        # a negated column negates its R-diagonal entry and keeps the reflectors
+        pos *= np.sign(np.einsum("...ii->...i", np.linalg.qr(pos, mode="r")))[:, None, :]
+        h, tau = np.linalg.qr(np.concatenate([tri, pos]), mode="raw")
+        assert not tau[:count].any() and (np.einsum("...ii->...i", h[count:]) > 0).all()
+        g = np.stack([gauss, tri, pos], axis=1).reshape(3 * count, N, N)
+        rot, u = sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
+        for p in range(len(g)):
+            assert np.array_equal(u[p], sg.haar_lift(g[p:p + 1], np.eye(1 << n))[0])
+        a = np.random.default_rng(5).standard_normal((N, N))
+        x = a - a.T
+        lhs = u @ spin_of_antisymmetric(n, x) @ np.conj(np.swapaxes(u, 1, 2))
+        rhs = spin_of_antisymmetric(n, rot @ x @ np.swapaxes(rot, 1, 2))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_applies_only_the_reflections_in_use(self, n, monkeypatch):
+        # a Gaussian stack never uses the last Householder reflector; an
+        # upper-triangular draw with a positive diagonal uses none, and lifts to 1
+        calls, apply_modes = [], sg.apply_modes
+
+        def counted(*args):
+            calls.append(args)
+            return apply_modes(*args)
+
+        monkeypatch.setattr(sg, "apply_modes", counted)
+        N, rows = 2 * n + 1, np.eye(1 << n)
+        sg.haar_lift(np.random.default_rng(n).standard_normal((50, N, N)), rows)
+        assert len(calls) == 2 * N - 1
+        g = np.triu(np.random.default_rng(n).standard_normal((N, N)), 1) + np.eye(N)
+        assert np.array_equal(sg.haar_lift(g[None], rows)[0], rows)
+        assert len(calls) == 2 * N - 1
+
     def test_rows_are_rows_of_the_spin_matrix(self):
         g = np.random.default_rng(8).standard_normal((6, 5, 5))
         u = sg.haar_lift(g, np.eye(4))
