@@ -15,6 +15,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,6 +88,7 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfock",
@@ -296,9 +298,9 @@ def cmd_haar_test(config: dict):
     x[j, k], x[k, j] = coeffs, -coeffs
     spin_x = np.tensordot(coeffs, images, axes=1)
 
-    def check_chunk(g, u):
+    def check_chunk(factors, u):
         """Feed the chunk's rows to the reducers; its worst cover and unitarity gaps."""
-        rot = spin_group.haar_rotations(g)
+        rot = spin_group.haar_rotations(factors)
         entry_mean.add(rot.reshape(len(rot), -1).mean(axis=1))
         trace_moment.add(np.trace(rot, axis1=1, axis2=2) ** 2)
         schur.add(np.conj(u[:, 0, 0]) * u[:, 0, 0])  # real, and 2^{-n} on average by Schur

@@ -195,7 +195,8 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     ]
     r0 = np.empty((count, 1 << n), dtype=complex)
     for rng, lo, hi in blocks:
-        r0[lo:hi] = spin_group.haar_lift(rng.standard_normal((hi - lo, N, N)), vacuum(n).amplitudes)
+        r0[lo:hi] = spin_group.haar_lift(
+            spin_group.haar_factors(rng.standard_normal((hi - lo, N, N))), vacuum(n).amplitudes)
     block = max(1, min(total_steps, _BLOCK_BYTES // (count * (width + 3) * 8)))
     scaled = np.empty((block, count, width))
     flat = scaled.reshape(block, count * width)

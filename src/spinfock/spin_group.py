@@ -5,9 +5,10 @@ Haar samples on SO(2n+1) come from the QR factorization of a Gaussian matrix,
 with the usual R-diagonal sign fix and a determinant correction. The
 orthogonal factor is a product of Householder reflections times coordinate
 reflections, and a reflection in the unit vector u is the Clifford vector u.
-The lift reads both from one raw QR per stack: the reflectors, and the
-R-diagonal whose signs give the coordinate reflections. The product lifts to
-the spin representation through Cl^0(2n+1) = Cl(2n), taken pair by pair:
+haar_rotations and the lift read both from one raw QR per stack, haar_factors:
+the reflectors, and the R-diagonal whose signs give the coordinate
+reflections. The product lifts to the spin representation through
+Cl^0(2n+1) = Cl(2n), taken pair by pair:
 
     u v -> (gamma(u') + u_N)(gamma(v') - v_N),
 
@@ -20,12 +21,10 @@ the correction negates the last column, which appends or removes the
 reflection in e_N, and e_N maps to the scalar -1 or 1 by its place. Where
 the reflections are odd in number the last one is left unpaired, and its
 image gamma(u') + u_N is, up to sign, that of its pair with e_N. The lift
-skips each reflection no sample of a stack uses, always the last Householder
-one, and never forms R; haar_rotations does, for haar-test and the tests.
+skips each reflection no sample of a stack uses, the last Householder one always.
 
-haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as at
-most what it holds while lifted and checked: its Gaussian matrix and factors,
-eight (2n+1)^2 float arrays, and its lifted rows, the kernel's scratch and output.
+haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as eight
+(2n+1)^2 float arrays, twice the most it holds at once, and three of lifted rows.
 
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
@@ -111,50 +110,63 @@ def apply_modes(rows, scalar, ladder, modes, work) -> np.ndarray:
     return out
 
 
-def haar_rotations(g: np.ndarray) -> np.ndarray:
-    """Haar rotations of a stack of Gaussian matrices: QR, sign and det fixed.
+def haar_factors(g: np.ndarray) -> tuple:
+    """The raw QR (h, tau) of a stack of matrices, which haar_rotations and haar_lift read.
 
-    R = Q diag(d), d the sign of the R-diagonal of the QR, with its last
-    entry flipped where that leaves det(R) < 0.
+    Row i of h holds R_ii and, right of it, the vector e_i + sum_{k>i} h[i, k] e_k
+    of the reflector I - tau_i v v^T (the identity where tau_i is 0, as the last).
     """
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)[..., None, :]
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
-    return q
+    return np.linalg.qr(np.asarray(g, dtype=float), mode="raw")
+
+
+def haar_rotations(factors: tuple) -> np.ndarray:
+    """Haar rotations of a stack of Gaussian matrices, from their haar_factors.
+
+    R = Q diag(d), Q the product of LAPACK's reflectors (not the lift's normalised
+    ones), d the R-diagonal's signs but the last, which makes det R = +1 by the
+    parity of the other reflections in use. Reflector i changes the block from (i, i).
+    """
+    h, tau = factors
+    N = h.shape[-1]
+    neg = h.diagonal(axis1=1, axis2=2) < 0
+    neg[:, -1] = np.logical_xor.reduce(neg[:, :-1] != (tau[:, :-1] != 0), axis=1)
+    v = h.copy()
+    v.reshape(len(h), -1)[:, ::N + 1] = 1.0
+    rot = np.eye(N) * (1.0 - 2.0 * neg)[:, None, :]
+    for i in range(N - 2, -1, -1):
+        block = rot[:, i:, i:]
+        block -= (tau[:, i, None, None] * v[:, i, i:, None]) * (v[:, i, None, i:] @ block)
+    return rot
 
 
 def haar_orthogonal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Haar sample on SO(size): QR of a Gaussian matrix, sign and det fixed."""
-    return haar_rotations(rng.standard_normal((1, size, size)))[0]
+    return haar_rotations(haar_factors(rng.standard_normal((1, size, size))))[0]
 
 
-def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def haar_lift(factors: tuple, rows: np.ndarray) -> np.ndarray:
     """Rows of the spin lifts of the Haar rotations of a stack of Gaussian matrices.
 
-    g stacks P Gaussian (2n+1) x (2n+1) matrices. lifted[p] is rows @ U_p,
-    U_p one of the two spin preimages of the rotation haar_rotations makes
-    from g[p]. rows (..., 2^n) are shared by all samples; the identity gives
-    the spin matrices. The lift runs with the samples on the last axis,
-    (2^n, ..., P), and returns a C-contiguous (P, ..., 2^n) array. It applies
-    the Householder reflectors, then those in e_a where R_aa < 0, if in use.
+    factors are the haar_factors of P Gaussian (2n+1) x (2n+1) matrices, and
+    lifted[p] is rows @ U_p, U_p a spin preimage of haar_rotations(factors)[p].
+    rows (..., 2^n) are shared by all samples; the identity gives the spin
+    matrices. The lift runs with the samples on the last axis, (2^n, ..., P),
+    and returns a C-contiguous (P, ..., 2^n) array. It applies the
+    Householder reflectors, then those in e_a where R_aa < 0, if in use.
     """
-    g = np.asarray(g, dtype=float)
-    N = g.shape[-1]
-    if g.ndim != 3 or g.shape[1] != N or N < 3 or N % 2 == 0:
-        raise SizeError(f"need a stack of odd-sized square matrices, got shape {g.shape}")
+    h, tau = factors
+    N = h.shape[-1]
+    if h.ndim != 3 or h.shape[1] != N or N < 3 or N % 2 == 0:
+        raise SizeError(f"need a stack of odd-sized square matrices, got shape {h.shape}")
     n = (N - 1) // 2
     lifted = np.asarray(rows, dtype=complex)
     if lifted.shape[-1:] != (fock.fock_dim(n),):
         raise SizeError(f"rows must have {fock.fock_dim(n)} entries, got shape {lifted.shape}")
-    h, tau = np.linalg.qr(g, mode="raw")
-    # Row i of the (transposed) raw factor holds the Householder vector
-    # e_i + sum_{k>i} h[i, k] e_k of reflector H_i (identity where tau is 0,
-    # always so for the last), and its diagonal is the R-diagonal.
     v = np.triu(h, 1) + np.eye(N)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     lifted = np.moveaxis(lifted, -1, 0)[..., None]
-    work = np.empty(lifted.shape[:-1] + (len(g),), dtype=complex)
-    odd = np.zeros(len(g), dtype=bool)
+    work = np.empty(lifted.shape[:-1] + (len(h),), dtype=complex)
+    odd = np.zeros(len(h), dtype=bool)
     for k in range(2 * N):
         a = k - N  # the coordinate reflections come last, a = 0 .. N - 1
         on = tau[:, k] != 0 if a < 0 else h[:, a, a] < 0
@@ -175,7 +187,7 @@ def haar_lift(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, read):
-    """Yields read(g, haar_lift(g, rows)) over chunks of count Gaussian matrices g from rng.
+    """Yields read(f, haar_lift(f, rows)), f the haar_factors of chunks of count draws from rng.
 
     The draws are those of one bulk draw, so results do not depend on the chunk.
     """
@@ -183,8 +195,8 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, 
     N = so_algebra.matrix_size(n)
     chunk = max(1, _LIFT_BYTES // (8 * 8 * N * N + 3 * 16 * np.size(rows)))
     for start in range(0, count, chunk):
-        g = rng.standard_normal((min(chunk, count - start), N, N))
-        yield read(g, haar_lift(g, rows))
+        factors = haar_factors(rng.standard_normal((min(chunk, count - start), N, N)))
+        yield read(factors, haar_lift(factors, rows))
 
 
 class BlockReducer:
@@ -240,6 +252,6 @@ def l2_inner_mc(
         raise SizeError(f"need at least 100 samples, got {n_samples}")
     reducer = BlockReducer()
     for values in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes,
-                              lambda g, r: np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)):
+                              lambda f, r: np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)):
         reducer.add(values)
     return reducer.estimate()

@@ -25,9 +25,9 @@ def refuse_to_draw(*args):
     raise AssertionError("a path was drawn")
 
 
-def chunk_size(g, lifted):
+def chunk_size(factors, lifted):
     """A read of spin_group.haar_chunks: the number of samples in the chunk."""
-    return len(g)
+    return len(lifted)
 
 
 # the flags each command reads, in the order of its config echo
@@ -444,7 +444,7 @@ class TestHaarTest:
     def test_unitary_wrong_lift_fails_spin_cover(self, capsys, monkeypatch, n):
         # U gamma_1 is unitary, but it covers R composed with a reflection, not R
         lift = spin_group.haar_lift
-        monkeypatch.setattr(spin_group, "haar_lift", lambda g, rows: lift(g, rows) @ fock.gamma(1, n))
+        monkeypatch.setattr(spin_group, "haar_lift", lambda f, rows: lift(f, rows) @ fock.gamma(1, n))
         code, out, _ = run_cli(capsys, ["haar-test", "--n", str(n), "--paths", "400", "--seed", "6"])
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 1
@@ -472,7 +472,8 @@ class TestHaarTest:
         row = {c["name"]: c for c in json.loads(out)["checks"]}["schur-inner-vacuum"]
 
         def schur(rng):
-            u = spin_group.haar_lift(rng.standard_normal((paths, N, N)), np.eye(1 << n))
+            g = rng.standard_normal((paths, N, N))
+            u = spin_group.haar_lift(spin_group.haar_factors(g), np.eye(1 << n))
             reducer = spin_group.BlockReducer()
             reducer.add(np.conj(u[:, 0, 0]) * u[:, 0, 0])
             estimate = reducer.estimate()
@@ -481,6 +482,25 @@ class TestHaarTest:
         assert code == 0
         assert (row["value"], row["std_error"]) == schur(np.random.default_rng(seed))
         assert row["value"] != schur(np.random.default_rng(seed + 1))[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_factorization_per_chunk(self, capsys, monkeypatch, n):
+        # the rotations and the lift of a chunk read one raw QR; no determinant
+        monkeypatch.setattr(spin_group, "_LIFT_BYTES", 16000)
+        rng, eye = np.random.default_rng(0), np.eye(1 << n)
+        sizes = list(spin_group.haar_chunks(rng, n, 300, eye, chunk_size))
+        qr, modes, dets = np.linalg.qr, [], []
+
+        def counted_qr(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(np.linalg, "det", dets.append)
+        code, _, _ = run_cli(capsys, ["haar-test", "--n", str(n), "--paths", "300", "--seed", "1"])
+        assert code == 0
+        assert len(sizes) > 1 and modes == ["raw"] * len(sizes)
+        assert dets == []
 
     def test_memory_does_not_grow_with_path_count(self, capsys):
         # every row is reduced chunk by chunk, so four chunks of samples cost
@@ -523,6 +543,14 @@ class TestHaarTest:
         assert code == 2
         assert out == ""
         assert "n <= 1" in err
+
+
+class TestParser:
+    def test_commands_share_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, ["verify", "--n", "1"])[0] == 0
+        assert run_cli(capsys, ["haar-test", *RUNS["haar-test"]])[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestImport:

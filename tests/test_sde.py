@@ -257,7 +257,7 @@ class TestEnsemble:
         g = np.concatenate(
             [rng.standard_normal((p, 2 * n + 1, 2 * n + 1)) for rng, p in zip(rngs, sizes)]
         )
-        u = sg.haar_lift(g, np.eye(1 << n))
+        u = sg.haar_lift(sg.haar_factors(g), np.eye(1 << n))
         dw = np.concatenate(
             [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
         ) * np.sqrt(dt)
@@ -408,7 +408,8 @@ class TestGeneratorCheck:
         assert abs(mean - target) <= 4 * stderr + 1e-3
 
     def test_haar_point_away_from_identity(self):
-        u = sg.haar_lift(np.random.default_rng(17).standard_normal((1, 3, 3)), np.eye(2))
+        g = np.random.default_rng(17).standard_normal((1, 3, 3))
+        u = sg.haar_lift(sg.haar_factors(g), np.eye(2))
         cfg = config(seed=103)
         top = fock.basis_vector(1, [1]).amplitudes
         mean, stderr, target = self.one_step_mean(u[0, 0], top, 200_000, cfg)

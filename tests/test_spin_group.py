@@ -49,11 +49,37 @@ class TestExponentials:
         assert np.array_equal(stacked, np.stack([sg.expm_antihermitian(x) for x in m]))
 
 
+def rotations_and_lifts(g, rows):
+    """Rotations and lifted rows of a stack of Gaussian matrices, from one factorization."""
+    factors = sg.haar_factors(g)
+    return sg.haar_rotations(factors), sg.haar_lift(factors, rows)
+
+
 def haar_draws(rng, n, count):
     """Rotations and spin matrices of count Gaussian draws from rng."""
     N = 2 * n + 1
-    g = rng.standard_normal((count, N, N))
-    return sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
+    return rotations_and_lifts(rng.standard_normal((count, N, N)), np.eye(1 << n))
+
+
+def lapack_rotations(g):
+    """The reference rotations: reduced QR, R-diagonal sign fix, determinant fix."""
+    q, r = np.linalg.qr(g)
+    q = q * np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)[..., None, :]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
+def mixed_stack(rng, N, count):
+    """count Gaussian draws, count triangular ones, whose Householder reflectors
+    are all the identity, and count with a positive R-diagonal, which use no
+    coordinate reflection, interleaved."""
+    gauss, tri, pos = rng.standard_normal((3, count, N, N))
+    tri = np.triu(tri)
+    # a negated column negates its R-diagonal entry and keeps the reflectors
+    pos *= np.sign(np.einsum("...ii->...i", np.linalg.qr(pos, mode="r")))[:, None, :]
+    h, tau = np.linalg.qr(np.concatenate([tri, pos]), mode="raw")
+    assert not tau[:count].any() and (np.einsum("...ii->...i", h[count:]) > 0).all()
+    return np.stack([gauss, tri, pos], axis=1).reshape(3 * count, N, N)
 
 
 class TestHaar:
@@ -112,6 +138,21 @@ class TestApplyModes:
         assert not np.any(out[::4])
 
 
+class TestHaarRotations:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_lapack_reference(self, n):
+        # Gaussian, triangular (every tau 0) and positive-R-diagonal draws
+        N = 2 * n + 1
+        g = np.concatenate([
+            np.random.default_rng(80 + n).standard_normal((300, N, N)),
+            mixed_stack(np.random.default_rng(90 + n), N, 20),
+        ])
+        rot = sg.haar_rotations(sg.haar_factors(g))
+        assert np.max(np.abs(rot - lapack_rotations(g))) <= 1e-14
+        assert np.max(np.abs(np.linalg.det(rot) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.swapaxes(rot, 1, 2) @ rot - np.eye(N))) <= 1e-14
+
+
 class TestHaarLift:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lift_conjugates_spin_images(self, n):
@@ -126,7 +167,7 @@ class TestHaarLift:
         worst = 0.0
         for b in range(paths // chunk):
             g = sde.block_rng(7, b).standard_normal((chunk, N, N))
-            rot, u = sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
+            rot, u = rotations_and_lifts(g, np.eye(1 << n))
             rng = sde.block_rng(7, b)
             expected = np.stack([sg.haar_orthogonal(rng, N) for _ in range(chunk)])
             assert np.array_equal(rot, expected)
@@ -141,7 +182,7 @@ class TestHaarLift:
         N = 2 * n + 1
         g = np.triu(np.random.default_rng(n).standard_normal((N, N)))
         g[np.diag_indices(N)] = [-1.0, 2.0, -3.0, 1.0, -2.0][:N]
-        rot, u = sg.haar_rotations(g[None]), sg.haar_lift(g[None], np.eye(1 << n))
+        rot, u = rotations_and_lifts(g[None], np.eye(1 << n))
         assert np.array_equal(np.abs(rot[0]), np.eye(N))
         assert np.linalg.det(rot[0]) == pytest.approx(1.0)
         a = np.random.default_rng(5).standard_normal((N, N))
@@ -151,20 +192,12 @@ class TestHaarLift:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reflections_some_samples_skip(self, n):
-        # Gaussian draws, triangular draws, whose Householder reflectors are
-        # all the identity, and draws with a positive R-diagonal, so no
-        # coordinate reflection: each sample lifts as it does alone, and covers
-        N, count, rng = 2 * n + 1, 4, np.random.default_rng(60 + n)
-        gauss, tri, pos = rng.standard_normal((3, count, N, N))
-        tri = np.triu(tri)
-        # a negated column negates its R-diagonal entry and keeps the reflectors
-        pos *= np.sign(np.einsum("...ii->...i", np.linalg.qr(pos, mode="r")))[:, None, :]
-        h, tau = np.linalg.qr(np.concatenate([tri, pos]), mode="raw")
-        assert not tau[:count].any() and (np.einsum("...ii->...i", h[count:]) > 0).all()
-        g = np.stack([gauss, tri, pos], axis=1).reshape(3 * count, N, N)
-        rot, u = sg.haar_rotations(g), sg.haar_lift(g, np.eye(1 << n))
+        # each sample of a mixed stack lifts as it does alone, and covers
+        N = 2 * n + 1
+        g = mixed_stack(np.random.default_rng(60 + n), N, 4)
+        rot, u = rotations_and_lifts(g, np.eye(1 << n))
         for p in range(len(g)):
-            assert np.array_equal(u[p], sg.haar_lift(g[p:p + 1], np.eye(1 << n))[0])
+            assert np.array_equal(u[p], sg.haar_lift(sg.haar_factors(g[p:p + 1]), np.eye(1 << n))[0])
         a = np.random.default_rng(5).standard_normal((N, N))
         x = a - a.T
         lhs = u @ spin_of_antisymmetric(n, x) @ np.conj(np.swapaxes(u, 1, 2))
@@ -183,26 +216,28 @@ class TestHaarLift:
 
         monkeypatch.setattr(sg, "apply_modes", counted)
         N, rows = 2 * n + 1, np.eye(1 << n)
-        sg.haar_lift(np.random.default_rng(n).standard_normal((50, N, N)), rows)
+        sg.haar_lift(sg.haar_factors(np.random.default_rng(n).standard_normal((50, N, N))), rows)
         assert len(calls) == 2 * N - 1
         g = np.triu(np.random.default_rng(n).standard_normal((N, N)), 1) + np.eye(N)
-        assert np.array_equal(sg.haar_lift(g[None], rows)[0], rows)
+        assert np.array_equal(sg.haar_lift(sg.haar_factors(g[None]), rows)[0], rows)
         assert len(calls) == 2 * N - 1
 
     def test_rows_are_rows_of_the_spin_matrix(self):
         g = np.random.default_rng(8).standard_normal((6, 5, 5))
-        u = sg.haar_lift(g, np.eye(4))
-        rows = sg.haar_lift(g, np.eye(4)[[0, 3]])
+        factors = sg.haar_factors(g)
+        u = sg.haar_lift(factors, np.eye(4))
+        rows = sg.haar_lift(factors, np.eye(4)[[0, 3]])
         assert np.array_equal(rows, u[:, [0, 3]])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(SizeError):
-            sg.haar_lift(np.zeros((2, 4, 4)), np.eye(2))
+            sg.haar_lift(sg.haar_factors(np.zeros((2, 4, 4))), np.eye(2))
         with pytest.raises(SizeError):
-            sg.haar_lift(np.ones((2, 5, 5)), np.eye(2))
+            sg.haar_lift(sg.haar_factors(np.ones((2, 5, 5))), np.eye(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_raw_qr_and_no_det(self, n, monkeypatch):
+        # the rotations and the lift both read the one raw factorization
         qr, modes, dets = np.linalg.qr, [], []
 
         def counted_qr(a, mode="reduced"):
@@ -212,7 +247,7 @@ class TestHaarLift:
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         monkeypatch.setattr(np.linalg, "det", dets.append)
         N = 2 * n + 1
-        sg.haar_lift(np.random.default_rng(n).standard_normal((50, N, N)), np.eye(1 << n))
+        rotations_and_lifts(np.random.default_rng(n).standard_normal((50, N, N)), np.eye(1 << n))
         assert modes == ["raw"]
         assert dets == []
 
@@ -224,7 +259,7 @@ class TestMatrixCoefficients:
         # an upper-triangular draw with a positive diagonal is the identity
         # rotation, and its lift is exactly the identity
         g = np.triu(np.random.default_rng(2).standard_normal((5, 5)), 1) + np.eye(5)
-        rot, u = sg.haar_rotations(g[None]), sg.haar_lift(g[None], np.eye(4))
+        rot, u = rotations_and_lifts(g[None], np.eye(4))
         assert np.array_equal(rot[0], np.eye(5))
         e = u[0]
         assert (e @ fock.vacuum(2).amplitudes)[0] == 1.0
