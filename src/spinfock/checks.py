@@ -17,8 +17,10 @@ products, so they are exact in any summation order: a homomorphism's
 residual is exactly 0.0, whatever BLAS does.
 
 A representation is its image function, looked up by the tag that names its
-report rows ("spin", "defining") when a check runs, never at import; the
-elements it maps are ``so_algebra.UEAPolynomial``. ``clifford-reconstruction``
+report rows ("spin", "defining") when a run starts, never at import; the
+elements it maps are ``so_algebra.UEAPolynomial``. ``basis_images`` stacks
+its S basis images once per run, and the trace, homomorphism and
+factorized-identity rows read that stack. ``clifford-reconstruction``
 compares (gamma_{2k-1} + i gamma_{2k}) / 2 with exterior multiplication by
 e_k written from bit masks, not through ``fock.monomial``, so a wrong
 Jordan-Wigner order fails it.
@@ -100,15 +102,17 @@ def check_clifford_reconstruction(gammas: list) -> CheckResult:
     return _result("clifford-reconstruction", worst, 1e-12)
 
 
-def check_defining_trace(n: int) -> CheckResult:
+def _vector_images(n: int, images: np.ndarray) -> np.ndarray:
+    """The images of X_{1,2n+1}, ..., X_{2n,2n+1} from a basis_images stack."""
     N = so_algebra.matrix_size(n)
-    images = [so_algebra.defining_rep(so_algebra.basis_element(n, a, N)) for a in range(1, 2 * n + 1)]
-    worst = 0.0
-    for a, xa in enumerate(images):
-        for b, xb in enumerate(images):
-            delta = -2.0 if a == b else 0.0
-            worst = max(worst, abs(np.trace(xa @ xb) - delta))
-    return _result("defining-trace-normalization", worst, 1e-12)
+    return images[[k == N for _, k in so_algebra.symbols(n)]]
+
+
+def check_defining_trace(n: int, images: np.ndarray) -> CheckResult:
+    """tr(X_{a,2n+1} X_{b,2n+1}) = -2 delta_ab on the defining basis images."""
+    vector = _vector_images(n, images)
+    traces = np.einsum("aij,bji->ab", vector, vector)
+    return _result("defining-trace-normalization", _max_abs(traces + 2.0 * np.eye(len(vector))), 1e-12)
 
 
 def structure_constants(n: int) -> tuple:
@@ -147,9 +151,13 @@ def _image_function(tag: str):
     return {"spin": so_algebra.spin_rep, "defining": so_algebra.defining_rep}[tag]
 
 
-def check_homomorphism(n: int, tag: str, structure: tuple) -> CheckResult:
+def basis_images(n: int, tag: str) -> np.ndarray:
+    """The (S, d, d) stack of the basis images, in symbol order, under the image function a tag names."""
     rep = _image_function(tag)
-    images = np.stack([rep(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)])
+    return np.stack([rep(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)])
+
+
+def check_homomorphism(tag: str, images: np.ndarray, structure: tuple) -> CheckResult:
     return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
 
 
@@ -165,8 +173,8 @@ def check_cartan_weights(n: int) -> CheckResult:
     top = fock.basis_vector(n, range(1, n + 1)).amplitudes
     for j in range(1, n + 1):
         cartan = so_algebra.cartan_element(j, n)
-        half_bracket = so_algebra.bracket(
-            so_algebra.ladder_element(j, n), so_algebra.ladder_element(-j, n)
+        half_bracket = uea.pbw_normalize(
+            uea.commutator(so_algebra.ladder_element(j, n), so_algebra.ladder_element(-j, n))
         ).scale(Fraction(1, 2))
         diff = half_bracket - cartan
         worst = max(worst, max((abs(v.to_complex()) for v in diff.terms.values()), default=0.0))
@@ -186,7 +194,7 @@ def check_uea_normal_order(spec: HamiltonianSpec) -> CheckResult:
             if not uea.commutator_LU(ell, k, n).is_zero():
                 failures += 1
     second, first = uea.quasi_hamiltonian_symbols(n, [Fraction(e) for e in spec.energies])
-    if not uea.uea_commuting_pair_check(second, first):
+    if not uea.pbw_normalize(uea.commutator(second, first)).is_zero():
         failures += 1
     return _result("uea-normal-order-zero", float(failures), 0.0)
 
@@ -223,22 +231,18 @@ def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
     return _result("car-on-subspace", hamiltonian.car_residual(spin.d_plus, spin.d_minus), 1e-12)
 
 
-def check_factorized_identity(spec: HamiltonianSpec, reps: tuple, parts: tuple) -> CheckResult:
+def check_factorized_identity(spec: HamiltonianSpec, images: tuple, parts: tuple) -> CheckResult:
     """H against -sum_k E_k (a + ib)(a - ib), a and b the basis images multiplied as matrices.
 
     H is built from exact ladder products in the enveloping algebra, so this
     is the dense reference for H: a representation that maps a word to the
     wrong product of its letters' images fails here and in the decomposition.
     """
-    n = spec.n
-    N = so_algebra.matrix_size(n)
     worst = 0.0
-    for rep, p in zip(reps, parts):
-        dim = p.h_tilde.shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for k, e in enumerate(spec.energies, start=1):
-            a = rep(so_algebra.basis_element(n, 2 * k - 1, N))
-            b = rep(so_algebra.basis_element(n, 2 * k, N))
+    for stack, p in zip(images, parts):
+        vector = _vector_images(spec.n, stack)
+        total = np.zeros_like(p.h_tilde)
+        for e, a, b in zip(spec.energies, vector[::2], vector[1::2]):
             total -= e * ((a + 1j * b) @ (a - 1j * b))
         worst = max(worst, _max_abs(total - p.h_tilde))
     return _result("factorized-identity", worst, 1e-12)
@@ -249,8 +253,9 @@ def run_verify(n: int, energies) -> list:
     if n > MAX_VERIFY_MODES:
         raise SizeError(f"verify sweeps are bounded at n <= {MAX_VERIFY_MODES}, got {n}")
     spec = HamiltonianSpec(n, tuple(energies))
-    reps = tuple(_image_function(tag) for tag in ("spin", "defining"))
-    parts = tuple(hamiltonian.build_parts(spec, rep) for rep in reps)
+    tags = ("spin", "defining")
+    parts = tuple(hamiltonian.build_parts(spec, _image_function(tag)) for tag in tags)
+    images = tuple(basis_images(n, tag) for tag in tags)
     structure = structure_constants(n)
     plus = [fock.creation(j, n) for j in range(1, n + 1)]
     minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
@@ -260,9 +265,9 @@ def run_verify(n: int, energies) -> list:
         check_ladder_structure(plus, minus),
         check_clifford_anticommutation(gammas),
         check_clifford_reconstruction(gammas),
-        check_defining_trace(n),
-        check_homomorphism(n, "defining", structure),
-        check_homomorphism(n, "spin", structure),
+        check_defining_trace(n, images[1]),
+        check_homomorphism("defining", images[1], structure),
+        check_homomorphism("spin", images[0], structure),
         check_ladder_spin_image(plus, minus, parts[0]),
         check_cartan_weights(n),
         check_uea_normal_order(spec),
@@ -270,5 +275,5 @@ def run_verify(n: int, energies) -> list:
         check_spectrum(spec, parts[0]),
         check_commutation_shadow(parts),
         check_car_on_subspace(parts[0]),
-        check_factorized_identity(spec, reps, parts),
+        check_factorized_identity(spec, images, parts),
     ]

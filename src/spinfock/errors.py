@@ -15,7 +15,3 @@ class DomainError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values or a failed numerical safeguard."""
-
-
-class NonWeightVectorError(ValueError):
-    """Vector is not a simultaneous eigenvector of the Cartan generators."""

@@ -59,9 +59,6 @@ class FockVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def vacuum(n: int) -> FockVector:
     check_mode_count(n)

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
-from .fock import FockVector, vacuum
+from .fock import vacuum
 from .hamiltonian import HamiltonianSpec
 from .spin_group import PATH_BLOCK, apply_modes
 
@@ -251,19 +251,17 @@ def decay_curve(
     dt: float,
     seed: int,
     sigma_convention: str = "corrected",
-    psi: FockVector | None = None,
 ):
-    """Autocorrelation E[conj(f(X(0))) f(X(t))] of a matrix coefficient.
+    """Autocorrelation E[conj(f(X(0))) f(X(t))] of the vacuum matrix coefficient.
 
     Under the noise-only process started from Haar this decays at rate
     (1/2) sum E_k for the corrected convention and (1/4) sum E_k for the
     literal one. Returns rows (t, mean, std_error) in increasing t.
     """
-    if psi is None:
-        psi = vacuum(spec.n)
+    psi = vacuum(spec.n).amplitudes
     grid = sorted(float(t) for t in t_grid)
     config = SDEConfig(spec, dt, sigma_convention, seed)
-    return correlations(config, n_paths, grid, psi.amplitudes, dict.fromkeys(grid, psi.amplitudes))
+    return correlations(config, n_paths, grid, psi, dict.fromkeys(grid, psi))
 
 
 def usable_for_fit(row) -> bool:

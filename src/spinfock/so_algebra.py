@@ -1,4 +1,4 @@
-"""The complex Lie algebra so(2n+1): basis, brackets, elements, and representations.
+"""The complex Lie algebra so(2n+1): basis, structure constants, elements, and representations.
 
 Basis elements are indexed by ordered pairs ``(j, k)`` with
 ``1 <= j < k <= 2n+1``; the defining matrix of ``(j, k)`` has ``+1`` at row
@@ -10,7 +10,8 @@ One element type serves so(2n+1) and its enveloping algebra:
 so(2n+1) is a sum of one-symbol words. The constructor reads a reversed pair
 ``(k, j)`` as -X_jk in every symbol of a word, and converts a float or
 complex coefficient exactly, as the Fraction of each part. ``uea`` adds
-normal ordering and the named polynomials of the quasi-Hamiltonian.
+normal ordering, and with it the Lie bracket (the normal-ordered commutator),
+and the named polynomials of the quasi-Hamiltonian.
 
 A representation is its image function, ``defining_rep`` or ``spin_rep``
 below; both read n from the element and extend multiplicatively to words.
@@ -38,7 +39,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import fock
-from .errors import DomainError, IndexRangeError, NonWeightVectorError, SizeError
+from .errors import DomainError, IndexRangeError, SizeError
 
 Symbol = Tuple[int, int]
 Word = Tuple[Symbol, ...]
@@ -204,18 +205,6 @@ def bracket_symbols(a: Symbol, b: Symbol):
     return tuple((sym, sign) for sym, sign in acc.items() if sign != 0)
 
 
-def bracket(a: UEAPolynomial, b: UEAPolynomial) -> UEAPolynomial:
-    """Lie bracket of two sums of one-symbol words, bilinear over the structure constants."""
-    if a.n != b.n:
-        raise SizeError(f"mode counts differ: {a.n} != {b.n}")
-    terms: Dict[Word, GaussianRational] = {}
-    for (sa,), va in a.terms.items():
-        for (sb,), vb in b.terms.items():
-            for sym, sign in bracket_symbols(sa, sb):
-                accumulate(terms, (sym,), va * vb * sign)
-    return UEAPolynomial(a.n, terms)
-
-
 def defining_rep(elem: UEAPolynomial) -> np.ndarray:
     """Defining image: a word maps to the product of its symbols' unit matrices.
 
@@ -269,63 +258,21 @@ def cartan_element(j: int, n: int) -> UEAPolynomial:
     return UEAPolynomial(n, {((2 * j - 1, 2 * j),): -I})
 
 
-def weight_of(v: fock.FockVector, tol: float = 1e-10) -> np.ndarray:
-    """Weight of a simultaneous eigenvector of the Cartan generators.
+def spanned_algebra_dimension(n: int) -> int:
+    """Dimension of the matrix algebra the spin basis images generate; 4^n shows irreducibility.
 
-    Basis state e_S has weight entry +1/2 at occupied modes and -1/2 at
-    empty ones. Raises NonWeightVectorError if v fails to be an eigenvector
-    of some spin Cartan matrix within ``tol``.
+    A product of the images is a monomial matrix, so there are at most 4^n up to
+    a scalar: one of each, scaled to 1 at its nonzero entry in column 0, is ranked.
     """
-    norm = v.norm()
-    if norm == 0:
-        raise NonWeightVectorError("zero vector has no weight")
-    weights = np.empty(v.n)
-    for j in range(1, v.n + 1):
-        h = spin_rep(cartan_element(j, v.n))
-        hv = h @ v.amplitudes
-        w = np.vdot(v.amplitudes, hv) / norm**2
-        if np.linalg.norm(hv - w * v.amplitudes) > tol * norm:
-            raise NonWeightVectorError(
-                f"not an eigenvector of the Cartan generator for mode {j}"
-            )
-        weights[j - 1] = w.real
-    return weights
-
-
-def spanned_algebra_dimension(n: int, max_word_len: int | None = None) -> int:
-    """Dimension of the matrix algebra generated by the spin basis images.
-
-    Grows the linear span of words in the generators (up to the given length)
-    and reports its dimension; 4^n means the images generate the full matrix
-    algebra. Used as irreducibility evidence.
-    """
-    dim = fock.fock_dim(n)
-    if max_word_len is None:
-        max_word_len = matrix_size(n)
     gens = [spin_rep(basis_element(n, *sym)) for sym in symbols(n)]
-
-    ortho: list = []
-
-    def absorb(mat: np.ndarray) -> bool:
-        vec = mat.ravel().astype(complex)
-        for q in ortho:
-            vec = vec - np.vdot(q, vec) * q
-        norm = np.linalg.norm(vec)
-        if norm < 1e-10:
-            return False
-        ortho.append(vec / norm)
-        return True
-
-    frontier = [np.eye(dim, dtype=complex)]
-    absorb(frontier[0])
-    for _ in range(max_word_len):
-        new_frontier = []
-        for mat in frontier:
-            for g in gens:
-                prod = mat @ g
-                if absorb(prod):
-                    new_frontier.append(prod)
-        if not new_frontier or len(ortho) == dim * dim:
-            break
-        frontier = new_frontier
-    return len(ortho)
+    found, frontier = {}, [np.eye(fock.fock_dim(n), dtype=complex)]
+    while frontier:
+        mat = frontier.pop()
+        rows = np.flatnonzero(mat[:, 0])
+        if rows.size:  # a zero product spans nothing
+            mat = mat / mat[rows[0], 0] + 0.0  # + 0.0: -0.0 and 0.0 give one key
+            key = mat.tobytes()
+            if key not in found:
+                found[key] = mat
+                frontier += [mat @ g for g in gens]
+    return int(np.linalg.matrix_rank(np.array([m.ravel() for m in found.values()])))

@@ -5,7 +5,8 @@ lives in ``so_algebra`` beside the symbols and structure constants it is built
 on. Normal form sorts every word non-decreasingly under the lexicographic
 symbol order, rewriting adjacent descents via ``X Y = Y X + [X, Y]``; each
 correction term is a strictly shorter word, so rewriting terminates, and the
-Jacobi identity makes the result independent of the rewrite order.
+Jacobi identity makes the result independent of the rewrite order. The Lie
+bracket of a and b is ``pbw_normalize(commutator(a, b))``; they commute iff it is zero.
 
 The named polynomials are the quasi-Hamiltonian's parts: T_k
 (``cartan_symbol``), L_k (``mode_laplacian``) and their sums P0 and B0
@@ -98,11 +99,6 @@ def commutator_LU(ell: int, k: int, n: int) -> UEAPolynomial:
     lhs = mode_laplacian(ell, n)
     rhs = symbol_poly(n, cartan_symbol(k, n))
     return pbw_normalize(commutator(lhs, rhs))
-
-
-def uea_commuting_pair_check(p: UEAPolynomial, q: UEAPolynomial) -> bool:
-    """True iff p and q commute exactly in the enveloping algebra."""
-    return pbw_normalize(commutator(p, q)).is_zero()
 
 
 def quasi_hamiltonian_symbols(n: int, energies) -> tuple:

@@ -7,11 +7,6 @@ from spinfock import checks, fock, so_algebra as so, uea
 from spinfock.errors import DomainError
 
 
-def stacked_images(n, tag):
-    rep = {"spin": so.spin_rep, "defining": so.defining_rep}[tag]
-    return np.stack([rep(so.basis_element(n, *s)) for s in so.symbols(n)])
-
-
 def pairwise_residual(n, bracket_fn, images):
     """The sweep one ordered pair at a time: the reference for the batched one."""
     syms = so.symbols(n)
@@ -52,7 +47,7 @@ class TestHomomorphismSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("tag", ["spin", "defining"])
     def test_residual_exactly_zero(self, n, tag):
-        result = checks.check_homomorphism(n, tag, checks.structure_constants(n))
+        result = checks.check_homomorphism(tag, checks.basis_images(n, tag), checks.structure_constants(n))
         assert result.residual == 0.0
         assert result.passed
 
@@ -108,17 +103,18 @@ class TestHomomorphismSweep:
 
         monkeypatch.setattr(so, "spin_rep", nudged)
         structure = checks.structure_constants(n)
-        spin = checks.check_homomorphism(n, "spin", structure)
+        spin = checks.check_homomorphism("spin", checks.basis_images(n, "spin"), structure)
         assert not spin.passed
         assert 1e-10 < spin.residual < 1e-8
-        assert checks.check_homomorphism(n, "defining", structure).residual == 0.0
+        defining = checks.check_homomorphism("defining", checks.basis_images(n, "defining"), structure)
+        assert defining.residual == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tag", ["spin", "defining"])
     def test_matches_pairwise_loop_on_corrupted_constants(self, monkeypatch, n, tag):
         # dyadic images, so both sweeps are exact and agree to the bit
         corrupted = flip_some(n, seed=n)
-        images = stacked_images(n, tag)
+        images = checks.basis_images(n, tag)
         monkeypatch.setattr(so, "bracket_symbols", corrupted)
         batched = checks._homomorphism_residual(checks.structure_constants(n), images)
         assert batched > 0.0
@@ -129,7 +125,7 @@ class TestHomomorphismSweep:
         # generic images: the two sweeps sum in different orders, so they
         # agree to rounding of entries of size about one
         rng = np.random.default_rng(100 + n)
-        images = stacked_images(n, "spin")
+        images = checks.basis_images(n, "spin")
         noise = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
         images = images + 1e-3 * noise
         batched = checks._homomorphism_residual(checks.structure_constants(n), images)
@@ -149,6 +145,17 @@ class TestWordImages:
         results = checks.run_verify(n, (1.0, 1.5, 2.5)[:n])
         failing = [r.name for r in results if not r.passed]
         assert failing == ["hamiltonian-decomposition", "factorized-identity"]
+
+
+class TestCartanWeights:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unnormalized_commutator_fails(self, monkeypatch, n):
+        # without normal ordering [E_j, E_-j] keeps its two-letter words, so
+        # half of it is not H_j; the exact commutator rows fail with it
+        monkeypatch.setattr(uea, "pbw_normalize", lambda p, descent_rng=None: p)
+        results = checks.run_verify(n, (1.0, 2.0)[:n])
+        failing = [r.name for r in results if not r.passed]
+        assert failing == ["cartan-weights", "uea-normal-order-zero"]
 
 
 class TestUeaNormalOrder:

@@ -428,10 +428,10 @@ class TestDecay:
     def test_eigenfunction_decay_any_state_two_modes(self):
         # the decay constant does not depend on the state, only on its norm
         rng = np.random.default_rng(8)
-        psi = fock.FockVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        rows = sde.decay_curve(SPEC2, [0.4], 6000, 1e-3, 9, "corrected", psi=psi)
-        _, mean, stderr = rows[0]
-        target = np.exp(-0.4 * 0.5 * 3.0) * 0.25 * psi.norm() ** 2
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        config = sde.SDEConfig(SPEC2, 1e-3, "corrected", 9)
+        ((_, mean, stderr),) = sde.correlations(config, 6000, [0.4], psi, {0.4: psi})
+        target = np.exp(-0.4 * 0.5 * 3.0) * 0.25 * np.linalg.norm(psi) ** 2
         assert abs(mean - target) <= 3 * stderr + 2e-3
 
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfock import fock, so_algebra as so, uea
-from spinfock.errors import DomainError, IndexRangeError, NonWeightVectorError, SizeError
+from spinfock.errors import DomainError, IndexRangeError, SizeError
 from test_fock import oracle_gammas
 
 
@@ -76,8 +76,10 @@ class TestBracket:
                 assert np.array_equal(comm, expected)
 
     def test_examples(self):
-        assert so.bracket(so.basis_element(2, 1, 2), so.basis_element(2, 2, 3)) == so.basis_element(2, 1, 3)
-        assert so.bracket(so.basis_element(2, 1, 2), so.basis_element(2, 3, 4)).is_zero()
+        # the Lie bracket is the normal-ordered commutator
+        x12, x23, x34 = (so.basis_element(2, j, j + 1) for j in (1, 2, 3))
+        assert uea.pbw_normalize(uea.commutator(x12, x23)) == so.basis_element(2, 1, 3)
+        assert uea.pbw_normalize(uea.commutator(x12, x34)).is_zero()
 
     def test_reversed_index_normalization(self):
         elem = so.UEAPolynomial(2, {((3, 1),): 2.0})
@@ -85,21 +87,7 @@ class TestBracket:
 
     def test_mismatched_n(self):
         with pytest.raises(SizeError):
-            so.bracket(so.basis_element(1, 1, 2), so.basis_element(2, 1, 2))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_bracket_is_normal_ordered_commutator(self, n):
-        # the Lie bracket and the enveloping algebra's commutator are one type
-        for a in so.symbols(n):
-            for b in so.symbols(n):
-                xa, xb = so.basis_element(n, *a), so.basis_element(n, *b)
-                assert so.bracket(xa, xb) == uea.pbw_normalize(uea.commutator(xa, xb))
-
-    def test_bracket_refuses_other_words(self):
-        x12 = so.basis_element(1, 1, 2)
-        for other in (so.UEAPolynomial(1, {(): 1}), so.UEAPolynomial(1, {((1, 2), (1, 3)): 1})):
-            with pytest.raises(ValueError):
-                so.bracket(x12, other)
+            uea.commutator(so.basis_element(1, 1, 2), so.basis_element(2, 1, 2))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -107,17 +95,17 @@ class TestBracket:
         # float coefficients are taken exactly, so the terms cancel exactly
         rng = np.random.default_rng(seed)
         elem = random_element(2, rng)
-        assert so.bracket(elem, elem).is_zero()
+        assert uea.pbw_normalize(uea.commutator(elem, elem)).is_zero()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_antisymmetry_and_bilinearity(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_element(2, rng), random_element(2, rng)
-        lhs = so.bracket(a, b)
-        rhs = so.bracket(b, a)
+        lhs = uea.pbw_normalize(uea.commutator(a, b))
+        rhs = uea.pbw_normalize(uea.commutator(b, a))
         assert (lhs + rhs).is_zero()
-        assert so.bracket(a.scale(2.5), b) == lhs.scale(2.5)
+        assert uea.pbw_normalize(uea.commutator(a.scale(2.5), b)) == lhs.scale(2.5)
 
 
 class TestElements:
@@ -186,7 +174,7 @@ class TestRepresentations:
         for a in so.symbols(n):
             for b in so.symbols(n):
                 ea, eb = so.basis_element(n, *a), so.basis_element(n, *b)
-                lhs = rep(so.bracket(ea, eb))
+                lhs = rep(uea.pbw_normalize(uea.commutator(ea, eb)))
                 ma, mb = rep(ea), rep(eb)
                 assert np.max(np.abs(lhs - (ma @ mb - mb @ ma))) < 1e-12
 
@@ -224,9 +212,22 @@ class TestRepresentations:
             m = so.spin_rep(elem)
             assert np.array_equal(m, -m.conj().T)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_irreducibility_evidence(self, n):
         assert so.spanned_algebra_dimension(n) == (1 << n) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_even_images_span_half(self, monkeypatch, n):
+        # with the images of X_{j,2n+1} zeroed, the rest generate the even
+        # Clifford subalgebra, of dimension 4^n / 2
+        spin_rep, N = so.spin_rep, so.matrix_size(n)
+
+        def even_only(elem):
+            kept = {w: c for w, c in elem.terms.items() if all(k != N for _, k in w)}
+            return spin_rep(so.UEAPolynomial(elem.n, kept))
+
+        monkeypatch.setattr(so, "spin_rep", even_only)
+        assert so.spanned_algebra_dimension(n) == (1 << n) ** 2 // 2
 
 
 class TestLadderAndCartan:
@@ -251,31 +252,37 @@ class TestLadderAndCartan:
         with pytest.raises(IndexRangeError):
             so.ladder_element(3, 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cartan_is_half_bracket(self, n):
         for j in range(1, n + 1):
-            half = so.bracket(so.ladder_element(j, n), so.ladder_element(-j, n)).scale(Fraction(1, 2))
-            assert half == so.cartan_element(j, n)
+            bracket = uea.pbw_normalize(uea.commutator(so.ladder_element(j, n), so.ladder_element(-j, n)))
+            assert bracket.scale(Fraction(1, 2)) == so.cartan_element(j, n)
 
     def test_cartan_spin_matrix_n1(self):
         assert np.allclose(so.spin_rep(so.cartan_element(1, 1)), np.diag([-0.5, 0.5]))
 
 
+def cartan_images(n):
+    return [so.spin_rep(so.cartan_element(j, n)) for j in range(1, n + 1)]
+
+
 class TestWeights:
+    # the weight of a basis state is read off the spin images of H_1..H_n,
+    # which must act on it as exact scalars
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_extremal_weights(self, n):
-        assert np.array_equal(so.weight_of(fock.vacuum(n)), np.full(n, -0.5))
-        top = fock.basis_vector(n, range(1, n + 1))
-        assert np.array_equal(so.weight_of(top), np.full(n, 0.5))
+        vac = fock.vacuum(n).amplitudes
+        top = fock.basis_vector(n, range(1, n + 1)).amplitudes
+        for h in cartan_images(n):
+            assert np.array_equal(h @ vac, -0.5 * vac)
+            assert np.array_equal(h @ top, 0.5 * top)
 
     def test_basis_weights(self):
         n = 3
+        images = cartan_images(n)
         for mask in range(1 << n):
-            v = fock.FockVector(n, np.eye(1 << n)[:, mask])
-            expected = np.array([0.5 if mask >> (j - 1) & 1 else -0.5 for j in range(1, n + 1)])
-            assert np.array_equal(so.weight_of(v), expected)
-
-    def test_non_eigenvector_rejected(self):
-        v = fock.FockVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-        with pytest.raises(NonWeightVectorError):
-            so.weight_of(v)
+            v = np.eye(1 << n)[:, mask]
+            for j, h in enumerate(images, start=1):
+                weight = 0.5 if mask >> (j - 1) & 1 else -0.5
+                assert np.array_equal(h @ v, weight * v)
