@@ -7,9 +7,10 @@ product (f, e^{-tH} g) over the group equals the path expectation
 
 where X is the noise-only diffusion started from Haar measure, and
 S = sum_k E_k (N_k - 1/2) is the self-adjoint spin matrix of the first-order
-part times i. The exact left side reduces to 2^{-n} <psi, e^{-tH_num} phi>
-with H_num the diagonal number Hamiltonian; the 2^{-n} is the Schur
-orthogonality factor of the 2^n-dimensional representation.
+part times i, a diagonal (so_algebra.spin_diagonal). The exact left side
+reduces to 2^{-n} <psi, e^{-tH_num} phi> with H_num the diagonal number
+Hamiltonian, an independent route; the 2^{-n} is the Schur orthogonality
+factor of the 2^n-dimensional representation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonian, sde
+from . import hamiltonian, sde, so_algebra, uea
 from .errors import DomainError, SizeError
 from .fock import FockVector
 from .hamiltonian import HamiltonianSpec
@@ -45,8 +46,9 @@ def fk_lhs_exact(psi: FockVector, phi: FockVector, spec: HamiltonianSpec, t: flo
 
 
 def _phase_evolved(phi: FockVector, spec: HamiltonianSpec, t: float) -> np.ndarray:
-    s_mat = hamiltonian.ib0_spin_matrix(spec)
-    return hamiltonian.exact_semigroup(s_mat, t) @ phi.amplitudes
+    """e^{-tS} phi, with S the real diagonal of i spin(B0)."""
+    first_order = uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1]
+    return np.exp(-t * (1j * so_algebra.spin_diagonal(first_order)).real) * phi.amplitudes
 
 
 def fk_report(
@@ -68,6 +70,7 @@ def fk_report(
     if not t_grid:
         return []
     config = sde.SDEConfig(spec, dt, "corrected", seed)
+    sde.grid_steps(t_grid, dt)  # a bad time is refused before its phase is formed
     chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
     rows = []
     for t, mean, stderr in sde.correlations(config, n_paths, t_grid, psi.amplitudes, chi):

@@ -1,4 +1,4 @@
-"""Quasi-Hamiltonian assembly and exact matrix semigroups.
+"""Quasi-Hamiltonian assembly, and the diagonals that give its spectrum.
 
 For mode energies 0 < E_1 <= ... <= E_n the quasi-Hamiltonian is
 H = sum_k E_k D_k^+ D_k^- with D_k^+/- the representation images of the
@@ -9,10 +9,11 @@ raising/lowering elements. It decomposes as H = P0 + i B0 where
 
 an identity that holds in any representation because it already holds in the
 enveloping algebra. In the spin representation P0 is the scalar
-(sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2).
+(sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2), both diagonal, as is H.
 
-``rep`` is an image function, ``so_algebra.spin_rep`` or ``defining_rep``, the
-one place where an algebra element becomes a matrix. H is the sum of E_k times
+``rep`` is an image function, ``so_algebra.spin_rep``, ``spin_diagonal`` (for
+H, whose sorted diagonal is the spectrum) or ``defining_rep``, the one place
+where an algebra element becomes an array. H is the sum of E_k times
 the image of each mode's exact ladder product D_k^+ D_k^- in the enveloping
 algebra; T_k, L_k and B0 are images of the ``uea`` polynomials
 ``cartan_symbol``, ``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so
@@ -106,33 +107,13 @@ def car_residual(plus, minus) -> float:
     return float(worst)
 
 
-def exact_semigroup(m: np.ndarray, t: float) -> np.ndarray:
-    """e^{-t m} for Hermitian m, via eigendecomposition."""
-    m = np.asarray(m, dtype=complex)
-    if not 0 <= t < np.inf:
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
-        raise DomainError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-t * w)) @ v.conj().T
-
-
 def number_hamiltonian_diagonal(spec: HamiltonianSpec) -> np.ndarray:
     """Diagonal of sum_k E_k N_k in the occupation basis (independent route)."""
-    diag = np.zeros(fock_dim(spec.n))
-    for mask in range(fock_dim(spec.n)):
-        diag[mask] = sum(
-            e for k, e in enumerate(spec.energies, start=1) if mask >> (k - 1) & 1
-        )
-    return diag
+    masks = np.arange(fock_dim(spec.n))
+    return sum(e * (masks >> k & 1) for k, e in enumerate(spec.energies))
 
 
 def subset_sums(spec: HamiltonianSpec) -> np.ndarray:
     """Sorted multiset { sum_{k in S} E_k : S subset of modes }, the sorted diagonal."""
     return np.sort(number_hamiltonian_diagonal(spec))
 
-
-def ib0_spin_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Hermitian matrix of i B0 in the spin representation, sum_k E_k (N_k - 1/2)."""
-    return 1j * so_algebra.spin_rep(uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1])

@@ -141,6 +141,20 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
+def grid_steps(t_grid, dt: float) -> dict:
+    """Each grid time's step count t/dt; DomainError unless t is a finite multiple of dt, >= 0."""
+    steps_for = {}
+    for t in t_grid:
+        t = float(t)
+        if not 0 <= t / dt < math.inf:
+            raise DomainError(f"grid time {t} must be finite and non-negative, with t/dt finite")
+        s = int(round(t / dt))
+        if abs(s * dt - t) > 1e-9 * max(1.0, t):
+            raise DomainError(f"grid time {t} is not a multiple of dt={dt}")
+        steps_for[t] = s
+    return steps_for
+
+
 def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     """Evolve independent paths in chunks, reading their rows e_0^T U at the grid times.
 
@@ -161,15 +175,7 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     """
     n = config.spec.n
     chunk_size = PATH_BLOCK * max(4, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
-    steps_for = {}
-    for t in t_grid:
-        t = float(t)
-        if not 0 <= t / config.dt < math.inf:
-            raise DomainError(f"grid time {t} must be finite and non-negative, with t/dt finite")
-        s = int(round(t / config.dt))
-        if abs(s * config.dt - t) > 1e-9 * max(1.0, t):
-            raise DomainError(f"grid time {t} is not a multiple of dt={config.dt}")
-        steps_for[t] = s
+    steps_for = grid_steps(t_grid, config.dt)
     total_steps = max(steps_for.values(), default=0)
     work = float(n_paths) * total_steps * (1 << n)
     if work > MAX_AMPLITUDE_STEPS:

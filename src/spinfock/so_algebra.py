@@ -14,7 +14,8 @@ normal ordering, and with it the Lie bracket (the normal-ordered commutator),
 and the named polynomials of the quasi-Hamiltonian.
 
 A representation is its image function, ``defining_rep`` or ``spin_rep``
-below; both read n from the element and extend multiplicatively to words.
+below, or ``spin_diagonal`` where no word flips a bit; each reads n from the
+element and extends multiplicatively to words.
 The spin representation acts on the 2^n-dimensional Fock space:
 
     spin(X_{j,2n+1}) = gamma_j / 2             (j <= 2n)
@@ -226,15 +227,31 @@ def defining_rep(elem: UEAPolynomial) -> np.ndarray:
     return out
 
 
-def spin_rep(elem: UEAPolynomial) -> np.ndarray:
-    """Spin image: a word of m symbols adds coeff 2^-m phase at (b XOR flip, b), from one monomial."""
+def _spin_monomials(elem: UEAPolynomial):
+    """Each word of m symbols as (flip, coeff 2^-m phase), from one monomial."""
     N = matrix_size(elem.n)
-    cols = np.arange(fock.fock_dim(elem.n))
-    out = np.zeros((len(cols), len(cols)), dtype=complex)
     for word, coeff in elem.terms.items():
         indices = [i for j, k in word for i in ((j,) if k == N else (k, j))]
         flip, phase = fock.monomial(indices, elem.n)
-        out[cols ^ flip, cols] += coeff.to_complex() * 0.5 ** len(word) * phase
+        yield flip, coeff.to_complex() * 0.5 ** len(word) * phase
+
+
+def spin_rep(elem: UEAPolynomial) -> np.ndarray:
+    """Spin image: each word adds its coeff 2^-m phase at (b XOR flip, b)."""
+    cols = np.arange(fock.fock_dim(elem.n))
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for flip, values in _spin_monomials(elem):
+        out[cols ^ flip, cols] += values
+    return out
+
+
+def spin_diagonal(elem: UEAPolynomial) -> np.ndarray:
+    """Diagonal of the spin image, summed as spin_rep sums it; DomainError if a word flips a bit."""
+    out = np.zeros(fock.fock_dim(elem.n), dtype=complex)
+    for flip, values in _spin_monomials(elem):
+        if flip:
+            raise DomainError(f"the spin image is not diagonal: a word flips the bits {flip:#b}")
+        out += values
     return out
 
 

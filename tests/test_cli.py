@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinfock
-from spinfock import checks, cli, fock, hamiltonian, report_io, sde, spin_group
+from spinfock import checks, cli, fock, hamiltonian, report_io, sde, so_algebra, spin_group
 from spinfock.errors import NumericError
 
 
@@ -129,10 +129,53 @@ class TestSpectrum:
         monkeypatch.setattr(
             hamiltonian, "build_parts", lambda *args: pytest.fail("matrices were built")
         )
-        code, out, err = run_cli(capsys, ["spectrum", "--n", str(cli.MAX_SPECTRUM_MODES + 1)])
+        code, out, err = run_cli(capsys, ["spectrum", "--n", str(fock.MAX_MODES + 1)])
         assert code == 2
         assert out == ""
-        assert f"n <= {cli.MAX_SPECTRUM_MODES}" in err
+        assert f"in [1, {fock.MAX_MODES}]" in err
+
+    def test_unscaled_diagonal_fails_spectrum_and_verify(self, capsys, monkeypatch):
+        # a spin_diagonal that drops each word's 2^-m factor
+        diagonal = so_algebra.spin_diagonal
+
+        def unscaled(elem):
+            out = np.zeros(fock.fock_dim(elem.n), dtype=complex)
+            for word, coeff in elem.terms.items():
+                out += 2 ** len(word) * diagonal(so_algebra.UEAPolynomial(elem.n, {word: coeff}))
+            return out
+
+        monkeypatch.setattr(so_algebra, "spin_diagonal", unscaled)
+        code, out, _ = run_cli(capsys, ["spectrum", "--n", "3"])
+        assert code == 1
+        assert json.loads(out)["residuals"]["max_spectrum_deviation"] > 1e-10
+        code, out, _ = run_cli(capsys, ["verify", "--n", "2"])
+        assert code == 1
+        failing = [row["name"] for row in json.loads(out)["checks"] if not row["passed"]]
+        assert failing == ["spectrum-subset-sums"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3"],
+        ["spectrum", "--n", "10"],
+        ["spectrum", "--n", str(fock.MAX_MODES)],
+        ["fk", "--n", "1", "--paths", "200", "--t-grid", "0.05,0.1", "--dt", "5e-3", "--seed", "1"],
+        ["fk", "--n", "4", "--paths", "200", "--t-grid", "0.05,0.1", "--dt", "5e-3", "--seed", "1"],
+    ],
+)
+def test_no_eigendecomposition_on_command_path(capsys, monkeypatch, argv):
+    # H and the first-order part are diagonal in the spin representation
+    _, plain, _ = run_cli(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition on the command path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == plain
 
 
 class TestFK:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinfock import feynman_kac as fk, fock, hamiltonian as ham, sde, so_algebra as so
+from spinfock import feynman_kac as fk, fock, hamiltonian as ham, sde, so_algebra as so, uea
 from spinfock.errors import DomainError, SizeError
 
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
@@ -41,13 +41,15 @@ class TestExactSide:
 class TestFactorization:
     @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
     def test_semigroup_splits_scalar_times_phase(self, spec):
-        # e^{-tH} = e^{-t/2 sum E} e^{-tS} on the spin side, entrywise
-        parts = ham.build_parts(spec, so.spin_rep)
-        s_mat = ham.ib0_spin_matrix(spec)
+        # on the spin side H = sum E / 2 + S, both diagonal, so
+        # e^{-tH} = e^{-t/2 sum E} e^{-tS} entry by entry
+        h = np.diagonal(ham.build_parts(spec, so.spin_rep).h_tilde)
+        s = (1j * so.spin_diagonal(uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1])).real
+        assert np.max(np.abs(h - (0.5 * sum(spec.energies) + s))) < 1e-12
+        ones = fock.FockVector(spec.n, np.ones(1 << spec.n))
         for t in (0.0, 0.3, 1.0):
-            lhs = ham.exact_semigroup(parts.h_tilde, t)
-            rhs = np.exp(-t * 0.5 * sum(spec.energies)) * ham.exact_semigroup(s_mat, t)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+            split = np.exp(-t * 0.5 * sum(spec.energies)) * fk._phase_evolved(ones, spec, t)
+            assert np.max(np.abs(np.exp(-t * h) - split)) < 1e-12
 
 
 class TestMonteCarlo:

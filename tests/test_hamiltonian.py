@@ -141,43 +141,3 @@ class TestCAROnSubspace:
         parts = ham.build_parts(spec, so.defining_rep)
         assert ham.car_residual(parts.d_plus, parts.d_minus) > 0.1
 
-
-class TestExactSemigroup:
-    def test_time_zero(self):
-        m = np.diag([0.0, 1.0])
-        assert np.array_equal(ham.exact_semigroup(m, 0.0), np.eye(2))
-
-    def test_diagonal(self):
-        m = np.diag([0.0, 1.0])
-        result = ham.exact_semigroup(m, 1.0)
-        assert np.allclose(result, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
-
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = a + a.conj().T
-        left = ham.exact_semigroup(m, 0.3) @ ham.exact_semigroup(m, 0.7)
-        right = ham.exact_semigroup(m, 1.0)
-        assert np.max(np.abs(left - right)) < 1e-10
-
-    def test_positive_definite_hermitian_output(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = a + a.conj().T
-        result = ham.exact_semigroup(m, 0.5)
-        assert np.max(np.abs(result - result.conj().T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(result)) > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            ham.exact_semigroup(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(DomainError):
-            ham.exact_semigroup(np.eye(2), -0.1)
-
-    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
-    def test_rejects_non_finite_time(self, t):
-        s_mat = ham.ib0_spin_matrix(ham.HamiltonianSpec(2, (1.0, 1.0)))
-        with pytest.raises(DomainError):
-            ham.exact_semigroup(s_mat, t)

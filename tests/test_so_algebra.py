@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfock import fock, so_algebra as so, uea
+from spinfock import fock, hamiltonian as ham, so_algebra as so, uea
 from spinfock.errors import DomainError, IndexRangeError, SizeError
 from test_fock import oracle_gammas
 
@@ -260,6 +260,28 @@ class TestLadderAndCartan:
 
     def test_cartan_spin_matrix_n1(self):
         assert np.allclose(so.spin_rep(so.cartan_element(1, 1)), np.diag([-0.5, 0.5]))
+
+
+class TestSpinDiagonal:
+    @pytest.mark.parametrize("dyadic", [True, False])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_diagonal_of_spin_rep(self, n, dyadic):
+        # B0, each D_k^+ D_k^- and H; non-dyadic energies round their products
+        energies = tuple(range(1, n + 1)) if dyadic else (0.48, 0.85, 1.22, 1.59, 1.96, 2.33)[:n]
+        elems = [uea.quasi_hamiltonian_symbols(n, energies)[1]] + [
+            uea.uea_multiply(so.ladder_element(k, n), so.ladder_element(-k, n))
+            for k in range(1, n + 1)
+        ]
+        for elem in elems:
+            assert so.spin_diagonal(elem).tobytes() == np.diagonal(so.spin_rep(elem)).tobytes()
+        spec = ham.HamiltonianSpec(n, energies)
+        dense = np.diagonal(ham.quasi_hamiltonian(spec, so.spin_rep))
+        assert ham.quasi_hamiltonian(spec, so.spin_diagonal).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("j", [1, -1, 2, -2])
+    def test_ladder_element_refused(self, j):
+        with pytest.raises(DomainError):
+            so.spin_diagonal(so.ladder_element(j, 2))
 
 
 def cartan_images(n):
