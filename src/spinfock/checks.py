@@ -102,7 +102,7 @@ def check_clifford_reconstruction(gammas: list) -> CheckResult:
     return _result("clifford-reconstruction", worst, 1e-12)
 
 
-def _vector_images(n: int, images: np.ndarray) -> np.ndarray:
+def vector_images(n: int, images: np.ndarray) -> np.ndarray:
     """The images of X_{1,2n+1}, ..., X_{2n,2n+1} from a basis_images stack."""
     N = so_algebra.matrix_size(n)
     return images[[k == N for _, k in so_algebra.symbols(n)]]
@@ -110,7 +110,7 @@ def _vector_images(n: int, images: np.ndarray) -> np.ndarray:
 
 def check_defining_trace(n: int, images: np.ndarray) -> CheckResult:
     """tr(X_{a,2n+1} X_{b,2n+1}) = -2 delta_ab on the defining basis images."""
-    vector = _vector_images(n, images)
+    vector = vector_images(n, images)
     traces = np.einsum("aij,bji->ab", vector, vector)
     return _result("defining-trace-normalization", _max_abs(traces + 2.0 * np.eye(len(vector))), 1e-12)
 
@@ -240,7 +240,7 @@ def check_factorized_identity(spec: HamiltonianSpec, images: tuple, parts: tuple
     """
     worst = 0.0
     for stack, p in zip(images, parts):
-        vector = _vector_images(spec.n, stack)
+        vector = vector_images(spec.n, stack)
         total = np.zeros_like(p.h_tilde)
         for e, a, b in zip(spec.energies, vector[::2], vector[1::2]):
             total -= e * ((a + 1j * b) @ (a - 1j * b))

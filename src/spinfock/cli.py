@@ -279,7 +279,7 @@ def cmd_haar_test(config: dict):
     # one fixed X = sum_jk x_jk X_jk: both deck signs satisfy it, a wrong lift fails
     syms = so_algebra.symbols(n)
     j, k = np.array(syms).T - 1
-    images = np.stack([so_algebra.spin_rep(so_algebra.basis_element(n, *s)) for s in syms])
+    images = checks.basis_images(n, "spin")
     coeffs = np.random.default_rng(0).standard_normal(len(syms))
     x = np.zeros((2 * n + 1,) * 2)
     x[j, k], x[k, j] = coeffs, -coeffs

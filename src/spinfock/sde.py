@@ -27,8 +27,8 @@ matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 of PATH_BLOCK, and each block draws from one stream, block_rng: first the
 Gaussian matrices whose Haar lifts start its paths, lifted block by block,
 then its increments, time-major. Two byte budgets fix the working set, so
-it grows with neither the horizon nor the path count: chunks of blocks are
-evolved in turn, _CHUNK_ROW_BYTES of rows each, and a chunk's
+it grows with neither the horizon nor the path count: chunks of whole blocks
+are evolved in turn, _CHUNK_ROW_BYTES of rows or one block each, and a chunk's
 increments and their coefficients take _BLOCK_BYTES. Results depend on the
 seed and the path count only; the last block may be partial, so a path's
 draws depend on the path count. correlations turns the ensemble into the
@@ -65,8 +65,8 @@ SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 # interpreter overhead.
 _BLOCK_BYTES = 1 << 20
 
-# Paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from block_rng(seed, b). A
-# chunk holds _CHUNK_ROW_BYTES of rows e_0^T U, and at least 4 blocks.
+# Paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from block_rng(seed, b). A chunk
+# holds the whole blocks whose rows e_0^T U fit _CHUNK_ROW_BYTES, at least one.
 _CHUNK_ROW_BYTES = 1 << 20
 
 # Largest run evolve_ensemble takes, in amplitude updates (paths x steps x
@@ -169,12 +169,12 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
     Haar starts, lifted block by block, then the (steps, P, 2n) increments,
     time-major, in step-blocks that together equal one draw, scaled in flat
-    (path, direction) rows. A chunk holds whole blocks, _CHUNK_ROW_BYTES of
-    rows and at least 4 blocks, so results depend on the seed and the path
-    count only, neither on the chunk size nor on the step-block size.
+    (path, direction) rows. A chunk holds the whole blocks whose rows fit
+    _CHUNK_ROW_BYTES, and at least one, so results depend on the seed and the
+    path count only, neither on the chunk size nor on the step-block size.
     """
     n = config.spec.n
-    chunk_size = PATH_BLOCK * max(4, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
+    chunk_size = PATH_BLOCK * max(1, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
     steps_for = grid_steps(t_grid, config.dt)
     total_steps = max(steps_for.values(), default=0)
     work = float(n_paths) * total_steps * (1 << n)

@@ -32,9 +32,8 @@ i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
 (a + ib) c_m, and in fock's Jordan-Wigner basis both terms flip bit m-1 of
 the basis index: one flip per mode, times the parity of the lower bits and
 (a - ib)/2 or -(a + ib)/2 by the flipped bit. That table is the same at
-every n, so the kernel holds it as constants; the dense images,
-vector_images, and the dense exponential, expm_antihermitian, serve only
-exact targets and tests.
+every n, so the kernel holds it as constants; the dense exponential,
+expm_antihermitian, serves only exact targets and tests.
 """
 
 from __future__ import annotations
@@ -59,13 +58,6 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
     w, v = np.linalg.eigh(1j * np.asarray(m, dtype=complex))
     return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
-def vector_images(n: int) -> np.ndarray:
-    """Spin images gamma_j / 2 of the basis pairs (j, 2n+1), stacked (2n, 2^n, 2^n)."""
-    N = so_algebra.matrix_size(n)
-    elements = (so_algebra.basis_element(n, j, N) for j in range(1, 2 * n + 1))
-    return np.stack([so_algebra.spin_rep(x) for x in elements])
 
 
 def _bit_halves(a: np.ndarray, m: int) -> np.ndarray:

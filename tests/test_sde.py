@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinfock import fock, hamiltonian as ham, sde, spin_group as sg
+from spinfock import checks, fock, hamiltonian as ham, sde, spin_group as sg
 from spinfock.errors import DomainError, SizeError
 
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
@@ -155,7 +155,7 @@ class TestStep:
 class TestVectorImages:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noise_images_are_monomial(self, n):
-        gens = sg.vector_images(n)
+        gens = checks.vector_images(n, checks.basis_images(n, "spin"))
         dim = 1 << n
         for g in gens:
             assert np.array_equal(np.count_nonzero(g, axis=0), np.ones(dim, dtype=int))
@@ -165,8 +165,8 @@ class TestVectorImages:
 class TestEnsemble:
     def test_chunk_size_invariance(self, monkeypatch):
         # 37 paths in blocks of 4, 64 bytes of rows a path at n = 2: chunks
-        # of the 4-block floor, of five blocks, and one chunk for all, the
-        # last block partial
+        # of one block, of five blocks, and one chunk for all, the last
+        # block partial
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         cfg = config(spec=SPEC2, seed=42)
         def gather(row_bytes):
@@ -177,16 +177,17 @@ class TestEnsemble:
         a, a0, at = gather(0)
         b, b0, bt = gather(5 * 4 * 64)
         c, c0, ct = gather(10 * 4 * 64)
-        assert (a, b, c) == (3, 2, 1)
+        assert (a, b, c) == (10, 2, 1)
         assert np.array_equal(a0, b0) and np.array_equal(a0, c0)
         assert np.array_equal(at, bt) and np.array_equal(at, ct)
 
-    @pytest.mark.parametrize("n, paths", [(1, 33_000), (4, 5000)])
+    @pytest.mark.parametrize("n, paths", [(1, 33_000), (4, 5000), (6, 2100)])
     def test_default_chunks_match_single_blocks(self, n, paths, monkeypatch):
-        # n = 1: two default chunks of 32 blocks, the last block partial;
-        # n = 4: chunks of 4 blocks. Against the smallest chunks, the 4-block
-        # floor, and one chunk for all paths. The reducer must not round by
-        # chunk either, so correlations is compared against the floor.
+        # default chunks, the last block partial: n = 1, two of 32 blocks;
+        # n = 4, two of 4 blocks; n = 6, where a block's rows fill the
+        # budget, three of one block. Against chunks of one block and one
+        # chunk for all paths. The reducer must not round by chunk either,
+        # so correlations is compared at one block a chunk.
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, 1e-3, "corrected", 5)
         grid = [0.0, 0.004]
@@ -200,8 +201,8 @@ class TestEnsemble:
 
         default_bytes = sde._CHUNK_ROW_BYTES
         count, default = gather(default_bytes)
-        assert count == 2
-        for row_bytes, chunks in ((0, -(-paths // (4 * sde.PATH_BLOCK))), (1 << 30, 1)):
+        assert count == {1: 2, 4: 2, 6: 3}[n]
+        for row_bytes, chunks in ((0, -(-paths // sde.PATH_BLOCK)), (1 << 30, 1)):
             count, other = gather(row_bytes)
             assert count == chunks
             assert all(np.array_equal(a, b) for a, b in zip(default, other))
@@ -261,7 +262,7 @@ class TestEnsemble:
         dw = np.concatenate(
             [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
         ) * np.sqrt(dt)
-        gens = sg.vector_images(n)
+        gens = checks.vector_images(n, checks.basis_images(n, "spin"))
         expected = [u[:, 0]]
         for m in range(steps):
             exps = np.einsum("pj,jab->pab", dw[m] * cfg.sigmas, gens)
@@ -299,19 +300,30 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak <= 4.5 * sde._BLOCK_BYTES
 
-    def test_memory_within_rows_budget(self):
-        # n = 6, 4096 paths, in units of the rows, 16 2^n P bytes: the
-        # starts r0, the rows, the kernel's scratch and its output make 4,
-        # and the starts, lifted one path block at a time, add 0.4
-        spec = ham.HamiltonianSpec(6, tuple(float(k) for k in range(1, 7)))
+    @staticmethod
+    def block_rows_peak(n):
+        """Peak of 4096 paths to t = 0.02, in one block's rows, 16 2^n PATH_BLOCK bytes."""
+        spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         tracemalloc.start()
         try:
             for _ in sde.evolve_ensemble(config(spec, seed=4), 4096, [0.0, 0.02], skip_rows):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / (16 * (1 << n) * sde.PATH_BLOCK)
         finally:
             tracemalloc.stop()
-        assert peak <= 12.8 * 16 * (1 << 6) * 4096
+
+    def test_memory_within_rows_budget(self):
+        # n = 6, where a chunk is one block: the peak is the lift of the
+        # starts, with r0, the lift's rows, scratch and output, about four
+        # (P, 13, 13) float arrays of 1.3 block rows each, and the previous
+        # chunk's r0, which the loop holds. 9.1 under numpy 2.4; 18.4 when
+        # every chunk held at least 4 blocks
+        assert self.block_rows_peak(6) <= 11
+
+    def test_memory_within_one_block_at_n8(self):
+        # as at n = 6, with (P, 17, 17) float arrays of 0.56 block rows
+        # each: 6.3 under numpy 2.4; 16.4 when every chunk held 4 blocks
+        assert self.block_rows_peak(8) <= 8
 
 
 class TestReducer:
@@ -367,7 +379,7 @@ class TestGeneratorCheck:
 
     @pytest.mark.parametrize("sigma, share", [("corrected", 0.5), ("paper_literal", 0.25)])
     def test_exact_mean_tends_to_generator(self, sigma, share):
-        gens = sg.vector_images(2)
+        gens = checks.vector_images(2, checks.basis_images(2, "spin"))
         lmat = 0.5 * np.einsum("j,jab,jbc->ac", config(SPEC2, sigma=sigma).sigmas ** 2, gens, gens)
         rate = share * sum(SPEC2.energies)
         assert np.max(np.abs(lmat + rate * np.eye(4))) <= 1e-12

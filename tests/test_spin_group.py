@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from spinfock import fock, sde, so_algebra as so, spin_group as sg, uea
+from spinfock import checks, fock, sde, so_algebra as so, spin_group as sg, uea
 from spinfock.errors import SizeError
 
 
 def spin_of_antisymmetric(n, x):
     """Spin image of a stack of real antisymmetric (2n+1) x (2n+1) matrices."""
     syms = so.symbols(n)
-    imgs = np.stack([so.spin_rep(so.basis_element(n, *s)) for s in syms])
+    imgs = checks.basis_images(n, "spin")
     coeffs = np.stack([x[..., j - 1, k - 1] for j, k in syms], axis=-1)
     return (coeffs @ imgs.reshape(len(syms), -1)).reshape(x.shape[:-2] + imgs.shape[1:])
 
@@ -117,7 +117,7 @@ class TestApplyModes:
         # images, samples first, (P, 2^n) or (P, 2^n, 2^n)
         dim, paths = 1 << n, 300
         rng = np.random.default_rng(70 + n)
-        images = sg.vector_images(n)
+        images = checks.vector_images(n, checks.basis_images(n, "spin"))
         shape = (paths, dim, dim) if stacked else (paths, dim)
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows[::4] = 0.0
