@@ -34,10 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import fock, hamiltonian, so_algebra, uea
-from .errors import DomainError, SizeError
+from .errors import DomainError
 from .hamiltonian import HamiltonianParts, HamiltonianSpec
-
-MAX_VERIFY_MODES = 4
 
 
 @dataclass(frozen=True)
@@ -249,10 +247,10 @@ def check_factorized_identity(spec: HamiltonianSpec, images: tuple, parts: tuple
 
 
 def run_verify(n: int, energies) -> list:
-    """Run the full named check suite at one mode count."""
-    if n > MAX_VERIFY_MODES:
-        raise SizeError(f"verify sweeps are bounded at n <= {MAX_VERIFY_MODES}, got {n}")
+    """Run the full named check suite at one mode count whose sweeps fit the work budget."""
     spec = HamiltonianSpec(n, tuple(energies))
+    # each sweep takes two products of d x d matrices per ordered pair, d = 2^n for spin
+    fock.check_work("homomorphism sweep 2 S^2 8^n", 2.0 * len(so_algebra.symbols(n)) ** 2 * 8.0**n)
     tags = ("spin", "defining")
     parts = tuple(hamiltonian.build_parts(spec, _image_function(tag)) for tag in tags)
     images = tuple(basis_images(n, tag) for tag in tags)

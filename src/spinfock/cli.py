@@ -6,7 +6,8 @@ the flags each command reads; a command refuses any other flag, and a config
 file may hold only ``command`` and those keys. A flag's string and a config
 value pass through the same ``OPTIONS`` converter and the same ``_validate``,
 which keeps only the rules the CLI alone knows; the library refuses the rest
-(sigma, dt, verify's bound, the path floors) before any draw. A report echoes
+(sigma, dt, the work budget, the path floors) before any draw. The mode count
+is checked first, before any default is built from it. A report echoes
 the command and the resolved value of each of its flags, so the echo runs
 again as a config file, and identical configs give byte-identical reports.
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 numeric failure.
@@ -159,6 +160,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     # n comes first in every command's flags: the default energies depend on it
     config = {"command": args.command, "n": pick("n", 1)}
+    fock.check_mode_count(config["n"])
     defaults = _defaults(args.command, config["n"])
     for key in FLAGS[args.command][1:]:
         config[key] = pick(key, defaults[key])
@@ -179,13 +181,8 @@ def _validate(config: dict) -> None:
         raise UsageError(f"--t-grid times must be finite and non-negative, got {bad}")
     if config["out"] and not os.path.isdir(os.path.dirname(config["out"]) or "."):
         raise UsageError(f"--out {config['out']}: its directory does not exist")
-    try:
-        if "energies" in config:
-            hamiltonian.HamiltonianSpec(n, config["energies"])
-        else:
-            fock.check_mode_count(n)
-    except (SizeError, DomainError) as exc:
-        raise UsageError(str(exc))
+    if "energies" in config:
+        hamiltonian.HamiltonianSpec(n, config["energies"])
 
 
 def _resolve_state(config: dict) -> fock.FockVector:
@@ -353,10 +350,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         code, doc = COMMANDS[config["command"]](config)
         _emit(doc)
     except (UsageError, SizeError, DomainError) as exc:

@@ -27,6 +27,11 @@ from .errors import IndexRangeError, SizeError
 # Dense 2^n x 2^n matrices must stay desk-sized.
 MAX_MODES = 12
 
+# Largest run the library takes, in amplitude updates counted from its inputs before
+# any matrix is built or sample drawn: 400x the largest documented run (2.4e7, fk --n 2
+# --paths 20000 --t-grid 0.1,0.3), or minutes to a quarter hour on one core.
+MAX_AMPLITUDE_STEPS = 10**10
+
 
 def fock_dim(n: int) -> int:
     """Dimension 2**n of the n-mode Fock space."""
@@ -36,6 +41,12 @@ def fock_dim(n: int) -> int:
 def check_mode_count(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_MODES:
         raise SizeError(f"mode count must be an integer in [1, {MAX_MODES}], got {n!r}")
+
+
+def check_work(formula: str, work: float) -> None:
+    """SizeError if work, a run's amplitude updates by the named formula, exceeds the budget."""
+    if work > MAX_AMPLITUDE_STEPS:
+        raise SizeError(f"{formula} = {work:.3g} exceeds the budget of {MAX_AMPLITUDE_STEPS:.3g}")
 
 
 def _check_mode(j: int, n: int) -> None:

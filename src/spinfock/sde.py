@@ -26,15 +26,18 @@ matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 (2^n numbers per path) rather than the spin matrices U. Paths come in blocks
 of PATH_BLOCK, and each block draws from one stream, block_rng: first the
 Gaussian matrices whose Haar lifts start its paths, lifted block by block,
-then its increments, time-major. Two byte budgets fix the working set, so
-it grows with neither the horizon nor the path count: chunks of whole blocks
-are evolved in turn, _CHUNK_ROW_BYTES of rows or one block each, and a chunk's
-increments and their coefficients take _BLOCK_BYTES. Results depend on the
-seed and the path count only; the last block may be partial, so a path's
-draws depend on the path count. correlations turns the ensemble into the
-per-time means and standard errors that the Feynman-Kac report and the decay
-curve read: at each grid step it feeds the chunk's values to the grid time's
-spin_group.BlockReducer, so no per-path value outlives its chunk.
+then its increments, time-major. One byte budget, _ARRAY_BYTES, bounds each
+of a chunk's arrays, so the working set grows with neither the horizon nor
+the path count: chunks of whole blocks are evolved in turn, as many as their
+rows fit or one block each, and a chunk's increments and their coefficients
+come in step-blocks of as many whole steps as fit, or one. Before any draw,
+a run's amplitude updates, the Haar lift's included, are held to
+fock.MAX_AMPLITUDE_STEPS. Results depend on the seed and the path count
+only; the last block may be partial, so a path's draws depend on the path
+count. correlations turns the ensemble into the per-time means and standard
+errors that the Feynman-Kac report and the decay curve read: at each grid
+step it feeds the chunk's values to the grid time's spin_group.BlockReducer,
+so no per-path value outlives its chunk.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -53,27 +56,19 @@ import numpy as np
 
 from . import so_algebra, spin_group
 from .errors import DomainError, SizeError
-from .fock import vacuum
+from .fock import check_work, vacuum
 from .hamiltonian import HamiltonianSpec
 from .spin_group import PATH_BLOCK, apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
 
-# Bytes of one step-block of a chunk: its increments and their cos, sinc and
-# |c|^2, (2n + 3) x 8 bytes per path and step, but at least one step. Every
-# step-block costs one draw call per path block, so a smaller budget adds
-# interpreter overhead.
-_BLOCK_BYTES = 1 << 20
-
-# Paths [b PATH_BLOCK, (b+1) PATH_BLOCK) draw from block_rng(seed, b). A chunk
-# holds the whole blocks whose rows e_0^T U fit _CHUNK_ROW_BYTES, at least one.
-_CHUNK_ROW_BYTES = 1 << 20
-
-# Largest run evolve_ensemble takes, in amplitude updates (paths x steps x
-# 2^n), else SizeError before any draw: 400x the largest documented run
-# (fk --n 2 --paths 20000 --t-grid 0.1,0.3 at dt 1e-3, 2.4e7), or several
-# minutes to a quarter hour on one core at 1e7 to 3e7 updates per second.
-MAX_AMPLITUDE_STEPS = 10**10
+# Bytes of each of a chunk's arrays. Paths [b PATH_BLOCK, (b+1) PATH_BLOCK)
+# draw from block_rng(seed, b), and a chunk holds the whole blocks whose rows
+# e_0^T U fit, at least one. Its step-block holds the whole steps whose
+# increments and their cos, sinc and |c|^2, (2n + 3) x 8 bytes per path and
+# step, fit, at least one; every step-block costs one draw call per path
+# block, so a smaller budget adds interpreter overhead.
+_ARRAY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -170,18 +165,17 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     Haar starts, lifted block by block, then the (steps, P, 2n) increments,
     time-major, in step-blocks that together equal one draw, scaled in flat
     (path, direction) rows. A chunk holds the whole blocks whose rows fit
-    _CHUNK_ROW_BYTES, and at least one, so results depend on the seed and the
+    _ARRAY_BYTES, and at least one, so results depend on the seed and the
     path count only, neither on the chunk size nor on the step-block size.
+    A run is refused (SizeError) before any draw if its paths x (steps + 2N - 1)
+    x 2^n amplitude updates, 2N - 1 the most reflections of a lift, exceed the budget.
     """
     n = config.spec.n
-    chunk_size = PATH_BLOCK * max(1, _CHUNK_ROW_BYTES // (PATH_BLOCK * 16 << n))
+    chunk_size = PATH_BLOCK * max(1, _ARRAY_BYTES // (PATH_BLOCK * 16 << n))
     steps_for = grid_steps(t_grid, config.dt)
-    total_steps = max(steps_for.values(), default=0)
-    work = float(n_paths) * total_steps * (1 << n)
-    if work > MAX_AMPLITUDE_STEPS:
-        raise SizeError(
-            f"paths x steps x 2^n = {work:.3g} exceeds the budget of {MAX_AMPLITUDE_STEPS:.3g}"
-        )
+    lift = 2 * so_algebra.matrix_size(n) - 1
+    work = float(n_paths) * (max(steps_for.values(), default=0) + lift) * (1 << n)
+    check_work("paths x (steps + 2N - 1) x 2^n", work)
     for start in range(0, n_paths, chunk_size):
         # nothing of a chunk but what it yields outlives it
         yield (start, *_evolve_chunk(config, start, min(chunk_size, n_paths - start), steps_for, read))
@@ -203,7 +197,7 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     for rng, lo, hi in blocks:
         r0[lo:hi] = spin_group.haar_lift(
             spin_group.haar_factors(rng.standard_normal((hi - lo, N, N))), vacuum(n).amplitudes)
-    block = max(1, min(total_steps, _BLOCK_BYTES // (count * (width + 3) * 8)))
+    block = max(1, min(total_steps, _ARRAY_BYTES // (count * (width + 3) * 8)))
     scaled = np.empty((block, count, width))
     flat = scaled.reshape(block, count * width)
     r = np.ascontiguousarray(r0.T)

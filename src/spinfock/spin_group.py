@@ -25,6 +25,8 @@ skips each reflection no sample of a stack uses, the last Householder one always
 
 haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as eight
 (2n+1)^2 float arrays, twice the most it holds at once, and three of lifted rows.
+Before any draw it holds the lift's amplitude updates, at most 2N - 1
+reflections of the rows per sample, to fock.MAX_AMPLITUDE_STEPS.
 
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
@@ -32,8 +34,7 @@ i gamma_{2m}) / 2, a gamma_{2m-1} + b gamma_{2m} = (a - ib) c_m^dagger -
 (a + ib) c_m, and in fock's Jordan-Wigner basis both terms flip bit m-1 of
 the basis index: one flip per mode, times the parity of the lower bits and
 (a - ib)/2 or -(a + ib)/2 by the flipped bit. That table is the same at
-every n, so the kernel holds it as constants; the dense exponential,
-expm_antihermitian, serves only exact targets and tests.
+every n, so the kernel holds it as constants.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ _LIFT_BYTES = 1 << 22
 PATH_BLOCK = 1024
 
 MCEstimate = collections.namedtuple("MCEstimate", "mean std_error")
-
-
-def expm_antihermitian(m: np.ndarray) -> np.ndarray:
-    """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
-    w, v = np.linalg.eigh(1j * np.asarray(m, dtype=complex))
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _bit_halves(a: np.ndarray, m: int) -> np.ndarray:
@@ -185,6 +180,7 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, 
     """
     fock.check_mode_count(n)
     N = so_algebra.matrix_size(n)
+    fock.check_work("samples x (2N - 1) x lifted rows", float(count) * (2 * N - 1) * np.size(rows))
     chunk = max(1, _LIFT_BYTES // (8 * 8 * N * N + 3 * 16 * np.size(rows)))
     for start in range(0, count, chunk):
         factors = haar_factors(rng.standard_normal((min(chunk, count - start), N, N)))

@@ -177,6 +177,14 @@ class TestUeaNormalOrder:
         assert all(type(e) is Fraction for e in energies)
 
 
+class TestWorkBudget:
+    def test_passes_at_five_modes(self):
+        # 2 S^2 8^n = 2.0e8 at n = 5, within the budget that refuses n = 7 (4.6e10)
+        results = checks.run_verify(5, (1.0, 2.0, 3.0, 4.0, 5.0))
+        assert len(results) == 15
+        assert [r.name for r in results if not r.passed] == []
+
+
 def reversed_order_gammas(n):
     """Gammas whose Jordan-Wigner sign counts the modes above k instead of below:
     fock's gammas with the modes relabeled k -> n + 1 - k."""

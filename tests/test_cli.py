@@ -98,10 +98,15 @@ class TestVerify:
         failing = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failing == ["homomorphism-defining", "homomorphism-spin"]
 
-    def test_mode_count_bound(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--n", "5"])
+    def test_mode_count_bound(self, capsys, monkeypatch):
+        # the sweeps' 2 S^2 8^n, S = n(2n + 1), is 3.2e9 at n = 6 and 4.6e10 at n = 7
+        monkeypatch.setattr(
+            hamiltonian, "build_parts", lambda *args: pytest.fail("matrices were built")
+        )
+        code, out, err = run_cli(capsys, ["verify", "--n", "7"])
         assert code == 2
-        assert "n <= 4" in err
+        assert out == ""
+        assert "4.62e+10 exceeds the budget" in err
 
     def test_bad_energies(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--n", "2", "--energies", "2,1"])
@@ -417,16 +422,30 @@ class TestWorkBudget:
         assert "exceeds the budget" in err
 
     def test_budget_is_inclusive(self, capsys, monkeypatch):
-        # 200 paths x 10 steps x 2^2 = 8000 amplitude updates
+        # 200 paths x (10 steps + 9 reflections of the lift, 2N - 1 at N = 5) x 2^2
+        # = 15200 amplitude updates
         argv = ["fk", "--n", "2", "--paths", "200", "--t-grid", "0.01", "--dt", "1e-3", "--seed", "1"]
-        monkeypatch.setattr(sde, "MAX_AMPLITUDE_STEPS", 8000)
+        monkeypatch.setattr(fock, "MAX_AMPLITUDE_STEPS", 15200)
         assert run_cli(capsys, argv)[0] == 0
-        monkeypatch.setattr(sde, "MAX_AMPLITUDE_STEPS", 7999)
+        monkeypatch.setattr(fock, "MAX_AMPLITUDE_STEPS", 15199)
         monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "8e+03 exceeds the budget" in err
+        assert "1.52e+04 exceeds the budget" in err
+
+    @pytest.mark.parametrize("command", ["fk", "haar-test"])
+    def test_lift_counted_before_drawing(self, capsys, monkeypatch, command):
+        # fk at t = 0 takes no step, but each of 10^12 paths is lifted: 5 reflections
+        # of a 2-entry row (1e13 updates); haar-test lifts 2 x 2 matrices (2e13)
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        grid = ["--t-grid", "0"] if command == "fk" else []
+        argv = [command, "--n", "1", *grid, "--paths", str(10**12), "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the budget" in err
 
 
 class TestMalformedNumbers:
@@ -548,7 +567,7 @@ class TestHaarTest:
     def test_memory_does_not_grow_with_path_count(self, capsys):
         # every row is reduced chunk by chunk, so four chunks of samples cost
         # no more memory than one
-        chunk = next(spin_group.haar_chunks(np.random.default_rng(0), 1, 10**9, np.eye(2), chunk_size))
+        chunk = next(spin_group.haar_chunks(np.random.default_rng(0), 1, 10**6, np.eye(2), chunk_size))
 
         def peak(paths):
             tracemalloc.start()
@@ -622,6 +641,17 @@ class TestConfigResolution:
         doc = json.loads(out)
         assert doc["config"]["paths"] == 200  # flag wins
         assert doc["config"]["seed"] == 5  # file supplies the rest
+
+    @pytest.mark.parametrize("command", ["verify", "fk", "haar-test"])
+    def test_mode_count_checked_before_defaults(self, capsys, monkeypatch, command):
+        # the default energies are n floats, so an unchecked n of 10^12 would
+        # exhaust memory before any refusal
+        monkeypatch.setattr(cli, "_defaults", lambda *args: pytest.fail("a default was built"))
+        seed = [] if command == "verify" else ["--seed", "1"]
+        code, out, err = run_cli(capsys, [command, "--n", str(10**12), *seed])
+        assert code == 2
+        assert out == ""
+        assert f"in [1, {fock.MAX_MODES}], got {10**12}" in err
 
     @pytest.mark.parametrize("key", ["pths", "process"])
     def test_unknown_config_key(self, capsys, tmp_path, key):

@@ -7,6 +7,8 @@ import pytest
 from spinfock import checks, fock, hamiltonian as ham, sde, spin_group as sg
 from spinfock.errors import DomainError, SizeError
 
+from dense_reference import expm_antihermitian
+
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
 SPEC2 = ham.HamiltonianSpec(2, (1.0, 2.0))
 
@@ -166,11 +168,11 @@ class TestEnsemble:
     def test_chunk_size_invariance(self, monkeypatch):
         # 37 paths in blocks of 4, 64 bytes of rows a path at n = 2: chunks
         # of one block, of five blocks, and one chunk for all, the last
-        # block partial
+        # block partial; each budget holds one step of the chunk's increments
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         cfg = config(spec=SPEC2, seed=42)
         def gather(row_bytes):
-            monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", row_bytes)
+            monkeypatch.setattr(sde, "_ARRAY_BYTES", row_bytes)
             items = list(sde.evolve_ensemble(cfg, 37, [0.02], keep_rows))
             r0 = np.concatenate([it[1] for it in items])
             return len(items), r0, np.concatenate([it[2][0.02] for it in items])
@@ -185,21 +187,22 @@ class TestEnsemble:
     def test_default_chunks_match_single_blocks(self, n, paths, monkeypatch):
         # default chunks, the last block partial: n = 1, two of 32 blocks;
         # n = 4, two of 4 blocks; n = 6, where a block's rows fill the
-        # budget, three of one block. Against chunks of one block and one
-        # chunk for all paths. The reducer must not round by chunk either,
-        # so correlations is compared at one block a chunk.
+        # budget, three of one block. Against chunks of one block, with one
+        # step a step-block, and one chunk for all paths, with all 4 steps in
+        # one. The reducer must not round by chunk either, so correlations
+        # is compared at one block a chunk.
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, 1e-3, "corrected", 5)
         grid = [0.0, 0.004]
 
         def gather(row_bytes):
-            monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", row_bytes)
+            monkeypatch.setattr(sde, "_ARRAY_BYTES", row_bytes)
             items = list(sde.evolve_ensemble(cfg, paths, grid, keep_rows))
             rows = [np.concatenate([it[1] for it in items])]
             rows += [np.concatenate([it[2][t] for it in items]) for t in grid]
             return len(items), rows
 
-        default_bytes = sde._CHUNK_ROW_BYTES
+        default_bytes = sde._ARRAY_BYTES
         count, default = gather(default_bytes)
         assert count == {1: 2, 4: 2, 6: 3}[n]
         for row_bytes, chunks in ((0, -(-paths // sde.PATH_BLOCK)), (1 << 30, 1)):
@@ -208,28 +211,33 @@ class TestEnsemble:
             assert all(np.array_equal(a, b) for a, b in zip(default, other))
         psi = fock.basis_vector(n, [1]).amplitudes
         chi = dict.fromkeys(grid, psi)
-        monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", default_bytes)
+        monkeypatch.setattr(sde, "_ARRAY_BYTES", default_bytes)
         whole = sde.correlations(cfg, paths, grid, psi, chi)
-        monkeypatch.setattr(sde, "_CHUNK_ROW_BYTES", 0)
+        monkeypatch.setattr(sde, "_ARRAY_BYTES", 0)
         assert sde.correlations(cfg, paths, grid, psi, chi) == whole
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_step_block_invariance(self, n, monkeypatch):
         # one step-block for all 20 steps against one step per block; at
         # dt = 0.05 steps take both the series and libm (n = 1: about 0.7 %
-        # of w^2 exceed 1/4). Two path blocks, the second partial.
+        # of w^2 exceed 1/4). Two path blocks, the second partial, in one
+        # chunk for the 20-step budget, which holds their rows too, and in
+        # one chunk each for the 1-byte one.
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, 0.05, "corrected", 23)
         grid = [0.0, 0.35, 1.0]
 
-        def gather():
-            ((_, r0, snaps),) = sde.evolve_ensemble(cfg, 1500, grid, keep_rows)
-            return [r0] + [snaps[t] for t in grid]
+        def gather(array_bytes):
+            monkeypatch.setattr(sde, "_ARRAY_BYTES", array_bytes)
+            items = list(sde.evolve_ensemble(cfg, 1500, grid, keep_rows))
+            rows = [np.concatenate([it[1] for it in items])]
+            return len(items), rows + [np.concatenate([it[2][t] for it in items]) for t in grid]
 
-        monkeypatch.setattr(sde, "_BLOCK_BYTES", 20 * 1500 * (2 * n + 3) * 8)
-        whole = gather()
-        monkeypatch.setattr(sde, "_BLOCK_BYTES", 1)
-        assert all(np.array_equal(a, b) for a, b in zip(whole, gather()))
+        count, whole = gather(20 * 1500 * (2 * n + 3) * 8)
+        assert count == 1
+        count, stepwise = gather(1)
+        assert count == 2
+        assert all(np.array_equal(a, b) for a, b in zip(whole, stepwise))
 
     def test_grid_alignment_required(self):
         cfg = config()
@@ -244,9 +252,10 @@ class TestEnsemble:
     def test_rows_match_dense_reference(self, n, dt, monkeypatch):
         # blocks of 7 steps: the 30-step horizon crosses four block
         # boundaries and ends on a partial block; paths come in two streams,
-        # the second partial. At dt = 0.1 the step angles w reach 2.
+        # the second partial, whose rows the same budget holds in one chunk.
+        # At dt = 0.1 the step angles w reach 2.
         paths, steps, seed = 6, 30, 19
-        monkeypatch.setattr(sde, "_BLOCK_BYTES", 7 * paths * (2 * n + 3) * 8)
+        monkeypatch.setattr(sde, "_ARRAY_BYTES", 7 * paths * (2 * n + 3) * 8)
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
@@ -266,7 +275,7 @@ class TestEnsemble:
         expected = [u[:, 0]]
         for m in range(steps):
             exps = np.einsum("pj,jab->pab", dw[m] * cfg.sigmas, gens)
-            u = u @ np.stack([sg.expm_antihermitian(x) for x in exps])
+            u = u @ np.stack([expm_antihermitian(x) for x in exps])
             expected.append(u[:, 0])
         assert np.array_equal(r0, expected[0])
         for t in grid:
@@ -289,8 +298,9 @@ class TestEnsemble:
 
     def test_memory_within_step_block_budget(self):
         # the increments and their cos, sinc and |c|^2 share one step-block
-        # budget, and the coefficients are cast to complex one step at a
-        # time; with the four arrays of rows (128 KiB each) the peak is 2.4x
+        # of the array budget, and the coefficients are cast to complex one
+        # step at a time; with the four arrays of rows (128 KiB each) the
+        # peak is 2.4x
         tracemalloc.start()
         try:
             for _ in sde.evolve_ensemble(config(seed=4), 4096, [0.1], skip_rows):
@@ -298,7 +308,7 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * sde._BLOCK_BYTES
+        assert peak <= 4.5 * sde._ARRAY_BYTES
 
     @staticmethod
     def block_rows_peak(n):
