@@ -32,11 +32,6 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# haar-test lifts every sample to a dense 2^n x 2^n spin matrix: 100 paths
-# take 0.08 / 0.26 / 1.4 / 9.2 / 29 s at n = 5 / 6 / 7 / 8 / 9 on one core,
-# and the default 10^4 paths take about 26 s at n = 6.
-MAX_HAAR_MODES = 6
-
 
 class UsageError(Exception):
     pass
@@ -268,19 +263,25 @@ def cmd_haar_test(config: dict):
     n, n_samples = config["n"], config["paths"]
     if n_samples < 100:
         raise UsageError(f"haar-test needs at least 100 paths, got {n_samples}")
-    if n > MAX_HAAR_MODES:
-        raise UsageError(f"haar-test is bounded at n <= {MAX_HAAR_MODES}")
-    eye = np.eye(fock.fock_dim(n))
+    # each sample lifts the 2^n x 2^n identity, at most 2N - 1 reflections of its
+    # rows, and takes its Gram matrix U^H U, 2^n more; 100 samples take 1.6 / 4.2 s
+    # at n = 7 / 8 on one core, and n = 9 (1.4e10) is refused
+    N, dim = 2 * n + 1, fock.fock_dim(n)
+    fock.check_work("samples x (2N - 1 + 2^n) x 4^n", float(n_samples) * (2 * N - 1 + dim) * dim**2)
+    eye = np.eye(dim)
     entry_mean, trace_moment, schur = (spin_group.BlockReducer() for _ in range(3))
     # the covering relation U spin(X) = spin(R X R^T) U on the vacuum row, for
-    # one fixed X = sum_jk x_jk X_jk: both deck signs satisfy it, a wrong lift fails
+    # one fixed X = sum_jk x_jk X_jk: both deck signs satisfy it, a wrong lift fails;
+    # the vacuum rows e_0^T spin(X_jk) are copied, so no image outlives its row
     syms = so_algebra.symbols(n)
     j, k = np.array(syms).T - 1
-    images = checks.basis_images(n, "spin")
+    vacuum_rows = np.stack(
+        [so_algebra.spin_rep(so_algebra.basis_element(n, *sym))[0].copy() for sym in syms])
     coeffs = np.random.default_rng(0).standard_normal(len(syms))
-    x = np.zeros((2 * n + 1,) * 2)
+    x = np.zeros((N, N))
     x[j, k], x[k, j] = coeffs, -coeffs
-    spin_x = np.tensordot(coeffs, images, axes=1)
+    spin_x = so_algebra.spin_rep(
+        so_algebra.UEAPolynomial(n, {(sym,): c for sym, c in zip(syms, coeffs)}))
 
     def check_chunk(factors, u):
         """Feed the chunk's rows to the reducers; its worst cover and unitarity gaps."""
@@ -288,7 +289,7 @@ def cmd_haar_test(config: dict):
         entry_mean.add(rot.reshape(len(rot), -1).mean(axis=1))
         trace_moment.add(np.trace(rot, axis1=1, axis2=2) ** 2)
         schur.add(np.conj(u[:, 0, 0]) * u[:, 0, 0])  # real, and 2^{-n} on average by Schur
-        rotated_row = (rot @ x @ np.swapaxes(rot, 1, 2))[:, j, k] @ images[:, 0]
+        rotated_row = (rot @ x @ np.swapaxes(rot, 1, 2))[:, j, k] @ vacuum_rows
         gap = u[:, 0] @ spin_x - np.einsum("pa,pab->pb", rotated_row, u)
         gram = np.conj(np.swapaxes(u, 1, 2)) @ u
         gram -= eye

@@ -45,12 +45,6 @@ def fk_lhs_exact(psi: FockVector, phi: FockVector, spec: HamiltonianSpec, t: flo
     return complex(np.sum(np.conj(psi.amplitudes) * weights * phi.amplitudes) / (1 << spec.n))
 
 
-def _phase_evolved(phi: FockVector, spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """e^{-tS} phi, with S the real diagonal of i spin(B0)."""
-    first_order = uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1]
-    return np.exp(-t * (1j * so_algebra.spin_diagonal(first_order)).real) * phi.amplitudes
-
-
 def fk_report(
     psi: FockVector,
     phi: FockVector,
@@ -62,7 +56,9 @@ def fk_report(
 ) -> list:
     """Exact-vs-Monte-Carlo comparison over a time grid, sharing one ensemble.
 
-    Deterministic given the seed. Returns one FKRow per grid time.
+    Deterministic given the seed. Returns one FKRow per grid time. The
+    target e^{-tS} phi is formed where the ensemble reads it, from one S,
+    the real diagonal of i spin(B0).
     """
     if psi.n != spec.n or phi.n != spec.n:
         raise SizeError("mode counts differ")
@@ -70,10 +66,12 @@ def fk_report(
     if not t_grid:
         return []
     config = sde.SDEConfig(spec, dt, "corrected", seed)
-    sde.grid_steps(t_grid, dt)  # a bad time is refused before its phase is formed
-    chi = {t: _phase_evolved(phi, spec, t) for t in t_grid}
+    first_order = uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1]
+    s = (1j * so_algebra.spin_diagonal(first_order)).real
     rows = []
-    for t, mean, stderr in sde.correlations(config, n_paths, t_grid, psi.amplitudes, chi):
+    for t, mean, stderr in sde.correlations(
+        config, n_paths, t_grid, psi.amplitudes, lambda t: np.exp(-t * s) * phi.amplitudes
+    ):
         lhs = fk_lhs_exact(psi, phi, spec, t)
         gap = abs(mean - lhs)
         z = gap / stderr if stderr > 0 else (0.0 if gap == 0 else float("inf"))

@@ -32,6 +32,11 @@ MAX_MODES = 12
 # --paths 20000 --t-grid 0.1,0.3), or minutes to a quarter hour on one core.
 MAX_AMPLITUDE_STEPS = 10**10
 
+# Bytes of each array of a Monte Carlo chunk: a chunk holds as many paths or samples
+# as fit, and at least one (sde takes whole path blocks, and whole steps per
+# step-block). A smaller budget adds interpreter overhead per chunk and step-block.
+MAX_ARRAY_BYTES = 1 << 20
+
 
 def fock_dim(n: int) -> int:
     """Dimension 2**n of the n-mode Fock space."""
@@ -46,7 +51,7 @@ def check_mode_count(n: int) -> None:
 def check_work(formula: str, work: float) -> None:
     """SizeError if work, a run's amplitude updates by the named formula, exceeds the budget."""
     if work > MAX_AMPLITUDE_STEPS:
-        raise SizeError(f"{formula} = {work:.3g} exceeds the budget of {MAX_AMPLITUDE_STEPS:.3g}")
+        raise SizeError(f"{formula} = {work:.0f} exceeds the budget of {MAX_AMPLITUDE_STEPS:.0f}")
 
 
 def _check_mode(j: int, n: int) -> None:

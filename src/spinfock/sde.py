@@ -26,18 +26,19 @@ matrix coefficients <e_0, U psi>, so the ensemble evolves the rows e_0^T U
 (2^n numbers per path) rather than the spin matrices U. Paths come in blocks
 of PATH_BLOCK, and each block draws from one stream, block_rng: first the
 Gaussian matrices whose Haar lifts start its paths, lifted block by block,
-then its increments, time-major. One byte budget, _ARRAY_BYTES, bounds each
-of a chunk's arrays, so the working set grows with neither the horizon nor
-the path count: chunks of whole blocks are evolved in turn, as many as their
-rows fit or one block each, and a chunk's increments and their coefficients
-come in step-blocks of as many whole steps as fit, or one. Before any draw,
-a run's amplitude updates, the Haar lift's included, are held to
-fock.MAX_AMPLITUDE_STEPS. Results depend on the seed and the path count
-only; the last block may be partial, so a path's draws depend on the path
-count. correlations turns the ensemble into the per-time means and standard
-errors that the Feynman-Kac report and the decay curve read: at each grid
-step it feeds the chunk's values to the grid time's spin_group.BlockReducer,
-so no per-path value outlives its chunk.
+then its increments, time-major. One byte budget, fock.MAX_ARRAY_BYTES,
+bounds each of a chunk's arrays, so the working set grows with neither the
+horizon nor the path count: chunks of whole blocks are evolved in turn, as
+many as their rows fit or one block each, and a chunk's increments and their
+coefficients come in step-blocks of as many whole steps as fit, or one.
+Before any draw, a run's amplitude updates, the Haar lift's included, are
+held to fock.MAX_AMPLITUDE_STEPS. Results depend on the seed and the path
+count only; the last block may be partial, so a path's draws depend on the
+path count. correlations turns the ensemble into the per-time means and
+standard errors that the Feynman-Kac report and the decay curve read: at
+each grid step it forms the amplitudes it reads and feeds the chunk's values
+to the grid time's spin_group.BlockReducer, so no per-path value outlives
+its chunk, and no per-time table exists.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -54,21 +55,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import so_algebra, spin_group
+from . import fock, so_algebra, spin_group
 from .errors import DomainError, SizeError
 from .fock import check_work, vacuum
 from .hamiltonian import HamiltonianSpec
 from .spin_group import PATH_BLOCK, apply_modes
 
 SIGMA_CONVENTIONS = ("corrected", "paper_literal")
-
-# Bytes of each of a chunk's arrays. Paths [b PATH_BLOCK, (b+1) PATH_BLOCK)
-# draw from block_rng(seed, b), and a chunk holds the whole blocks whose rows
-# e_0^T U fit, at least one. Its step-block holds the whole steps whose
-# increments and their cos, sinc and |c|^2, (2n + 3) x 8 bytes per path and
-# step, fit, at least one; every step-block costs one draw call per path
-# block, so a smaller budget adds interpreter overhead.
-_ARRAY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,13 +158,13 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     Haar starts, lifted block by block, then the (steps, P, 2n) increments,
     time-major, in step-blocks that together equal one draw, scaled in flat
     (path, direction) rows. A chunk holds the whole blocks whose rows fit
-    _ARRAY_BYTES, and at least one, so results depend on the seed and the
-    path count only, neither on the chunk size nor on the step-block size.
+    fock.MAX_ARRAY_BYTES, and at least one, so results depend on the seed and
+    the path count only, neither on the chunk size nor on the step-block size.
     A run is refused (SizeError) before any draw if its paths x (steps + 2N - 1)
     x 2^n amplitude updates, 2N - 1 the most reflections of a lift, exceed the budget.
     """
     n = config.spec.n
-    chunk_size = PATH_BLOCK * max(1, _ARRAY_BYTES // (PATH_BLOCK * 16 << n))
+    chunk_size = PATH_BLOCK * max(1, fock.MAX_ARRAY_BYTES // (PATH_BLOCK * 16 << n))
     steps_for = grid_steps(t_grid, config.dt)
     lift = 2 * so_algebra.matrix_size(n) - 1
     work = float(n_paths) * (max(steps_for.values(), default=0) + lift) * (1 << n)
@@ -197,7 +190,8 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     for rng, lo, hi in blocks:
         r0[lo:hi] = spin_group.haar_lift(
             spin_group.haar_factors(rng.standard_normal((hi - lo, N, N))), vacuum(n).amplitudes)
-    block = max(1, min(total_steps, _ARRAY_BYTES // (count * (width + 3) * 8)))
+    # the increments and their cos, sinc and |c|^2: (2n + 3) x 8 bytes per path and step
+    block = max(1, min(total_steps, fock.MAX_ARRAY_BYTES // (count * (width + 3) * 8)))
     scaled = np.empty((block, count, width))
     flat = scaled.reshape(block, count * width)
     r = np.ascontiguousarray(r0.T)
@@ -220,10 +214,11 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     return r0, reads
 
 
-def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: dict) -> list:
-    """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi[t]> at each grid time.
+def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi) -> list:
+    """Ensemble mean of conj(<e_0, X(0) psi>) <e_0, X(t) chi(t)> at each grid time.
 
-    chi maps each grid time to the amplitudes read at that time. Returns
+    chi(t), the amplitudes read at grid time t, is called at each read, after
+    the run is counted against the work budget, so no table is held. Returns
     (t, mean, std_error) rows in grid order, from one spin_group.BlockReducer
     per grid time. Fewer than 100 paths are refused with SizeError, and so is
     a repeated grid time, which would count every path twice, with DomainError.
@@ -237,7 +232,7 @@ def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi: 
 
     def read(t, r0, rows):
         # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk
-        reducers[t].add(np.multiply(np.conj(r0 @ psi), rows @ chi[t]))
+        reducers[t].add(np.multiply(np.conj(r0 @ psi), rows @ chi(t)))
 
     # a deque of length 0 keeps no chunk's r0 alive while the next one is evolved
     collections.deque(evolve_ensemble(config, n_paths, t_grid, read), maxlen=0)
@@ -261,7 +256,7 @@ def decay_curve(
     psi = vacuum(spec.n).amplitudes
     grid = sorted(float(t) for t in t_grid)
     config = SDEConfig(spec, dt, sigma_convention, seed)
-    return correlations(config, n_paths, grid, psi, dict.fromkeys(grid, psi))
+    return correlations(config, n_paths, grid, psi, lambda t: psi)
 
 
 def usable_for_fit(row) -> bool:

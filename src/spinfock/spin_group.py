@@ -23,10 +23,12 @@ the reflections are odd in number the last one is left unpaired, and its
 image gamma(u') + u_N is, up to sign, that of its pair with e_N. The lift
 skips each reflection no sample of a stack uses, the last Householder one always.
 
-haar_chunks lifts samples by chunks of _LIFT_BYTES, counted per sample as eight
-(2n+1)^2 float arrays, twice the most it holds at once, and three of lifted rows.
-Before any draw it holds the lift's amplitude updates, at most 2N - 1
-reflections of the rows per sample, to fock.MAX_AMPLITUDE_STEPS.
+haar_chunks lifts samples by chunks, each as many samples as keep every
+per-sample array within the one byte budget, fock.MAX_ARRAY_BYTES, and at least
+one: the N x N stacks, 8 N^2 bytes a sample, and the lifted rows, the kernel's
+scratch and a reader's Gram matrix, 16 bytes per entry of the rows. Before any
+draw it holds the lift's amplitude updates, at most 2N - 1 reflections of the
+rows per sample, to fock.MAX_AMPLITUDE_STEPS.
 
 One kernel, apply_modes, applies a scalar plus a Clifford vector to rows, in
 the lift and in the ensemble step. With c_m^dagger = (gamma_{2m-1} +
@@ -47,9 +49,7 @@ import numpy as np
 from . import fock, so_algebra
 from .errors import SizeError
 
-# Bytes of a chunk of haar_chunks, as the module docstring counts them, and
-# values per block of BlockReducer (in sde, paths per random stream).
-_LIFT_BYTES = 1 << 22
+# Values per block of BlockReducer (in sde, paths per random stream).
 PATH_BLOCK = 1024
 
 MCEstimate = collections.namedtuple("MCEstimate", "mean std_error")
@@ -181,7 +181,7 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, 
     fock.check_mode_count(n)
     N = so_algebra.matrix_size(n)
     fock.check_work("samples x (2N - 1) x lifted rows", float(count) * (2 * N - 1) * np.size(rows))
-    chunk = max(1, _LIFT_BYTES // (8 * 8 * N * N + 3 * 16 * np.size(rows)))
+    chunk = max(1, fock.MAX_ARRAY_BYTES // max(8 * N * N, 16 * np.size(rows)))
     for start in range(0, count, chunk):
         factors = haar_factors(rng.standard_normal((min(chunk, count - start), N, N)))
         yield read(factors, haar_lift(factors, rows))

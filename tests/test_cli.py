@@ -106,7 +106,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, ["verify", "--n", "7"])
         assert code == 2
         assert out == ""
-        assert "4.62e+10 exceeds the budget" in err
+        assert "46242201600 exceeds the budget" in err
 
     def test_bad_energies(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--n", "2", "--energies", "2,1"])
@@ -432,7 +432,7 @@ class TestWorkBudget:
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "1.52e+04 exceeds the budget" in err
+        assert "= 15200 exceeds the budget of 15199" in err
 
     @pytest.mark.parametrize("command", ["fk", "haar-test"])
     def test_lift_counted_before_drawing(self, capsys, monkeypatch, command):
@@ -442,6 +442,26 @@ class TestWorkBudget:
         monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
         grid = ["--t-grid", "0"] if command == "fk" else []
         argv = [command, "--n", "1", *grid, "--paths", str(10**12), "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the budget" in err
+
+    def test_message_shows_the_excess(self, capsys, monkeypatch):
+        # one sample over the bound at n = 6: 27432 x (25 + 64) x 4^6 is 1.00002e10
+        monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
+        code, _, err = run_cli(capsys, ["haar-test", "--n", "6", "--paths", "27432", "--seed", "1"])
+        assert code == 2
+        count, budget = (float(part.split()[-1]) for part in err.split(" exceeds the budget of "))
+        assert (count, budget) == (27432 * 89 * 4**6, fock.MAX_AMPLITUDE_STEPS)
+        assert count > budget
+
+    def test_long_grid_refused_before_drawing(self, capsys, monkeypatch):
+        # 2000 grid times at n = 12: the engine counts the run before any read
+        # forms a phase, and no grid time has a phase of its own
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
+        grid = ",".join(str(round(1e-3 * s, 3)) for s in range(1, 2001))
+        argv = ["fk", "--n", "12", "--paths", "100000", "--dt", "1e-3", "--t-grid", grid, "--seed", "1"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
@@ -515,11 +535,12 @@ class TestHaarTest:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_report_does_not_depend_on_chunk_size(self, capsys, monkeypatch, n):
-        # 16000 bytes hold 20 samples a chunk at n = 1 and 6 at n = 2, so the
+        # 1440 bytes hold 20 samples a chunk at n = 1 (72 bytes of the N x N
+        # stacks each) and 5 at n = 2 (256 bytes of rows each), so the
         # reducer's blocks straddle chunks; 2500 paths end on a partial block
         argv = ["haar-test", "--n", str(n), "--paths", "2500", "--seed", "3"]
         code, default, _ = run_cli(capsys, argv)
-        monkeypatch.setattr(spin_group, "_LIFT_BYTES", 16000)
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 1440)
         eye = np.eye(1 << n)
         assert next(spin_group.haar_chunks(np.random.default_rng(0), n, 100, eye, chunk_size)) <= 20
         assert run_cli(capsys, argv) == (code, default, "")
@@ -548,7 +569,7 @@ class TestHaarTest:
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_factorization_per_chunk(self, capsys, monkeypatch, n):
         # the rotations and the lift of a chunk read one raw QR; no determinant
-        monkeypatch.setattr(spin_group, "_LIFT_BYTES", 16000)
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 1440)
         rng, eye = np.random.default_rng(0), np.eye(1 << n)
         sizes = list(spin_group.haar_chunks(rng, n, 300, eye, chunk_size))
         qr, modes, dets = np.linalg.qr, [], []
@@ -589,22 +610,34 @@ class TestHaarTest:
         assert "at least 100 paths" in err
 
     def test_mode_bound_before_drawing(self, capsys, monkeypatch):
+        # the work count bounds the modes: at the 100-path floor, n = 9 takes
+        # 100 x (2N - 1 + 2^n) x 4^n = 100 x 549 x 4^9, counted before any image
+        # or sample is built
+        monkeypatch.setattr(so_algebra, "spin_rep", refuse_to_draw)
         monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
-        n = cli.MAX_HAAR_MODES + 1
-        argv = ["haar-test", "--n", str(n), "--paths", "100", "--seed", "1"]
+        argv = ["haar-test", "--n", "9", "--paths", "100", "--seed", "1"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert f"n <= {cli.MAX_HAAR_MODES}" in err
+        assert "= 14391705600 exceeds the budget" in err
 
     def test_mode_bound_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_HAAR_MODES", 1)
+        # 200 samples x (5 reflections + 2 Gram columns) x 4 = 5600 at n = 1
+        monkeypatch.setattr(fock, "MAX_AMPLITUDE_STEPS", 5600)
         assert run_cli(capsys, ["haar-test", *RUNS["haar-test"]])[0] == 0
+        monkeypatch.setattr(fock, "MAX_AMPLITUDE_STEPS", 5599)
+        monkeypatch.setattr(so_algebra, "spin_rep", refuse_to_draw)
         monkeypatch.setattr(spin_group, "haar_lift", refuse_to_draw)
-        code, out, err = run_cli(capsys, ["haar-test", "--n", "2", "--paths", "200", "--seed", "5"])
+        code, out, err = run_cli(capsys, ["haar-test", *RUNS["haar-test"]])
         assert code == 2
         assert out == ""
-        assert "n <= 1" in err
+        assert "= 5600 exceeds the budget of 5599" in err
+
+    def test_seven_modes_pass(self, capsys):
+        # the largest sample count the budget admits at n = 7 is 3887
+        code, out, _ = run_cli(capsys, ["haar-test", "--n", "7", "--paths", "100", "--seed", "1"])
+        assert code == 0
+        assert all(c["passed"] for c in json.loads(out)["checks"])
 
 
 class TestParser:

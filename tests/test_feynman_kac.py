@@ -48,7 +48,7 @@ class TestFactorization:
         assert np.max(np.abs(h - (0.5 * sum(spec.energies) + s))) < 1e-12
         ones = fock.FockVector(spec.n, np.ones(1 << spec.n))
         for t in (0.0, 0.3, 1.0):
-            split = np.exp(-t * 0.5 * sum(spec.energies)) * fk._phase_evolved(ones, spec, t)
+            split = np.exp(-t * 0.5 * sum(spec.energies)) * np.exp(-t * s) * ones.amplitudes
             assert np.max(np.abs(np.exp(-t * h) - split)) < 1e-12
 
 
@@ -76,7 +76,8 @@ class TestMonteCarlo:
         # flipping the sign of the initial lift flips both coefficients,
         # leaving every per-path product unchanged
         psi = fock.basis_vector(1, [1]).amplitudes
-        chi = fk._phase_evolved(fock.basis_vector(1, [1]), SPEC1, 0.1)
+        s = (1j * so.spin_diagonal(uea.quasi_hamiltonian_symbols(1, SPEC1.energies)[1])).real
+        chi = np.exp(-0.1 * s) * psi
         cfg = sde.SDEConfig(SPEC1, 1e-3, "corrected", 3)
         _, r0, snaps = next(sde.evolve_ensemble(cfg, 64, [0.1], lambda t, r0, rows: rows.copy()))
         rt = snaps[0.1]
@@ -106,6 +107,15 @@ class TestMonteCarlo:
             assert row.t == t
             assert abs(row.rhs_mean - scale * mean) <= 1e-12 * abs(row.rhs_mean)
             assert abs(row.std_error - scale * stderr) <= 1e-12 * row.std_error
+
+    def test_phase_diagonal_built_once(self, monkeypatch):
+        # S does not depend on t, so a report builds it once, not per grid time
+        calls = []
+        spin_diagonal = so.spin_diagonal
+        monkeypatch.setattr(so, "spin_diagonal", lambda elem: calls.append(elem) or spin_diagonal(elem))
+        e1 = fock.basis_vector(1, [1])
+        fk.fk_report(e1, e1, SPEC1, [0.0, 0.1, 0.2], 200, 1e-2, 17)
+        assert len(calls) == 1
 
     def test_empty_grid(self):
         assert fk.fk_report(fock.vacuum(1), fock.vacuum(1), SPEC1, [], 1000, 1e-3, 1) == []

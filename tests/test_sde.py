@@ -172,7 +172,7 @@ class TestEnsemble:
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         cfg = config(spec=SPEC2, seed=42)
         def gather(row_bytes):
-            monkeypatch.setattr(sde, "_ARRAY_BYTES", row_bytes)
+            monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", row_bytes)
             items = list(sde.evolve_ensemble(cfg, 37, [0.02], keep_rows))
             r0 = np.concatenate([it[1] for it in items])
             return len(items), r0, np.concatenate([it[2][0.02] for it in items])
@@ -196,13 +196,13 @@ class TestEnsemble:
         grid = [0.0, 0.004]
 
         def gather(row_bytes):
-            monkeypatch.setattr(sde, "_ARRAY_BYTES", row_bytes)
+            monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", row_bytes)
             items = list(sde.evolve_ensemble(cfg, paths, grid, keep_rows))
             rows = [np.concatenate([it[1] for it in items])]
             rows += [np.concatenate([it[2][t] for it in items]) for t in grid]
             return len(items), rows
 
-        default_bytes = sde._ARRAY_BYTES
+        default_bytes = fock.MAX_ARRAY_BYTES
         count, default = gather(default_bytes)
         assert count == {1: 2, 4: 2, 6: 3}[n]
         for row_bytes, chunks in ((0, -(-paths // sde.PATH_BLOCK)), (1 << 30, 1)):
@@ -210,11 +210,10 @@ class TestEnsemble:
             assert count == chunks
             assert all(np.array_equal(a, b) for a, b in zip(default, other))
         psi = fock.basis_vector(n, [1]).amplitudes
-        chi = dict.fromkeys(grid, psi)
-        monkeypatch.setattr(sde, "_ARRAY_BYTES", default_bytes)
-        whole = sde.correlations(cfg, paths, grid, psi, chi)
-        monkeypatch.setattr(sde, "_ARRAY_BYTES", 0)
-        assert sde.correlations(cfg, paths, grid, psi, chi) == whole
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", default_bytes)
+        whole = sde.correlations(cfg, paths, grid, psi, lambda t: psi)
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 0)
+        assert sde.correlations(cfg, paths, grid, psi, lambda t: psi) == whole
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_step_block_invariance(self, n, monkeypatch):
@@ -228,7 +227,7 @@ class TestEnsemble:
         grid = [0.0, 0.35, 1.0]
 
         def gather(array_bytes):
-            monkeypatch.setattr(sde, "_ARRAY_BYTES", array_bytes)
+            monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", array_bytes)
             items = list(sde.evolve_ensemble(cfg, 1500, grid, keep_rows))
             rows = [np.concatenate([it[1] for it in items])]
             return len(items), rows + [np.concatenate([it[2][t] for it in items]) for t in grid]
@@ -255,7 +254,7 @@ class TestEnsemble:
         # the second partial, whose rows the same budget holds in one chunk.
         # At dt = 0.1 the step angles w reach 2.
         paths, steps, seed = 6, 30, 19
-        monkeypatch.setattr(sde, "_ARRAY_BYTES", 7 * paths * (2 * n + 3) * 8)
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 7 * paths * (2 * n + 3) * 8)
         monkeypatch.setattr(sde, "PATH_BLOCK", 4)
         spec = ham.HamiltonianSpec(n, tuple(float(k) for k in range(1, n + 1)))
         cfg = sde.SDEConfig(spec, dt, "corrected", seed)
@@ -308,7 +307,7 @@ class TestEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * sde._ARRAY_BYTES
+        assert peak <= 4.5 * fock.MAX_ARRAY_BYTES
 
     @staticmethod
     def block_rows_peak(n):
@@ -356,7 +355,7 @@ class TestReducer:
         results = []
         for chunk in (1, 3, 8):
             monkeypatch.setattr(sde, "evolve_ensemble", fed_ensemble(values, chunk * sde.PATH_BLOCK))
-            results.append(sde.correlations(config(), paths, grid, vac, dict.fromkeys(grid, vac)))
+            results.append(sde.correlations(config(), paths, grid, vac, lambda t: vac))
         assert results[1] == results[0] and results[2] == results[0]
         for _, mean, stderr in results[0]:
             assert abs(mean - ref_mean) <= 1e-12 * abs(ref_mean)
@@ -371,7 +370,7 @@ class TestReducer:
         def peak(paths):
             tracemalloc.start()
             try:
-                sde.correlations(config(seed=1), paths, grid, psi, dict.fromkeys(grid, psi))
+                sde.correlations(config(seed=1), paths, grid, psi, lambda t: psi)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -452,7 +451,7 @@ class TestDecay:
         rng = np.random.default_rng(8)
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         config = sde.SDEConfig(SPEC2, 1e-3, "corrected", 9)
-        ((_, mean, stderr),) = sde.correlations(config, 6000, [0.4], psi, {0.4: psi})
+        ((_, mean, stderr),) = sde.correlations(config, 6000, [0.4], psi, lambda t: psi)
         target = np.exp(-0.4 * 0.5 * 3.0) * 0.25 * np.linalg.norm(psi) ** 2
         assert abs(mean - target) <= 3 * stderr + 2e-3
 

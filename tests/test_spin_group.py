@@ -342,7 +342,7 @@ class TestL2InnerMC:
     def test_chunk_invariance(self, monkeypatch):
         top = fock.basis_vector(2, [1, 2])
         whole = sg.l2_inner_mc(top, top, 500, np.random.default_rng(25))
-        monkeypatch.setattr(sg, "_LIFT_BYTES", 7 * 4 * 16)
+        monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 0)  # one sample a chunk
         chunked = sg.l2_inner_mc(top, top, 500, np.random.default_rng(25))
         assert chunked == whole
 
