@@ -269,7 +269,7 @@ def cmd_haar_test(config: dict):
     N, dim = 2 * n + 1, fock.fock_dim(n)
     fock.check_work("samples x (2N - 1 + 2^n) x 4^n", float(n_samples) * (2 * N - 1 + dim) * dim**2)
     eye = np.eye(dim)
-    entry_mean, trace_moment, schur = (spin_group.BlockReducer() for _ in range(3))
+    entry_mean, trace_moment, schur = (spin_group.BlockReducer(n_samples) for _ in range(3))
     # the covering relation U spin(X) = spin(R X R^T) U on the vacuum row, for
     # one fixed X = sum_jk x_jk X_jk: both deck signs satisfy it, a wrong lift fails;
     # the vacuum rows e_0^T spin(X_jk) are copied, so no image outlives its row

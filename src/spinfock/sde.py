@@ -34,11 +34,11 @@ coefficients come in step-blocks of as many whole steps as fit, or one.
 Before any draw, a run's amplitude updates, the Haar lift's included, are
 held to fock.MAX_AMPLITUDE_STEPS. Results depend on the seed and the path
 count only; the last block may be partial, so a path's draws depend on the
-path count. correlations turns the ensemble into the per-time means and
-standard errors that the Feynman-Kac report and the decay curve read: at
-each grid step it forms the amplitudes it reads and feeds the chunk's values
-to the grid time's spin_group.BlockReducer, so no per-path value outlives
-its chunk, and no per-time table exists.
+path count. grid_steps gives the grid times read after each step, so a run
+costs its steps plus one read per grid time. correlations reduces each read's
+values, for the Feynman-Kac report and the decay curve, in the grid time's
+spin_group.BlockReducer, which takes the path count, so no per-path value
+outlives its chunk.
 
 The diffusion generator is (1/2) sum_j sigma_j^2 A_j^2. Matching the
 second-order operator sum_j E'_j A_j^2 therefore needs sigma_j = sqrt(2 E'_j)
@@ -130,8 +130,9 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def grid_steps(t_grid, dt: float) -> dict:
-    """Each grid time's step count t/dt; DomainError unless t is a finite multiple of dt, >= 0."""
-    steps_for = {}
+    """{step: [t, ...]}, the grid times read after each step t/dt, in grid order;
+    DomainError unless each t is a distinct finite multiple of dt, >= 0."""
+    times_at = {}
     for t in t_grid:
         t = float(t)
         if not 0 <= t / dt < math.inf:
@@ -139,19 +140,21 @@ def grid_steps(t_grid, dt: float) -> dict:
         s = int(round(t / dt))
         if abs(s * dt - t) > 1e-9 * max(1.0, t):
             raise DomainError(f"grid time {t} is not a multiple of dt={dt}")
-        steps_for[t] = s
-    return steps_for
+        if t in times_at.get(s, ()):
+            raise DomainError(f"grid times must be distinct, got {t} twice")
+        times_at.setdefault(s, []).append(t)
+    return times_at
 
 
 def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     """Evolve independent paths in chunks, reading their rows e_0^T U at the grid times.
 
     Yields (start_index, r0, reads) per chunk. r0 stacks the rows e_0^T U0
-    of the Haar-distributed initial spin matrices, paths on axis 0. When
-    step t/dt is reached, read(t, r0, rows) gets the chunk's rows e_0^T U
-    at t, paths on axis 0 as in r0 and valid only during the call, and reads
-    maps each grid time to what it returned. A matrix coefficient <e_0, U psi> is
-    rows @ psi; the identity read, rows.copy(), keeps the full rows.
+    of the Haar-distributed initial spin matrices, paths on axis 0. At the steps
+    grid_steps gives, read(t, r0, rows) gets the chunk's rows e_0^T U at each
+    time t there, in grid order, paths on axis 0 as in r0 and valid only during
+    the call, and reads maps each grid time to what it returned. A matrix
+    coefficient <e_0, U psi> is rows @ psi; the identity read, rows.copy(), keeps the full rows.
 
     The P paths of block b (P = PATH_BLOCK, or fewer in the last block) draw
     from block_rng(config.seed, b): first (P, 2n+1, 2n+1) Gaussians for the
@@ -160,25 +163,25 @@ def evolve_ensemble(config: SDEConfig, n_paths: int, t_grid, read):
     (path, direction) rows. A chunk holds the whole blocks whose rows fit
     fock.MAX_ARRAY_BYTES, and at least one, so results depend on the seed and
     the path count only, neither on the chunk size nor on the step-block size.
-    A run is refused (SizeError) before any draw if its paths x (steps + 2N - 1)
-    x 2^n amplitude updates, 2N - 1 the most reflections of a lift, exceed the budget.
+    Before any draw, the first next() runs grid_steps, and refuses (SizeError) a run whose paths
+    x (steps + 2N - 1) x 2^n amplitude updates, 2N - 1 a lift's most reflections, pass the budget.
     """
     n = config.spec.n
     chunk_size = PATH_BLOCK * max(1, fock.MAX_ARRAY_BYTES // (PATH_BLOCK * 16 << n))
-    steps_for = grid_steps(t_grid, config.dt)
+    times_at = grid_steps(t_grid, config.dt)
     lift = 2 * so_algebra.matrix_size(n) - 1
-    work = float(n_paths) * (max(steps_for.values(), default=0) + lift) * (1 << n)
+    work = float(n_paths) * (max(times_at, default=0) + lift) * (1 << n)
     check_work("paths x (steps + 2N - 1) x 2^n", work)
     for start in range(0, n_paths, chunk_size):
         # nothing of a chunk but what it yields outlives it
-        yield (start, *_evolve_chunk(config, start, min(chunk_size, n_paths - start), steps_for, read))
+        yield (start, *_evolve_chunk(config, start, min(chunk_size, n_paths - start), times_at, read))
 
 
-def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, read) -> tuple:
+def _evolve_chunk(config: SDEConfig, start: int, count: int, times_at: dict, read) -> tuple:
     """(r0, reads) of the count paths from path start on, for evolve_ensemble."""
     n, width = config.spec.n, 2 * config.spec.n
     N = so_algebra.matrix_size(n)
-    total_steps = max(steps_for.values(), default=0)
+    total_steps = max(times_at, default=0)
     sig = np.tile(config.sigmas, PATH_BLOCK)
     sqrt_dt = math.sqrt(config.dt)
     # (stream, first row, end row) per path block of the chunk
@@ -196,7 +199,7 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
     flat = scaled.reshape(block, count * width)
     r = np.ascontiguousarray(r0.T)
     work = np.empty_like(r)
-    reads = {t: read(t, r0, r0) for t, s in steps_for.items() if s == 0}
+    reads = {t: read(t, r0, r0) for t in times_at.get(0, ())}
     for first in range(0, total_steps, block):
         size = min(block, total_steps - first)
         # steps on axis 0, so each step reads contiguous coefficients
@@ -208,9 +211,8 @@ def _evolve_chunk(config: SDEConfig, start: int, count: int, steps_for: dict, re
         for m in range(size):
             ladder = np.ascontiguousarray(coef[m].view(complex).T)
             r = apply_modes(r, cos_om[m], ladder, range(n), work)
-            for t, s in steps_for.items():
-                if s == first + m + 1:
-                    reads[t] = read(t, r0, r.T)
+            for t in times_at.get(first + m + 1, ()):
+                reads[t] = read(t, r0, r.T)
     return r0, reads
 
 
@@ -219,16 +221,12 @@ def correlations(config: SDEConfig, n_paths: int, t_grid, psi: np.ndarray, chi) 
 
     chi(t), the amplitudes read at grid time t, is called at each read, after
     the run is counted against the work budget, so no table is held. Returns
-    (t, mean, std_error) rows in grid order, from one spin_group.BlockReducer
-    per grid time. Fewer than 100 paths are refused with SizeError, and so is
-    a repeated grid time, which would count every path twice, with DomainError.
+    (t, mean, std_error) rows in grid order, from one spin_group.BlockReducer(n_paths)
+    per grid time. SizeError below 100 paths; grid_steps refuses a bad or repeated time.
     """
     if n_paths < 100:
         raise SizeError(f"need at least 100 paths, got {n_paths}")
-    t_grid = [float(t) for t in t_grid]
-    if len(set(t_grid)) != len(t_grid):
-        raise DomainError(f"grid times must be distinct, got {t_grid}")
-    reducers = {t: spin_group.BlockReducer() for t in t_grid}
+    reducers = {float(t): spin_group.BlockReducer(n_paths) for t in t_grid}
 
     def read(t, r0, rows):
         # not a0 * (...): numpy may run that in place as (...) * a0, rounding by chunk

@@ -188,17 +188,19 @@ def haar_chunks(rng: np.random.Generator, n: int, count: int, rows: np.ndarray, 
 
 
 class BlockReducer:
-    """Mean and standard error of values taken chunk by chunk, in order.
+    """Mean and standard error of count values taken chunk by chunk, in order.
 
     Blocks of PATH_BLOCK values, cut on the index in the whole sequence, are
     reduced to their count, mean and sum of squared deviations about the first
     block's mean, so a common offset does not round them, and merged in order
     by the update of Chan, Golub and LeVeque (Am. Stat. 37, 1983): the chunks
-    do not change the result, and at most a block of values outlives an add.
+    do not change the result. Less than a block of values outlives an add,
+    and none the add that completes the count, which merges the last,
+    partial block too.
     """
 
-    def __init__(self):
-        self.shift, self.moments, self.head = None, (0, 0.0, 0.0), np.empty(0)
+    def __init__(self, count: int):
+        self.count, self.shift, self.moments, self.head = count, None, (0, 0.0, 0.0), np.empty(0)
 
     def _merged(self, block: np.ndarray) -> tuple:
         if self.shift is None:
@@ -212,14 +214,15 @@ class BlockReducer:
     def add(self, values: np.ndarray) -> None:
         """Take the next values, a 1-D array."""
         values = np.concatenate([self.head, values]) if len(self.head) else values
-        whole = len(values) - len(values) % PATH_BLOCK
-        for lo in range(0, whole, PATH_BLOCK):
+        last = self.moments[0] + len(values) >= self.count
+        end = len(values) if last else len(values) - len(values) % PATH_BLOCK
+        for lo in range(0, end, PATH_BLOCK):
             self.moments = self._merged(values[lo:lo + PATH_BLOCK])
-        self.head = values[whole:].copy()
+        self.head = values[end:].copy()
 
     def estimate(self) -> MCEstimate:
-        """The mean and sqrt(sum |value - mean|^2 / (N - 1) / N) of the N values taken."""
-        count, mean, m2 = self._merged(self.head) if len(self.head) else self.moments
+        """The mean and sqrt(sum |value - mean|^2 / (N - 1) / N) of the N = count values."""
+        count, mean, m2 = self.moments
         return MCEstimate((self.shift + mean).item(), math.sqrt(m2 / (count - 1) / count))
 
 
@@ -238,7 +241,7 @@ def l2_inner_mc(
         raise SizeError(f"mode counts differ: {psi.n} != {phi.n}")
     if n_samples < 100:
         raise SizeError(f"need at least 100 samples, got {n_samples}")
-    reducer = BlockReducer()
+    reducer = BlockReducer(n_samples)
     for values in haar_chunks(rng, psi.n, n_samples, fock.vacuum(psi.n).amplitudes,
                               lambda f, r: np.conj(r @ psi.amplitudes) * (r @ phi.amplitudes)):
         reducer.add(values)

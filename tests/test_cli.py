@@ -195,7 +195,8 @@ class TestFK:
             cli.main(["fk", "--n", "1", "--seed", "1", "--process", "p"])
         assert exc.value.code == 2
 
-    def test_repeated_grid_time(self, capsys):
+    def test_repeated_grid_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
         code, out, err = run_cli(
             capsys,
             ["fk", "--n", "1", "--t-grid", "0.25,0.25", "--paths", "1000", "--seed", "1",
@@ -312,7 +313,8 @@ class TestCalibrate:
             cli.main(["calibrate", "--n", "1", "--seed", "3", "--process", "p"])
         assert exc.value.code == 2
 
-    def test_repeated_grid_time(self, capsys):
+    def test_repeated_grid_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(sde, "block_rng", refuse_to_draw)
         code, out, err = run_cli(
             capsys,
             ["calibrate", "--n", "1", "--t-grid", "0.0,0.05,0.05,0.1", "--paths", "300",
@@ -557,7 +559,7 @@ class TestHaarTest:
         def schur(rng):
             g = rng.standard_normal((paths, N, N))
             u = spin_group.haar_lift(spin_group.haar_factors(g), np.eye(1 << n))
-            reducer = spin_group.BlockReducer()
+            reducer = spin_group.BlockReducer(paths)
             reducer.add(np.conj(u[:, 0, 0]) * u[:, 0, 0])
             estimate = reducer.estimate()
             return estimate.mean.real, estimate.std_error

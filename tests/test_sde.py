@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,25 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             list(sde.evolve_ensemble(cfg, 4, [0.0005], keep_rows))
 
+    def test_repeated_grid_time_refused(self):
+        with pytest.raises(DomainError, match="distinct"):
+            sde.grid_steps([0.1, 0.2, 0.1], 0.1)
+
+    def test_times_on_one_step_read_in_grid_order(self):
+        # 0.1 + 1e-11 is a distinct time within the rule's tolerance of step 1
+        close = 0.1 + 1e-11
+        grid = [0.3, close, 0.0, 0.1]
+        assert sde.grid_steps(grid, 0.1) == {3: [0.3], 1: [close, 0.1], 0: [0.0]}
+        order = []
+
+        def read(t, r0, rows):
+            order.append(t)
+            return rows.copy()
+
+        ((_, _, reads),) = sde.evolve_ensemble(config(dt=0.1), 4, grid, read)
+        assert order == [0.0, close, 0.1, 0.3]
+        assert np.array_equal(reads[close], reads[0.1])
+
     @pytest.mark.parametrize(
         "n, dt",
         [pytest.param(n, 1e-3, id=str(n)) for n in (1, 2, 3, 4)]
@@ -379,6 +399,20 @@ class TestReducer:
         chunk = 32 * sde.PATH_BLOCK
         assert peak(4 * chunk) <= 1.1 * peak(chunk)
 
+    def test_dense_grid_holds_no_partial_block(self):
+        # 1000 paths are one partial block at each of 2000 grid times; the
+        # read that completes a reducer's count merges it, where each time
+        # held its 1000 values to the end (35 MB)
+        grid = [round(1e-3 * s, 3) for s in range(1, 2001)]
+        tracemalloc.start()
+        try:
+            rows = sde.decay_curve(SPEC1, grid, 1000, 1e-3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2000
+        assert peak <= 8e6
+
 
 class TestGeneratorCheck:
     # The step's mean is m(dt) I exactly, so the generator of the step is
@@ -411,7 +445,7 @@ class TestGeneratorCheck:
         work = np.empty((len(rows), n_samples), dtype=complex)
         stepped = sg.apply_modes(rows, cos_om, ladder, range(cfg.spec.n), work).T
         f0 = row @ psi
-        reducer = sg.BlockReducer()
+        reducer = sg.BlockReducer(n_samples)
         reducer.add((stepped @ psi - f0) / cfg.dt)
         est = reducer.estimate()
         return est.mean, est.std_error, (step_mean(cfg) - 1) / cfg.dt * f0
@@ -439,6 +473,16 @@ class TestGeneratorCheck:
 
 
 class TestDecay:
+    def test_long_grid_costs_its_steps(self):
+        # each step looks its reads up, so 20,000 grid times on 20,000 steps
+        # cost about what the one time 20.0 does (21 s when every step
+        # scanned the grid)
+        grid = [round(1e-3 * s, 3) for s in range(1, 20001)]
+        start = time.perf_counter()
+        rows = sde.decay_curve(SPEC1, grid, 100, 1e-3, 1)
+        assert time.perf_counter() - start <= 10
+        assert len(rows) == 20000
+
     def test_eigenfunction_decay(self):
         # E[conj(f(X(0))) f(X(t))] = exp(-t/2 sum E) 2^{-n} |psi|^2
         rows = sde.decay_curve(SPEC1, [0.5], 6000, 1e-3, 7, "corrected")

@@ -302,7 +302,8 @@ class TestBlockReducer:
     def test_matches_two_pass_on_real_values(self, n, count, kind):
         # haar-test's real rows, entry means and squared traces of Haar
         # rotations, in chunks of 1, 7 and 1000 samples and in one: blocks
-        # straddle chunks, the last block is partial, and 700 make no whole block
+        # straddle chunks, the last block is partial, and 700 make no whole
+        # block; the add that completes the count leaves no value held
         rot, _ = haar_draws(np.random.default_rng(count), n, count)
         if kind == "entry":
             values = rot.reshape(count, -1).mean(axis=1)
@@ -312,9 +313,10 @@ class TestBlockReducer:
         ref_se = np.sqrt(values.var(ddof=1) / count)
         results = []
         for chunk in (1, 7, 1000, count):
-            reducer = sg.BlockReducer()
+            reducer = sg.BlockReducer(count)
             for start in range(0, count, chunk):
                 reducer.add(values[start:start + chunk])
+            assert len(reducer.head) == 0
             results.append(reducer.estimate())
         assert all(est == results[0] for est in results)
         est = results[0]
