@@ -4,23 +4,24 @@ Every check reports its worst residual against a fixed tolerance; the suite
 passes iff every check passes. Symbolic checks are exact (residual counts
 nonzero normal forms), numeric checks compare matrices entrywise.
 
-The homomorphism checks sweep all S^2 ordered pairs of the S = n(2n+1)
-basis symbols as batched matrix products. ``run_verify`` builds the
-structure constants once and both representations share them: each bracket
-[X_a, X_b] is one basis symbol c times a sign, or zero. With the S images
-stacked as M of shape (S, d, d), row a gathers the bracket images
-sign[a, b] M_c, and takes two products: M_a @ [M_0 | ... | M_{S-1}] for
-every M_a M_b, and [M_0; ...; M_{S-1}] @ M_a for every M_b M_a. No
-temporary is larger than one (S, d, d) block. Every entry of a basis image
-is dyadic (0, +-1, +-1/2 or +-i/2), and so is every partial sum of these
-products, so they are exact in any summation order: a homomorphism's
-residual is exactly 0.0, whatever BLAS does.
+Each spin-side image that a relation multiplies (a basis image, gamma_j,
+c_k^+- or D_k^+-) is a signed bit flip, e_x -> phase[x] e_(x XOR flip), which
+``read_flips`` reads as that pair; an image's largest entry off its flip
+joins each residual that reads it. A product of two is one gather,
+M_a M_b = (f_a XOR f_b, p_a[x XOR f_b] p_b[x]) (Bravyi & Kitaev, Ann. Phys.
+298, 210, 2002), so ``car``, ``clifford-anticommutation``, ``car-on-subspace``
+and ``homomorphism-spin`` (all S^2 ordered pairs of the S = n(2n+1) basis
+symbols) take O(2^n) per pair, in blocks whose temporaries (fewer than 16
+arrays of 2^n complex entries per pair) fit ``fock.MAX_ARRAY_BYTES``; the
+(2n+1)-dimensional ``homomorphism-defining`` stays dense. Every image entry
+is dyadic (0, +-1, +-i, +-1/2, +-i/2), as is every product and partial sum,
+so each sweep is exact in any order: a flip row reads the dense one's bits.
 
 A representation is its image function, looked up by the tag that names its
 report rows ("spin", "defining") when a run starts, never at import; the
-elements it maps are ``so_algebra.UEAPolynomial``. ``basis_images`` stacks
-its S basis images once per run, and the trace, homomorphism and
-factorized-identity rows read that stack. ``clifford-reconstruction``
+elements it maps are ``so_algebra.UEAPolynomial``. Spin basis images are
+built one at a time; ``basis_images`` stacks the defining ones, and the 2n
+vector-type ones of both for ``factorized-identity``. ``clifford-reconstruction``
 compares (gamma_{2k-1} + i gamma_{2k}) / 2 with exterior multiplication by
 e_k written from bit masks, not through ``fock.monomial``, so a wrong
 Jordan-Wigner order fails it.
@@ -55,11 +56,45 @@ def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
+def read_flips(images) -> tuple:
+    """(flip, phase, off) of the images, flips those of their largest entries, then the identity."""
+    flips, phases, off = [], [], 0.0
+    for image in images:
+        cols, size = np.arange(len(image)), np.abs(image)
+        flips.append(np.bitwise_xor(*np.unravel_index(np.argmax(size), size.shape)))
+        phases.append(image[cols ^ flips[-1], cols])
+        size[cols ^ flips[-1], cols] = 0.0
+        off = max(off, float(size.max()))
+    return np.array([*flips, 0]), np.array([*phases, np.ones(len(cols), complex)]), off
+
+
+def _flip_residual(flips: tuple, sign: int, target: np.ndarray, coeff: np.ndarray) -> float:
+    """max over (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)|, and off."""
+    flip, phase, worst = flips
+    a, b = np.divmod(np.arange(coeff.size), len(coeff))
+    states, step = np.arange(phase.shape[1]), max(1, fock.MAX_ARRAY_BYTES // (16 * phase[0].nbytes))
+    for lo in range(0, len(a), step):
+        i, j = a[lo : lo + step], b[lo : lo + step]
+        product = phase[i[:, None], states ^ flip[j, None]] * phase[j]
+        product += sign * (phase[j[:, None], states ^ flip[i, None]] * phase[i])
+        wanted = coeff[i, j, None] * phase[target[i, j]]
+        apart = (flip[target[i, j]] != flip[i] ^ flip[j])[:, None]  # on disjoint supports
+        gap = np.where(apart, np.maximum(np.abs(wanted), np.abs(product)), np.abs(wanted - product))
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
+def _car_residual(plus, minus) -> float:
+    """{c_j, c_k^dagger} = delta_jk, and any two other ladder images anticommute, on flips."""
+    delta = np.eye(2 * len(plus), k=len(plus)) + np.eye(2 * len(plus), k=-len(plus))
+    return _flip_residual(read_flips([*minus, *plus]), 1, np.full(delta.shape, -1), delta)
+
+
 # The ladder and Clifford checks take run_verify's c_1^dagger.., c_1.. and gamma_1.. lists.
 
 
 def check_car(plus: list, minus: list) -> CheckResult:
-    return _result("car", hamiltonian.car_residual(plus, minus), 1e-12)
+    return _result("car", _car_residual(plus, minus), 1e-12)
 
 
 def check_ladder_structure(plus: list) -> CheckResult:
@@ -74,13 +109,9 @@ def check_ladder_structure(plus: list) -> CheckResult:
 
 
 def check_clifford_anticommutation(gammas: list) -> CheckResult:
-    eye = np.eye(len(gammas[0]))
-    worst = 0.0
-    for j, gj in enumerate(gammas):
-        worst = max(worst, _max_abs(gj + gj.conj().T))
-        for k, gk in enumerate(gammas):
-            delta = 2.0 * eye if j == k else 0.0
-            worst = max(worst, _max_abs(gj @ gk + gk @ gj + delta))
+    """gamma_j^H = -gamma_j, dense, and {gamma_j, gamma_k} = -2 delta_jk on flips."""
+    eye, worst = np.eye(len(gammas)), max(_max_abs(g + g.conj().T) for g in gammas)
+    worst = max(worst, _flip_residual(read_flips(gammas), 1, np.full(eye.shape, -1), -2.0 * eye))
     return _result("clifford-anticommutation", worst, 1e-12)
 
 
@@ -101,13 +132,11 @@ def check_clifford_reconstruction(gammas: list) -> CheckResult:
 
 def vector_images(n: int, images: np.ndarray) -> np.ndarray:
     """The images of X_{1,2n+1}, ..., X_{2n,2n+1} from a basis_images stack."""
-    N = so_algebra.matrix_size(n)
-    return images[[k == N for _, k in so_algebra.symbols(n)]]
+    return images[[k == so_algebra.matrix_size(n) for _, k in so_algebra.symbols(n)]]
 
 
-def check_defining_trace(n: int, images: np.ndarray) -> CheckResult:
-    """tr(X_{a,2n+1} X_{b,2n+1}) = -2 delta_ab on the defining basis images."""
-    vector = vector_images(n, images)
+def check_defining_trace(vector: np.ndarray) -> CheckResult:
+    """tr(X_{a,2n+1} X_{b,2n+1}) = -2 delta_ab on the defining vector-type images."""
     traces = np.einsum("aij,bji->ab", vector, vector)
     return _result("defining-trace-normalization", _max_abs(traces + 2.0 * np.eye(len(vector))), 1e-12)
 
@@ -119,7 +148,8 @@ def structure_constants(n: int) -> tuple:
     index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
     for a, sa in enumerate(syms):
         for b, sb in enumerate(syms):
-            terms = so_algebra.bracket_symbols(sa, sb)
+            # every term of a bracket needs an index that the pair shares
+            terms = so_algebra.bracket_symbols(sa, sb) if set(sa) & set(sb) else ()
             if len(terms) > 1:
                 raise DomainError(f"[X_{sa}, X_{sb}] has {len(terms)} terms, the sweep takes one")
             for sym, coefficient in terms:
@@ -148,14 +178,17 @@ def _image_function(tag: str):
     return {"spin": so_algebra.spin_rep, "defining": so_algebra.defining_rep}[tag]
 
 
-def basis_images(n: int, tag: str) -> np.ndarray:
-    """The (S, d, d) stack of the basis images, in symbol order, under the image function a tag names."""
+def basis_images(n: int, tag: str, syms=None) -> np.ndarray:
+    """The images of syms (default: all, in symbol order) under the image function a tag names."""
     rep = _image_function(tag)
-    return np.stack([rep(so_algebra.basis_element(n, *s)) for s in so_algebra.symbols(n)])
+    return np.stack([rep(so_algebra.basis_element(n, *s)) for s in syms or so_algebra.symbols(n)])
 
 
-def check_homomorphism(tag: str, images: np.ndarray, structure: tuple) -> CheckResult:
-    return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
+def check_homomorphism(tag: str, images, structure: tuple) -> CheckResult:
+    """Every bracket, on the (S, d, d) stack of the basis images or on their read_flips."""
+    if isinstance(images, np.ndarray):
+        return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
+    return _result(f"homomorphism-{tag}", _flip_residual(images, -1, *structure), 1e-12)
 
 
 def check_ladder_spin_image(plus: list, minus: list, spin: HamiltonianParts) -> CheckResult:
@@ -206,8 +239,8 @@ def check_decomposition(parts: tuple) -> CheckResult:
     return _result("hamiltonian-decomposition", worst, 1e-12)
 
 
-def check_spectrum(spec: HamiltonianSpec) -> CheckResult:
-    eigs = np.sort(hamiltonian.quasi_hamiltonian(spec, so_algebra.spin_diagonal).real)
+def check_spectrum(spec: HamiltonianSpec, products: tuple) -> CheckResult:
+    eigs = np.sort(hamiltonian.quasi_hamiltonian(spec, so_algebra.spin_diagonal, products).real)
     expected = hamiltonian.subset_sums(spec)
     return _result("spectrum-subset-sums", _max_abs(eigs - expected), 1e-10)
 
@@ -215,29 +248,24 @@ def check_spectrum(spec: HamiltonianSpec) -> CheckResult:
 def check_commutation_shadow(parts: tuple) -> CheckResult:
     worst = 0.0
     for p in parts:
-        worst = max(worst, _max_abs(p.p0 @ p.b0 - p.b0 @ p.p0))
-        for tk in p.t:
-            for lk in p.l:
-                worst = max(worst, _max_abs(tk @ lk - lk @ tk))
-            for tl in p.t:
-                worst = max(worst, _max_abs(tk @ tl - tl @ tk))
+        for x, y in [(p.p0, p.b0), *((tk, other) for tk in p.t for other in (*p.l, *p.t))]:
+            worst = max(worst, _max_abs(x @ y - y @ x))
     return _result("commutation-shadow", worst, 1e-12)
 
 
 def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
-    return _result("car-on-subspace", hamiltonian.car_residual(spin.d_plus, spin.d_minus), 1e-12)
+    return _result("car-on-subspace", _car_residual(spin.d_plus, spin.d_minus), 1e-12)
 
 
-def check_factorized_identity(spec: HamiltonianSpec, images: tuple, parts: tuple) -> CheckResult:
-    """H against -sum_k E_k (a + ib)(a - ib), a and b the basis images multiplied as matrices.
+def check_factorized_identity(spec: HamiltonianSpec, vectors: tuple, parts: tuple) -> CheckResult:
+    """H against -sum_k E_k (a + ib)(a - ib), a and b the vector-type images multiplied as matrices.
 
     H is built from exact ladder products in the enveloping algebra, so this
     is the dense reference for H: a representation that maps a word to the
     wrong product of its letters' images fails here and in the decomposition.
     """
     worst = 0.0
-    for stack, p in zip(images, parts):
-        vector = vector_images(spec.n, stack)
+    for vector, p in zip(vectors, parts):
         total = np.zeros_like(p.h_tilde)
         for e, a, b in zip(spec.energies, vector[::2], vector[1::2]):
             total -= e * ((a + 1j * b) @ (a - 1j * b))
@@ -246,13 +274,16 @@ def check_factorized_identity(spec: HamiltonianSpec, images: tuple, parts: tuple
 
 
 def run_verify(n: int, energies) -> list:
-    """Run the full named check suite at one mode count whose sweeps fit the work budget."""
-    spec = HamiltonianSpec(n, tuple(energies))
-    # each sweep takes two products of d x d matrices per ordered pair, d = 2^n for spin
-    fock.check_work("homomorphism sweep 2 S^2 8^n", 2.0 * len(so_algebra.symbols(n)) ** 2 * 8.0**n)
-    tags = ("spin", "defining")
-    parts = tuple(hamiltonian.build_parts(spec, _image_function(tag)) for tag in tags)
-    images = tuple(basis_images(n, tag) for tag in tags)
+    """Run the full named check suite at one mode count whose products fit the work budget."""
+    spec, syms, N = HamiltonianSpec(n, tuple(energies)), so_algebra.symbols(n), 2 * n + 1
+    # spin products: d x d (d = 2^n) in the dense rows, two of d entries per pair in the flip rows
+    work = (2 + 2 * n + 4 * n * n) * 8**n + 2 * (len(syms) ** 2 + 12 * n * n) * 2**n
+    fock.check_work("verify products (2 + 2n + 4n^2) 8^n + 2 (S^2 + 12n^2) 2^n", work)
+    tags, products = ("spin", "defining"), hamiltonian.ladder_products(n)
+    parts = tuple(hamiltonian.build_parts(spec, _image_function(tag), products) for tag in tags)
+    defining, spin = basis_images(n, "defining"), _image_function("spin")
+    vectors = (basis_images(n, "spin", [(j, N) for j in range(1, N)]), vector_images(n, defining))
+    flips = read_flips(spin(so_algebra.basis_element(n, *s)) for s in syms)
     structure = structure_constants(n)
     plus = [fock.creation(j, n) for j in range(1, n + 1)]
     minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
@@ -262,15 +293,15 @@ def run_verify(n: int, energies) -> list:
         check_ladder_structure(plus),
         check_clifford_anticommutation(gammas),
         check_clifford_reconstruction(gammas),
-        check_defining_trace(n, images[1]),
-        check_homomorphism("defining", images[1], structure),
-        check_homomorphism("spin", images[0], structure),
+        check_defining_trace(vectors[1]),
+        check_homomorphism("defining", defining, structure),
+        check_homomorphism("spin", flips, structure),
         check_ladder_spin_image(plus, minus, parts[0]),
         check_cartan_weights(n),
         check_uea_normal_order(spec),
         check_decomposition(parts),
-        check_spectrum(spec),
+        check_spectrum(spec, products),
         check_commutation_shadow(parts),
         check_car_on_subspace(parts[0]),
-        check_factorized_identity(spec, images, parts),
+        check_factorized_identity(spec, vectors, parts),
     ]

@@ -34,13 +34,13 @@ class FKRow:
     z_score: float
 
 
-def fk_lhs_exact(psi: FockVector, phi: FockVector, spec: HamiltonianSpec, t: float) -> complex:
-    """2^{-n} <psi, e^{-t H} phi> with H the diagonal number Hamiltonian."""
+def fk_lhs_exact(psi: FockVector, phi: FockVector, spec: HamiltonianSpec, t: float, diag=None) -> complex:
+    """2^{-n} <psi, e^{-t H} phi>, H the diagonal number Hamiltonian (diag, if passed)."""
     if psi.n != spec.n or phi.n != spec.n:
         raise SizeError("mode counts differ")
     if not 0 <= t < np.inf:
         raise DomainError(f"time must be finite and >= 0, got {t}")
-    diag = hamiltonian.number_hamiltonian_diagonal(spec)
+    diag = hamiltonian.number_hamiltonian_diagonal(spec) if diag is None else diag
     weights = np.exp(-t * diag)
     return complex(np.sum(np.conj(psi.amplitudes) * weights * phi.amplitudes) / (1 << spec.n))
 
@@ -58,7 +58,7 @@ def fk_report(
 
     Deterministic given the seed. Returns one FKRow per grid time. The
     target e^{-tS} phi is formed where the ensemble reads it, from one S,
-    the real diagonal of i spin(B0).
+    the real diagonal of i spin(B0), and the exact side from one number diagonal.
     """
     if psi.n != spec.n or phi.n != spec.n:
         raise SizeError("mode counts differ")
@@ -68,11 +68,11 @@ def fk_report(
     config = sde.SDEConfig(spec, dt, "corrected", seed)
     first_order = uea.quasi_hamiltonian_symbols(spec.n, spec.energies)[1]
     s = (1j * so_algebra.spin_diagonal(first_order)).real
-    rows = []
+    rows, diag = [], hamiltonian.number_hamiltonian_diagonal(spec)
     for t, mean, stderr in sde.correlations(
         config, n_paths, t_grid, psi.amplitudes, lambda t: np.exp(-t * s) * phi.amplitudes
     ):
-        lhs = fk_lhs_exact(psi, phi, spec, t)
+        lhs = fk_lhs_exact(psi, phi, spec, t, diag)
         gap = abs(mean - lhs)
         z = gap / stderr if stderr > 0 else (0.0 if gap == 0 else float("inf"))
         rows.append(FKRow(t, lhs, mean, stderr, z))

@@ -13,9 +13,9 @@ enveloping algebra. In the spin representation P0 is the scalar
 
 ``rep`` is an image function, ``so_algebra.spin_rep``, ``spin_diagonal`` (for
 H, whose sorted diagonal is the spectrum) or ``defining_rep``, the one place
-where an algebra element becomes an array. H is the sum of E_k times
-the image of each mode's exact ladder product D_k^+ D_k^- in the enveloping
-algebra; T_k, L_k and B0 are images of the ``uea`` polynomials
+where an algebra element becomes an array. H is the sum of E_k times the
+image of each mode's ladder product D_k^+ D_k^-, exact in the enveloping
+algebra (``ladder_products``); T_k, L_k and B0 are images of ``uea``'s
 ``cartan_symbol``, ``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so
 each part is defined once. ``build_parts`` takes H from ``quasi_hamiltonian``,
 so the two agree bit for bit; the dense reference for H is the
@@ -63,17 +63,21 @@ class HamiltonianParts:
     d_minus: tuple
 
 
-def quasi_hamiltonian(spec: HamiltonianSpec, rep) -> np.ndarray:
-    """H = sum_k E_k rep(D_k^+ D_k^-), each ladder product exact in the enveloping algebra."""
-    n = spec.n
-    h = rep(uea.zero(n))
-    for k, e in enumerate(spec.energies, start=1):
-        d_plus, d_minus = so_algebra.ladder_element(k, n), so_algebra.ladder_element(-k, n)
-        h += e * rep(uea.uea_multiply(d_plus, d_minus))
+def ladder_products(n: int) -> tuple:
+    """D_k^+ D_k^-, k = 1..n, each exact in the enveloping algebra."""
+    ladder = so_algebra.ladder_element
+    return tuple(uea.uea_multiply(ladder(k, n), ladder(-k, n)) for k in range(1, n + 1))
+
+
+def quasi_hamiltonian(spec: HamiltonianSpec, rep, products=None) -> np.ndarray:
+    """H = sum_k E_k rep(D_k^+ D_k^-), from the run's ``ladder_products`` or new ones."""
+    h = rep(uea.zero(spec.n))
+    for e, product in zip(spec.energies, products or ladder_products(spec.n)):
+        h += e * rep(product)
     return h
 
 
-def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
+def build_parts(spec: HamiltonianSpec, rep, products=None) -> HamiltonianParts:
     """Assemble H, P0, B0 and the per-mode pieces under the image function ``rep``."""
     n, modes = spec.n, range(1, spec.n + 1)
     t_mats = tuple(rep(uea.symbol_poly(n, uea.cartan_symbol(k, n))) for k in modes)
@@ -84,27 +88,7 @@ def build_parts(spec: HamiltonianSpec, rep) -> HamiltonianParts:
     for e, tk, lk in zip(spec.energies, t_mats, l_mats):
         p0 -= e * lk
         b0 -= e * tk
-    return HamiltonianParts(quasi_hamiltonian(spec, rep), p0, b0, t_mats, l_mats, d_plus, d_minus)
-
-
-def car_residual(plus, minus) -> float:
-    """Worst deviation of the operator families plus[k], minus[k] from the CAR.
-
-    The relations are {minus_j, plus_k} = delta_jk, {plus_j, plus_k} = 0 and
-    {minus_j, minus_k} = 0.
-    """
-    eye = np.eye(plus[0].shape[0])
-    worst = 0.0
-    for j in range(len(plus)):
-        for k in range(len(plus)):
-            dm, dp = minus[j], plus[k]
-            delta = eye if j == k else 0.0
-            worst = max(worst, np.max(np.abs(dm @ dp + dp @ dm - delta)))
-            a, b = plus[j], plus[k]
-            worst = max(worst, np.max(np.abs(a @ b + b @ a)))
-            a, b = minus[j], minus[k]
-            worst = max(worst, np.max(np.abs(a @ b + b @ a)))
-    return float(worst)
+    return HamiltonianParts(quasi_hamiltonian(spec, rep, products), p0, b0, t_mats, l_mats, d_plus, d_minus)
 
 
 def number_hamiltonian_diagonal(spec: HamiltonianSpec) -> np.ndarray:

@@ -99,14 +99,15 @@ class TestVerify:
         assert failing == ["homomorphism-defining", "homomorphism-spin"]
 
     def test_mode_count_bound(self, capsys, monkeypatch):
-        # the sweeps' 2 S^2 8^n, S = n(2n + 1), is 3.2e9 at n = 6 and 4.6e10 at n = 7
+        # the products' (2 + 2n + 4n^2) 8^n + 2 (S^2 + 12n^2) 2^n, S = n(2n + 1),
+        # is 4.6e9 at n = 8 and 4.6e10 at n = 9
         monkeypatch.setattr(
             hamiltonian, "build_parts", lambda *args: pytest.fail("matrices were built")
         )
-        code, out, err = run_cli(capsys, ["verify", "--n", "7"])
+        code, out, err = run_cli(capsys, ["verify", "--n", "9"])
         assert code == 2
         assert out == ""
-        assert "46242201600 exceeds the budget" in err
+        assert "46201836544 exceeds the budget" in err
 
     def test_bad_energies(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--n", "2", "--energies", "2,1"])

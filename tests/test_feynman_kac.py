@@ -117,6 +117,16 @@ class TestMonteCarlo:
         fk.fk_report(e1, e1, SPEC1, [0.0, 0.1, 0.2], 200, 1e-2, 17)
         assert len(calls) == 1
 
+    def test_number_diagonal_built_once(self, monkeypatch):
+        # the exact side's diagonal does not depend on t either: one per report
+        calls = []
+        diagonal = ham.number_hamiltonian_diagonal
+        monkeypatch.setattr(ham, "number_hamiltonian_diagonal", lambda spec: calls.append(spec) or diagonal(spec))
+        e1 = fock.basis_vector(1, [1])
+        rows = fk.fk_report(e1, e1, SPEC1, [0.0, 0.1, 0.2], 200, 1e-2, 17)
+        assert calls == [SPEC1]
+        assert [row.lhs for row in rows] == [fk.fk_lhs_exact(e1, e1, SPEC1, t) for t in (0.0, 0.1, 0.2)]
+
     def test_empty_grid(self):
         assert fk.fk_report(fock.vacuum(1), fock.vacuum(1), SPEC1, [], 1000, 1e-3, 1) == []
 
