@@ -2,29 +2,23 @@
 
 Every check reports its worst residual against a fixed tolerance; the suite
 passes iff every check passes. Symbolic checks are exact (residual counts
-nonzero normal forms), numeric checks compare matrices entrywise.
+nonzero normal forms), numeric checks compare arrays entrywise.
 
-Each spin-side image that a relation multiplies (a basis image, gamma_j,
-c_k^+- or D_k^+-) is a signed bit flip, e_x -> phase[x] e_(x XOR flip), which
-``read_flips`` reads as that pair; an image's largest entry off its flip
-joins each residual that reads it. A product of two is one gather,
-M_a M_b = (f_a XOR f_b, p_a[x XOR f_b] p_b[x]) (Bravyi & Kitaev, Ann. Phys.
-298, 210, 2002), so ``car``, ``clifford-anticommutation``, ``car-on-subspace``
-and ``homomorphism-spin`` (all S^2 ordered pairs of the S = n(2n+1) basis
-symbols) take O(2^n) per pair, in blocks whose temporaries (fewer than 16
-arrays of 2^n complex entries per pair) fit ``fock.MAX_ARRAY_BYTES``; the
-(2n+1)-dimensional ``homomorphism-defining`` stays dense. Every image entry
-is dyadic (0, +-1, +-i, +-1/2, +-i/2), as is every product and partial sum,
-so each sweep is exact in any order: a flip row reads the dense one's bits.
-
-A representation is its image function, looked up by the tag that names its
-report rows ("spin", "defining") when a run starts, never at import; the
-elements it maps are ``so_algebra.UEAPolynomial``. Spin basis images are
-built one at a time; ``basis_images`` stacks the defining ones, and the 2n
-vector-type ones of both for ``factorized-identity``. ``clifford-reconstruction``
-compares (gamma_{2k-1} + i gamma_{2k}) / 2 with exterior multiplication by
-e_k written from bit masks, not through ``fock.monomial``, so a wrong
-Jordan-Wigner order fails it.
+Every spin image a row reads is a signed bit flip, e_x -> phase[x]
+e_(x XOR flip), built from words as a (flip, phase) pair: ``so_algebra``'s
+``spin_flip`` for basis and ladder elements and ``spin_diagonal`` for the
+parts of H (flip 0), ``fock.monomial`` for gamma_j, ``fock.ladder`` for
+c_k^+-. A product of two is one gather, M_a M_b = (f_a XOR f_b,
+p_a[x XOR f_b] p_b[x]), so ``car``, ``clifford-anticommutation``,
+``car-on-subspace`` and ``homomorphism-spin`` (all S^2 ordered pairs of the
+S = n(2n+1) basis symbols) take O(2^n) per pair, in blocks whose temporaries
+(fewer than 16 arrays of 2^n complex entries per pair) fit
+``fock.MAX_ARRAY_BYTES``. Every entry, product and partial sum is dyadic
+(0, +-1, +-i, +-1/2, +-i/2), so each row is exact and reads the bits dense
+products did; no spin row builds a 2^n x 2^n matrix. The (2n+1)-dimensional
+defining rows stay dense. ``clifford-reconstruction`` compares fock's ladders
+with exterior multiplication by e_k written from bit masks, not through
+``fock.monomial``, so a wrong Jordan-Wigner order fails it.
 """
 
 from __future__ import annotations
@@ -56,23 +50,28 @@ def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def read_flips(images) -> tuple:
-    """(flip, phase, off) of the images, flips those of their largest entries, then the identity."""
-    flips, phases, off = [], [], 0.0
-    for image in images:
-        cols, size = np.arange(len(image)), np.abs(image)
-        flips.append(np.bitwise_xor(*np.unravel_index(np.argmax(size), size.shape)))
-        phases.append(image[cols ^ flips[-1], cols])
-        size[cols ^ flips[-1], cols] = 0.0
-        off = max(off, float(size.max()))
-    return np.array([*flips, 0]), np.array([*phases, np.ones(len(cols), complex)]), off
+def _stack(images) -> tuple:
+    """The (flips, phases) arrays of (flip, phase) pairs, then the identity's, which index -1 reads."""
+    flips, phases = zip(*images)
+    return np.array([*flips, 0]), np.array([*phases, np.ones(len(phases[0]), complex)])
 
 
-def _flip_residual(flips: tuple, sign: int, target: np.ndarray, coeff: np.ndarray) -> float:
-    """max over (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)|, and off."""
-    flip, phase, worst = flips
+def _product(a: tuple, b: tuple) -> tuple:
+    """M_a M_b of two (flip, phase) images."""
+    return a[0] ^ b[0], a[1][np.arange(len(b[1])) ^ b[0]] * b[1]
+
+
+def _gap(a: tuple, b: tuple) -> float:
+    """max |M_a - M_b| of two (flip, phase) images, on disjoint supports where the flips differ."""
+    return _max_abs(a[1] - b[1]) if a[0] == b[0] else max(_max_abs(a[1]), _max_abs(b[1]))
+
+
+def _flip_residual(images: tuple, sign: int, target: np.ndarray, coeff: np.ndarray) -> float:
+    """max over (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)| on a _stack."""
+    flip, phase = images
     a, b = np.divmod(np.arange(coeff.size), len(coeff))
     states, step = np.arange(phase.shape[1]), max(1, fock.MAX_ARRAY_BYTES // (16 * phase[0].nbytes))
+    worst = 0.0
     for lo in range(0, len(a), step):
         i, j = a[lo : lo + step], b[lo : lo + step]
         product = phase[i[:, None], states ^ flip[j, None]] * phase[j]
@@ -84,55 +83,55 @@ def _flip_residual(flips: tuple, sign: int, target: np.ndarray, coeff: np.ndarra
     return worst
 
 
-def _car_residual(plus, minus) -> float:
+def _car_residual(ladders: list) -> float:
     """{c_j, c_k^dagger} = delta_jk, and any two other ladder images anticommute, on flips."""
-    delta = np.eye(2 * len(plus), k=len(plus)) + np.eye(2 * len(plus), k=-len(plus))
-    return _flip_residual(read_flips([*minus, *plus]), 1, np.full(delta.shape, -1), delta)
+    delta = np.eye(len(ladders), k=len(ladders) // 2) + np.eye(len(ladders), k=-(len(ladders) // 2))
+    return _flip_residual(_stack(ladders), 1, np.full(delta.shape, -1), delta)
 
 
-# The ladder and Clifford checks take run_verify's c_1^dagger.., c_1.. and gamma_1.. lists.
+# The ladder rows take run_verify's (flip, phase) lists c_1^dagger, ..., c_n^dagger,
+# c_1, ..., c_n (fock's) or D_1^+, ..., D_n^+, D_1^-, ..., D_n^- (spin images).
 
 
-def check_car(plus: list, minus: list) -> CheckResult:
-    return _result("car", _car_residual(plus, minus), 1e-12)
+def check_car(ladders: list) -> CheckResult:
+    return _result("car", _car_residual(ladders), 1e-12)
 
 
 def check_ladder_structure(plus: list) -> CheckResult:
     # c_j is c_j^dagger's adjoint by definition, and c_j c_j = (c_j^dagger c_j^dagger)^H
     worst = 0.0
     for cdag in plus:
-        worst = max(worst, _max_abs(cdag @ cdag))
-        nonzero = np.abs(cdag[np.abs(cdag) > 0])
-        if nonzero.size != len(cdag) // 2 or np.any(nonzero != 1.0):
-            worst = max(worst, 1.0)
+        nonzero = np.abs(cdag[1][np.abs(cdag[1]) > 0])
+        misshapen = nonzero.size != len(cdag[1]) // 2 or np.any(nonzero != 1.0)
+        worst = max(worst, _max_abs(_product(cdag, cdag)[1]), float(misshapen))
     return _result("ladder-structure", worst, 1e-12)
 
 
 def check_clifford_anticommutation(gammas: list) -> CheckResult:
-    """gamma_j^H = -gamma_j, dense, and {gamma_j, gamma_k} = -2 delta_jk on flips."""
-    eye, worst = np.eye(len(gammas)), max(_max_abs(g + g.conj().T) for g in gammas)
-    worst = max(worst, _flip_residual(read_flips(gammas), 1, np.full(eye.shape, -1), -2.0 * eye))
+    """gamma_j^H = -gamma_j and {gamma_j, gamma_k} = -2 delta_jk, on flips."""
+    # gamma^H takes e_x to conj(phase[x XOR flip]) e_(x XOR flip)
+    states, eye = np.arange(len(gammas[0][1])), np.eye(len(gammas))
+    worst = max(_max_abs(phase[states ^ flip].conj() + phase) for flip, phase in gammas)
+    worst = max(worst, _flip_residual(_stack(gammas), 1, np.full(eye.shape, -1), -2.0 * eye))
     return _result("clifford-anticommutation", worst, 1e-12)
 
 
-def check_clifford_reconstruction(gammas: list) -> CheckResult:
-    """(g_{2k-1} + i g_{2k}) / 2 against wedge(e_k): e_b -> (-1)^|b & (2^(k-1) - 1)| e_(b | 2^(k-1)),
-    0 where bit k-1 is set; and (-g_{2k-1} + i g_{2k}) / 2 against its adjoint."""
-    dim = len(gammas[0])
-    worst = 0.0
-    for k, (g_odd, g_even) in enumerate(zip(gammas[::2], gammas[1::2])):
-        bit, wedge = 1 << k, np.zeros((dim, dim))
-        for b in range(dim):
-            if not b & bit:
-                wedge[b | bit, b] = (-1) ** (b & (bit - 1)).bit_count()
-        worst = max(worst, _max_abs(0.5 * (g_odd + 1j * g_even) - wedge))
-        worst = max(worst, _max_abs(0.5 * (-g_odd + 1j * g_even) - wedge.T))
+def check_clifford_reconstruction(ladders: list) -> CheckResult:
+    """c_k^dagger against wedge(e_k): e_b -> (-1)^|b & (2^(k-1) - 1)| e_(b | 2^(k-1)),
+    0 where bit k-1 is set; and c_k against its adjoint."""
+    n, states, worst = len(ladders) // 2, np.arange(len(ladders[0][1])), 0.0
+    for k, (cdag, c) in enumerate(zip(ladders[:n], ladders[n:])):
+        bit = 1 << k
+        sign = np.array([(-1) ** (b & (bit - 1)).bit_count() for b in range(len(states))])
+        worst = max(worst, _gap(cdag, (bit, np.where(states & bit, 0, sign))))
+        worst = max(worst, _gap(c, (bit, np.where(states & bit, sign, 0))))
     return _result("clifford-reconstruction", worst, 1e-12)
 
 
 def vector_images(n: int, images: np.ndarray) -> np.ndarray:
-    """The images of X_{1,2n+1}, ..., X_{2n,2n+1} from a basis_images stack."""
-    return images[[k == so_algebra.matrix_size(n) for _, k in so_algebra.symbols(n)]]
+    """The images of X_{1,2n+1}, ..., X_{2n,2n+1}: rows of a stack of the basis images in symbol order."""
+    N = so_algebra.matrix_size(n)
+    return images[[i for i, (_, k) in enumerate(so_algebra.symbols(n)) if k == N]]
 
 
 def check_defining_trace(vector: np.ndarray) -> CheckResult:
@@ -173,44 +172,27 @@ def _homomorphism_residual(structure: tuple, images: np.ndarray) -> float:
     return worst
 
 
-def _image_function(tag: str):
-    """The image function a tag names, looked up per call, so a patch of it is seen."""
-    return {"spin": so_algebra.spin_rep, "defining": so_algebra.defining_rep}[tag]
-
-
-def basis_images(n: int, tag: str, syms=None) -> np.ndarray:
-    """The images of syms (default: all, in symbol order) under the image function a tag names."""
-    rep = _image_function(tag)
-    return np.stack([rep(so_algebra.basis_element(n, *s)) for s in syms or so_algebra.symbols(n)])
-
-
 def check_homomorphism(tag: str, images, structure: tuple) -> CheckResult:
-    """Every bracket, on the (S, d, d) stack of the basis images or on their read_flips."""
+    """Every bracket, on the (S, d, d) stack of the basis images in symbol order, or on their _stack."""
     if isinstance(images, np.ndarray):
         return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
     return _result(f"homomorphism-{tag}", _flip_residual(images, -1, *structure), 1e-12)
 
 
-def check_ladder_spin_image(plus: list, minus: list, spin: HamiltonianParts) -> CheckResult:
-    """fock's c_k^dagger and c_k against the spin images D_k^+ and D_k^- of build_parts."""
-    pairs = zip([*plus, *minus], [*spin.d_plus, *spin.d_minus])
-    return _result("ladder-spin-image", max(_max_abs(image - c) for c, image in pairs), 1e-12)
+def check_ladder_spin_image(ladders: list, spin: list) -> CheckResult:
+    """fock's c_k^dagger and c_k against the spin images D_k^+ and D_k^-."""
+    return _result("ladder-spin-image", max(_gap(c, image) for c, image in zip(ladders, spin)), 1e-12)
 
 
-def check_cartan_weights(n: int) -> CheckResult:
-    worst = 0.0
-    vac = fock.vacuum(n).amplitudes
-    top = fock.basis_vector(n, range(1, n + 1)).amplitudes
-    for j in range(1, n + 1):
+def check_cartan_weights(elements: list) -> CheckResult:
+    """H_j = [D_j^+, D_j^-] / 2 exactly, and H_j's spin diagonal is -1/2 at the vacuum, 1/2 at the top."""
+    n, worst = elements[0].n, 0.0
+    for j, (up, down) in enumerate(zip(elements[:n], elements[n:]), start=1):
         cartan = so_algebra.cartan_element(j, n)
-        half_bracket = uea.pbw_normalize(
-            uea.commutator(so_algebra.ladder_element(j, n), so_algebra.ladder_element(-j, n))
-        ).scale(Fraction(1, 2))
-        diff = half_bracket - cartan
+        diff = uea.pbw_normalize(uea.commutator(up, down)).scale(Fraction(1, 2)) - cartan
         worst = max(worst, max((abs(v.to_complex()) for v in diff.terms.values()), default=0.0))
-        h = so_algebra.spin_rep(cartan)
-        worst = max(worst, _max_abs(h @ vac + 0.5 * vac))
-        worst = max(worst, _max_abs(h @ top - 0.5 * top))
+        h = so_algebra.spin_diagonal(cartan)
+        worst = max(worst, abs(h[0] + 0.5), abs(h[-1] - 0.5))
     return _result("cartan-weights", worst, 1e-12)
 
 
@@ -229,79 +211,76 @@ def check_uea_normal_order(spec: HamiltonianSpec) -> CheckResult:
     return _result("uea-normal-order-zero", float(failures), 0.0)
 
 
-# The checks below share run_verify's quasi-Hamiltonian parts, (spin, defining).
+# The checks below share run_verify's quasi-Hamiltonian parts, (spin, defining):
+# the spin parts are build_parts' diagonals, the defining ones its matrices.
 
 
 def check_decomposition(parts: tuple) -> CheckResult:
-    worst = 0.0
-    for p in parts:
-        worst = max(worst, _max_abs(p.h_tilde - (p.p0 + 1j * p.b0)))
+    worst = max(_max_abs(p.h_tilde - (p.p0 + 1j * p.b0)) for p in parts)
     return _result("hamiltonian-decomposition", worst, 1e-12)
 
 
-def check_spectrum(spec: HamiltonianSpec, products: tuple) -> CheckResult:
-    eigs = np.sort(hamiltonian.quasi_hamiltonian(spec, so_algebra.spin_diagonal, products).real)
+def check_spectrum(spec: HamiltonianSpec, spin: HamiltonianParts) -> CheckResult:
+    # the spin H is diagonal, so its eigenvalues are its diagonal, sorted
     expected = hamiltonian.subset_sums(spec)
-    return _result("spectrum-subset-sums", _max_abs(eigs - expected), 1e-10)
+    return _result("spectrum-subset-sums", _max_abs(np.sort(spin.h_tilde.real) - expected), 1e-10)
 
 
-def check_commutation_shadow(parts: tuple) -> CheckResult:
-    worst = 0.0
-    for p in parts:
-        for x, y in [(p.p0, p.b0), *((tk, other) for tk in p.t for other in (*p.l, *p.t))]:
-            worst = max(worst, _max_abs(x @ y - y @ x))
+def check_commutation_shadow(defining: HamiltonianParts) -> CheckResult:
+    """[P0, B0] = 0, and T_k commutes with every L_l and T_l, on the defining matrices;
+    the spin parts are diagonals, which commute by construction."""
+    p, worst = defining, 0.0
+    for x, y in [(p.p0, p.b0), *((tk, other) for tk in p.t for other in (*p.l, *p.t))]:
+        worst = max(worst, _max_abs(x @ y - y @ x))
     return _result("commutation-shadow", worst, 1e-12)
 
 
-def check_car_on_subspace(spin: HamiltonianParts) -> CheckResult:
-    return _result("car-on-subspace", _car_residual(spin.d_plus, spin.d_minus), 1e-12)
+def check_car_on_subspace(spin: list) -> CheckResult:
+    return _result("car-on-subspace", _car_residual(spin), 1e-12)
 
 
 def check_factorized_identity(spec: HamiltonianSpec, vectors: tuple, parts: tuple) -> CheckResult:
-    """H against -sum_k E_k (a + ib)(a - ib), a and b the vector-type images multiplied as matrices.
-
-    H is built from exact ladder products in the enveloping algebra, so this
-    is the dense reference for H: a representation that maps a word to the
-    wrong product of its letters' images fails here and in the decomposition.
-    """
-    worst = 0.0
-    for vector, p in zip(vectors, parts):
-        total = np.zeros_like(p.h_tilde)
-        for e, a, b in zip(spec.energies, vector[::2], vector[1::2]):
-            total -= e * ((a + 1j * b) @ (a - 1j * b))
-        worst = max(worst, _max_abs(total - p.h_tilde))
-    return _result("factorized-identity", worst, 1e-12)
+    """H against sum_k E_k D_k^+ D_k^-, D_k^+- = +-a + ib from the images a, b of X_{2k-1,2n+1} and
+    X_{2k,2n+1}, multiplied as flips in spin (a and b share a flip, or spin_flip refused D_k^+), as
+    matrices in defining. H is from exact products in the enveloping algebra, so an image function
+    that maps a word to the wrong product of its letters' images fails here and in the decomposition."""
+    (flips, phases), defining = vectors
+    total = np.zeros_like(parts[0].h_tilde)
+    for e, flip, a, b in zip(spec.energies, flips[::2], phases[::2], phases[1::2]):
+        total += e * _product((flip, a + 1j * b), (flip, -a + 1j * b))[1]
+    worst, total = _max_abs(total - parts[0].h_tilde), np.zeros_like(parts[1].h_tilde)
+    for e, a, b in zip(spec.energies, defining[::2], defining[1::2]):
+        total += e * ((a + 1j * b) @ (-a + 1j * b))
+    return _result("factorized-identity", max(worst, _max_abs(total - parts[1].h_tilde)), 1e-12)
 
 
 def run_verify(n: int, energies) -> list:
-    """Run the full named check suite at one mode count whose products fit the work budget."""
-    spec, syms, N = HamiltonianSpec(n, tuple(energies)), so_algebra.symbols(n), 2 * n + 1
-    # spin products: d x d (d = 2^n) in the dense rows, two of d entries per pair in the flip rows
-    work = (2 + 2 * n + 4 * n * n) * 8**n + 2 * (len(syms) ** 2 + 12 * n * n) * 2**n
-    fock.check_work("verify products (2 + 2n + 4n^2) 8^n + 2 (S^2 + 12n^2) 2^n", work)
-    tags, products = ("spin", "defining"), hamiltonian.ladder_products(n)
-    parts = tuple(hamiltonian.build_parts(spec, _image_function(tag), products) for tag in tags)
-    defining, spin = basis_images(n, "defining"), _image_function("spin")
-    vectors = (basis_images(n, "spin", [(j, N) for j in range(1, N)]), vector_images(n, defining))
-    flips = read_flips(spin(so_algebra.basis_element(n, *s)) for s in syms)
-    structure = structure_constants(n)
-    plus = [fock.creation(j, n) for j in range(1, n + 1)]
-    minus = [fock.annihilation(j, n) for j in range(1, n + 1)]
-    gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
+    """Run the full named check suite at one mode count."""
+    spec, modes = HamiltonianSpec(n, tuple(energies)), range(1, n + 1)
+    signed, products = [*modes, *(-k for k in modes)], hamiltonian.ladder_products(n)
+    rep = (so_algebra.spin_diagonal, so_algebra.defining_rep)
+    parts = tuple(hamiltonian.build_parts(spec, image, products) for image in rep)
+    basis = [so_algebra.basis_element(n, *s) for s in so_algebra.symbols(n)]
+    defining, structure = np.stack([so_algebra.defining_rep(x) for x in basis]), structure_constants(n)
+    flips = _stack(so_algebra.spin_flip(x) for x in basis)
+    vectors = (tuple(vector_images(n, x) for x in flips), vector_images(n, defining))
+    ladders, elements = [fock.ladder(k, n) for k in signed], [so_algebra.ladder_element(k, n) for k in signed]
+    spin = [so_algebra.spin_flip(e) for e in elements]
+    gammas = [fock.monomial((j,), n) for j in range(1, 2 * n + 1)]
     return [
-        check_car(plus, minus),
-        check_ladder_structure(plus),
+        check_car(ladders),
+        check_ladder_structure(ladders[:n]),
         check_clifford_anticommutation(gammas),
-        check_clifford_reconstruction(gammas),
+        check_clifford_reconstruction(ladders),
         check_defining_trace(vectors[1]),
         check_homomorphism("defining", defining, structure),
         check_homomorphism("spin", flips, structure),
-        check_ladder_spin_image(plus, minus, parts[0]),
-        check_cartan_weights(n),
+        check_ladder_spin_image(ladders, spin),
+        check_cartan_weights(elements),
         check_uea_normal_order(spec),
         check_decomposition(parts),
-        check_spectrum(spec, products),
-        check_commutation_shadow(parts),
-        check_car_on_subspace(parts[0]),
+        check_spectrum(spec, parts[0]),
+        check_commutation_shadow(parts[1]),
+        check_car_on_subspace(spin),
         check_factorized_identity(spec, vectors, parts),
     ]

@@ -9,10 +9,11 @@ the parity of the occupied modes up to k (odd j) or below k (even j):
     gamma_{2k}   e_b = -i (-1)**|b & (2^(k-1) - 1)| e_(b XOR 2^(k-1))
 
 So gamma_{i1} ... gamma_{im} takes e_b to phase[b] e_(b XOR flip), phase[b] a
-power of i; ``monomial`` computes the pair, the one Jordan-Wigner rule of the
-dense images. c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2 creates mode k
-with the sign (-1)**(# occupied modes < k), that of sorting ``e_k`` into an
-ascending wedge word, and c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2.
+power of i; ``monomial`` computes the pair, the one Jordan-Wigner rule.
+``ladder`` gives c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2, which creates
+mode k with the sign (-1)**(# occupied modes < k), that of sorting ``e_k`` into
+an ascending wedge word, and c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2, as pairs
+that ``gamma`` and ``creation`` write as dense matrices for the tests.
 """
 
 from __future__ import annotations
@@ -128,11 +129,20 @@ def gamma(j: int, n: int) -> np.ndarray:
     return np.diag(phase)[np.arange(len(phase)) ^ flip]  # row b XOR flip holds phase[b]
 
 
+def ladder(k: int, n: int) -> tuple:
+    """c_k^dagger (k > 0) or c_|k| (k < 0) as (flip, phase), from gamma_{2|k|-1} and gamma_{2|k|}."""
+    _check_mode(abs(k), n)
+    flip, odd = monomial((2 * abs(k) - 1,), n)
+    phase = 0.5 * (odd + 1j * monomial((2 * abs(k),), n)[1])
+    # c_k, the adjoint, takes e_x to conj(phase[x XOR flip]) e_(x XOR flip)
+    return (flip, phase) if k > 0 else (flip, phase[np.arange(len(phase)) ^ flip].conj())
+
+
 def creation(j: int, n: int) -> np.ndarray:
     """Creation operator c_j^dagger as a dense 2^n x 2^n matrix."""
-    check_mode_count(n)
     _check_mode(j, n)
-    return 0.5 * (gamma(2 * j - 1, n) + 1j * gamma(2 * j, n))
+    flip, phase = ladder(j, n)
+    return np.diag(phase)[np.arange(len(phase)) ^ flip]
 
 
 def annihilation(j: int, n: int) -> np.ndarray:

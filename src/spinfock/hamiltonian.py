@@ -11,15 +11,16 @@ an identity that holds in any representation because it already holds in the
 enveloping algebra. In the spin representation P0 is the scalar
 (sum_k E_k)/2 and i B0 = sum_k E_k (N_k - 1/2), both diagonal, as is H.
 
-``rep`` is an image function, ``so_algebra.spin_rep``, ``spin_diagonal`` (for
-H, whose sorted diagonal is the spectrum) or ``defining_rep``, the one place
+``rep`` is an image function, ``so_algebra.spin_diagonal`` (every part is
+diagonal in the spin representation; H's sorted diagonal is the spectrum) or
+``defining_rep`` (the tests also pass the dense ``spin_rep``), the one place
 where an algebra element becomes an array. H is the sum of E_k times the
 image of each mode's ladder product D_k^+ D_k^-, exact in the enveloping
 algebra (``ladder_products``); T_k, L_k and B0 are images of ``uea``'s
 ``cartan_symbol``, ``mode_laplacian`` and ``quasi_hamiltonian_symbols``, so
 each part is defined once. ``build_parts`` takes H from ``quasi_hamiltonian``,
-so the two agree bit for bit; the dense reference for H is the
-``factorized-identity`` check, which multiplies basis images as matrices.
+so the two agree bit for bit; the reference for H is the
+``factorized-identity`` check, which multiplies vector-type basis images.
 """
 
 from __future__ import annotations
@@ -52,15 +53,13 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class HamiltonianParts:
-    """All operator matrices of the quasi-Hamiltonian in one representation."""
+    """The quasi-Hamiltonian's parts in one representation: matrices, or the spin diagonals."""
 
     h_tilde: np.ndarray
     p0: np.ndarray
     b0: np.ndarray
     t: tuple  # per-mode Cartan-direction images T_k
     l: tuple  # per-mode second-order images L_k
-    d_plus: tuple
-    d_minus: tuple
 
 
 def ladder_products(n: int) -> tuple:
@@ -82,13 +81,11 @@ def build_parts(spec: HamiltonianSpec, rep, products=None) -> HamiltonianParts:
     n, modes = spec.n, range(1, spec.n + 1)
     t_mats = tuple(rep(uea.symbol_poly(n, uea.cartan_symbol(k, n))) for k in modes)
     l_mats = tuple(rep(uea.mode_laplacian(k, n)) for k in modes)
-    d_plus = tuple(rep(so_algebra.ladder_element(k, n)) for k in modes)
-    d_minus = tuple(rep(so_algebra.ladder_element(-k, n)) for k in modes)
     p0, b0 = rep(uea.zero(n)), rep(uea.zero(n))
     for e, tk, lk in zip(spec.energies, t_mats, l_mats):
         p0 -= e * lk
         b0 -= e * tk
-    return HamiltonianParts(quasi_hamiltonian(spec, rep, products), p0, b0, t_mats, l_mats, d_plus, d_minus)
+    return HamiltonianParts(quasi_hamiltonian(spec, rep, products), p0, b0, t_mats, l_mats)
 
 
 def number_hamiltonian_diagonal(spec: HamiltonianSpec) -> np.ndarray:

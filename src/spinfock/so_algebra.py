@@ -14,8 +14,7 @@ normal ordering, and with it the Lie bracket (the normal-ordered commutator),
 and the named polynomials of the quasi-Hamiltonian.
 
 A representation is its image function, ``defining_rep`` or ``spin_rep``
-below, or ``spin_diagonal`` where no word flips a bit; each reads n from the
-element and extends multiplicatively to words.
+below; each reads n from the element and extends multiplicatively to words.
 The spin representation acts on the 2^n-dimensional Fock space:
 
     spin(X_{j,2n+1}) = gamma_j / 2             (j <= 2n)
@@ -27,7 +26,11 @@ opposite product order the bracket of two vector-type generators comes out
 with the wrong sign. A product of Clifford monomials is a monomial, so a
 word of m symbols maps to 2^-m times the one monomial of its concatenated
 gamma indices, which ``spin_rep`` writes from one ``fock.monomial`` call (a
-bit flip and a phase per state), with no dense product.
+bit flip and a phase per state), with no dense product. An element whose
+words all flip the same bits maps to one signed bit flip (Bravyi & Kitaev,
+Ann. Phys. 298, 210, 2002): ``spin_flip`` gives its (flip, phase), and
+``spin_diagonal`` the phase where the flip is 0, summed as ``spin_rep`` sums
+it but with no 2^n x 2^n matrix; ``verify``, ``spectrum`` and ``fk`` read these.
 """
 
 from __future__ import annotations
@@ -245,14 +248,20 @@ def spin_rep(elem: UEAPolynomial) -> np.ndarray:
     return out
 
 
+def spin_flip(elem: UEAPolynomial) -> tuple:
+    """Spin image as (flip, phase), summed as spin_rep sums it; DomainError if words flip different bits."""
+    words = list(_spin_monomials(elem))
+    if len({flip for flip, _ in words}) > 1:
+        raise DomainError(f"the spin image is no signed bit flip: its words flip {[f for f, _ in words]}")
+    return (words[0][0] if words else 0), sum((v for _, v in words), np.zeros(fock.fock_dim(elem.n), complex))
+
+
 def spin_diagonal(elem: UEAPolynomial) -> np.ndarray:
-    """Diagonal of the spin image, summed as spin_rep sums it; DomainError if a word flips a bit."""
-    out = np.zeros(fock.fock_dim(elem.n), dtype=complex)
-    for flip, values in _spin_monomials(elem):
-        if flip:
-            raise DomainError(f"the spin image is not diagonal: a word flips the bits {flip:#b}")
-        out += values
-    return out
+    """Diagonal of the spin image, spin_flip's phase; DomainError if a word flips a bit."""
+    flip, phase = spin_flip(elem)
+    if flip:
+        raise DomainError(f"the spin image is not diagonal: a word flips the bits {flip:#b}")
+    return phase
 
 
 def ladder_element(j: int, n: int) -> UEAPolynomial:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from spinfock import so_algebra as so
+
 
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     """Unitary exponential of an anti-Hermitian matrix, or of a stack of them."""
@@ -27,3 +29,15 @@ def car_residual(plus, minus) -> float:
             a, b = minus[j], minus[k]
             worst = max(worst, np.max(np.abs(a @ b + b @ a)))
     return float(worst)
+
+
+def dense(image) -> np.ndarray:
+    """The 2^n x 2^n matrix of a (flip, phase) image: column x holds phase[x] at row x XOR flip."""
+    flip, phase = image
+    return np.diag(phase)[np.arange(len(phase)) ^ flip]
+
+
+def basis_images(n: int, tag: str) -> np.ndarray:
+    """The (S, d, d) stack of the basis images, in symbol order, under spin_rep or defining_rep."""
+    rep = {"spin": so.spin_rep, "defining": so.defining_rep}[tag]
+    return np.stack([rep(so.basis_element(n, *s)) for s in so.symbols(n)])

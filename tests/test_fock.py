@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dense_reference import dense
 from spinfock import fock
 from spinfock.errors import IndexRangeError, SizeError
 
@@ -142,6 +143,17 @@ class TestLadder:
             fock.creation(0, 2)
         with pytest.raises(IndexRangeError):
             fock.creation(3, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dense_forms_of_the_pairs(self, n):
+        for j in range(1, n + 1):
+            assert np.array_equal(fock.creation(j, n), dense(fock.ladder(j, n)))
+            assert np.array_equal(fock.annihilation(j, n), dense(fock.ladder(-j, n)))
+
+    @pytest.mark.parametrize("k", [0, 3, -3])
+    def test_pair_index_errors(self, k):
+        with pytest.raises(IndexRangeError):
+            fock.ladder(k, 2)
 
 
 class TestMonomial:

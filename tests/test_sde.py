@@ -8,7 +8,7 @@ import pytest
 from spinfock import checks, fock, hamiltonian as ham, sde, spin_group as sg
 from spinfock.errors import DomainError, SizeError
 
-from dense_reference import expm_antihermitian
+from dense_reference import basis_images, expm_antihermitian
 
 SPEC1 = ham.HamiltonianSpec(1, (1.0,))
 SPEC2 = ham.HamiltonianSpec(2, (1.0, 2.0))
@@ -158,7 +158,7 @@ class TestStep:
 class TestVectorImages:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noise_images_are_monomial(self, n):
-        gens = checks.vector_images(n, checks.basis_images(n, "spin"))
+        gens = checks.vector_images(n, basis_images(n, "spin"))
         dim = 1 << n
         for g in gens:
             assert np.array_equal(np.count_nonzero(g, axis=0), np.ones(dim, dtype=int))
@@ -290,7 +290,7 @@ class TestEnsemble:
         dw = np.concatenate(
             [rng.standard_normal((steps, p, 2 * n)) for rng, p in zip(rngs, sizes)], axis=1
         ) * np.sqrt(dt)
-        gens = checks.vector_images(n, checks.basis_images(n, "spin"))
+        gens = checks.vector_images(n, basis_images(n, "spin"))
         expected = [u[:, 0]]
         for m in range(steps):
             exps = np.einsum("pj,jab->pab", dw[m] * cfg.sigmas, gens)
@@ -422,7 +422,7 @@ class TestGeneratorCheck:
 
     @pytest.mark.parametrize("sigma, share", [("corrected", 0.5), ("paper_literal", 0.25)])
     def test_exact_mean_tends_to_generator(self, sigma, share):
-        gens = checks.vector_images(2, checks.basis_images(2, "spin"))
+        gens = checks.vector_images(2, basis_images(2, "spin"))
         lmat = 0.5 * np.einsum("j,jab,jbc->ac", config(SPEC2, sigma=sigma).sigmas ** 2, gens, gens)
         rate = share * sum(SPEC2.energies)
         assert np.max(np.abs(lmat + rate * np.eye(4))) <= 1e-12

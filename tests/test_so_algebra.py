@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinfock import fock, hamiltonian as ham, so_algebra as so, uea
 from spinfock.errors import DomainError, IndexRangeError, SizeError
+from dense_reference import dense
 from test_fock import oracle_gammas
 
 
@@ -282,6 +283,23 @@ class TestSpinDiagonal:
     def test_ladder_element_refused(self, j):
         with pytest.raises(DomainError):
             so.spin_diagonal(so.ladder_element(j, 2))
+
+
+class TestSpinFlip:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dense_form_is_spin_rep(self, n):
+        # every basis element, D_k^+-, T_k and L_k, bit for bit
+        elems = [so.basis_element(n, *sym) for sym in so.symbols(n)]
+        for k in range(1, n + 1):
+            elems += [so.ladder_element(k, n), so.ladder_element(-k, n)]
+            elems += [uea.symbol_poly(n, uea.cartan_symbol(k, n)), uea.mode_laplacian(k, n)]
+        for elem in elems:
+            assert dense(so.spin_flip(elem)).tobytes() == so.spin_rep(elem).tobytes()
+
+    def test_two_flips_refused(self):
+        # X_{1,5} flips bit 0, X_{3,5} bit 1: their sum is no signed bit flip
+        with pytest.raises(DomainError, match="no signed bit flip"):
+            so.spin_flip(so.basis_element(2, 1, 5) + so.basis_element(2, 3, 5))
 
 
 def cartan_images(n):

@@ -4,13 +4,13 @@ import pytest
 from spinfock import checks, fock, sde, so_algebra as so, spin_group as sg, uea
 from spinfock.errors import SizeError
 
-from dense_reference import expm_antihermitian
+from dense_reference import basis_images, expm_antihermitian
 
 
 def spin_of_antisymmetric(n, x):
     """Spin image of a stack of real antisymmetric (2n+1) x (2n+1) matrices."""
     syms = so.symbols(n)
-    imgs = checks.basis_images(n, "spin")
+    imgs = basis_images(n, "spin")
     coeffs = np.stack([x[..., j - 1, k - 1] for j, k in syms], axis=-1)
     return (coeffs @ imgs.reshape(len(syms), -1)).reshape(x.shape[:-2] + imgs.shape[1:])
 
@@ -119,7 +119,7 @@ class TestApplyModes:
         # images, samples first, (P, 2^n) or (P, 2^n, 2^n)
         dim, paths = 1 << n, 300
         rng = np.random.default_rng(70 + n)
-        images = checks.vector_images(n, checks.basis_images(n, "spin"))
+        images = checks.vector_images(n, basis_images(n, "spin"))
         shape = (paths, dim, dim) if stacked else (paths, dim)
         rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows[::4] = 0.0
