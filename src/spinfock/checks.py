@@ -17,8 +17,9 @@ S = n(2n+1) basis symbols) take O(2^n) per pair, in blocks whose temporaries
 (0, +-1, +-i, +-1/2, +-i/2), so each row is exact and reads the bits dense
 products did; no spin row builds a 2^n x 2^n matrix. The (2n+1)-dimensional
 defining rows stay dense. ``clifford-reconstruction`` compares fock's ladders
-with exterior multiplication by e_k written from bit masks, not through
-``fock.monomial``, so a wrong Jordan-Wigner order fails it.
+with exterior multiplication by e_k, whose sign it forms by negating, after
+each mode, the states that occupy it, not through ``fock.monomial``, so a
+wrong Jordan-Wigner order fails it.
 """
 
 from __future__ import annotations
@@ -119,12 +120,12 @@ def check_clifford_anticommutation(gammas: list) -> CheckResult:
 def check_clifford_reconstruction(ladders: list) -> CheckResult:
     """c_k^dagger against wedge(e_k): e_b -> (-1)^|b & (2^(k-1) - 1)| e_(b | 2^(k-1)),
     0 where bit k-1 is set; and c_k against its adjoint."""
-    n, states, worst = len(ladders) // 2, np.arange(len(ladders[0][1])), 0.0
+    n, states, worst, sign = len(ladders) // 2, np.arange(len(ladders[0][1])), 0.0, 1
     for k, (cdag, c) in enumerate(zip(ladders[:n], ladders[n:])):
         bit = 1 << k
-        sign = np.array([(-1) ** (b & (bit - 1)).bit_count() for b in range(len(states))])
         worst = max(worst, _gap(cdag, (bit, np.where(states & bit, 0, sign))))
         worst = max(worst, _gap(c, (bit, np.where(states & bit, sign, 0))))
+        sign = np.where(states & bit, -sign, sign)  # mode k+1 is below every later mode
     return _result("clifford-reconstruction", worst, 1e-12)
 
 

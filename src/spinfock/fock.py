@@ -9,15 +9,19 @@ the parity of the occupied modes up to k (odd j) or below k (even j):
     gamma_{2k}   e_b = -i (-1)**|b & (2^(k-1) - 1)| e_(b XOR 2^(k-1))
 
 So gamma_{i1} ... gamma_{im} takes e_b to phase[b] e_(b XOR flip), phase[b] a
-power of i; ``monomial`` computes the pair, the one Jordan-Wigner rule.
-``ladder`` gives c_k^dagger = (gamma_{2k-1} + i gamma_{2k}) / 2, which creates
-mode k with the sign (-1)**(# occupied modes < k), that of sorting ``e_k`` into
-an ascending wedge word, and c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2, as pairs
-that ``gamma`` and ``creation`` write as dense matrices for the tests.
+power of i; ``monomial`` computes the pair, the one Jordan-Wigner rule, from a
+table built on first use for each n: row j-1 is gamma_j's exponent of i at
+every state, its parities one ``np.bitwise_xor.accumulate`` over the bits. A
+word folds right to left, each factor reading its row at the states that the
+factors to its right reached. ``ladder`` gives the pair of c_k^dagger =
+(gamma_{2k-1} + i gamma_{2k}) / 2, which creates mode k with the sign
+(-1)**(# occupied modes < k), that of sorting ``e_k`` into an ascending wedge
+word, or of c_k = (-gamma_{2k-1} + i gamma_{2k}) / 2. No matrix is built here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -99,34 +103,31 @@ def basis_vector(n: int, modes: Iterable[int] = ()) -> FockVector:
 
 
 # i**e by e mod 4; complex(0, -1), not -1j, whose real part is -0.0
-_POWERS_OF_I = (1, 1j, -1, complex(0, -1))
+_POWERS_OF_I = np.array([1, 1j, -1, complex(0, -1)])
+
+
+@functools.cache
+def _exponents(n: int) -> np.ndarray:
+    """Row j-1 holds gamma_j's exponent of i at every state b, from the module docstring."""
+    bits = np.arange(fock_dim(n))[None, :] >> np.arange(n)[:, None] & 1
+    upto = 2 * np.bitwise_xor.accumulate(bits)  # row k-1: 2 x the parity of bits 0..k-1
+    below = np.concatenate([np.zeros_like(upto[:1]), upto[:-1]]) + 3
+    table = np.stack([upto, below], axis=1).reshape(2 * n, -1)
+    table.flags.writeable = False  # the cache hands this one array to every call
+    return table
 
 
 def monomial(indices, n: int) -> tuple:
     """gamma_{i1} ... gamma_{im} as (flip, phase): it takes e_b to phase[b] e_(b XOR flip)."""
     check_mode_count(n)
-    flip, factors = 0, []
+    table, flip, states = _exponents(n), 0, np.arange(fock_dim(n))
+    exponent = np.zeros(len(states), dtype=int)
     for j in reversed(indices):
         if not 1 <= j <= 2 * n:
             raise IndexRangeError(f"Clifford index must satisfy 1 <= j <= {2 * n}, got {j}")
-        bit = 1 << ((j - 1) // 2)
-        # (bit, mask of the sign's parity, exponent of i): see the module docstring
-        factors.append((bit, 2 * bit - 1, 0) if j % 2 else (bit, bit - 1, 3))
-        flip ^= bit
-    phase = []
-    for b in range(fock_dim(n)):
-        e = 0
-        for bit, mask, quarter in factors:
-            e += 2 * (b & mask).bit_count() + quarter
-            b ^= bit
-        phase.append(_POWERS_OF_I[e % 4])
-    return flip, np.array(phase, dtype=complex)
-
-
-def gamma(j: int, n: int) -> np.ndarray:
-    """The j-th Clifford generator, 1 <= j <= 2n, as a 2^n x 2^n matrix."""
-    flip, phase = monomial((j,), n)
-    return np.diag(phase)[np.arange(len(phase)) ^ flip]  # row b XOR flip holds phase[b]
+        exponent += table[j - 1][states ^ flip]
+        flip ^= 1 << ((j - 1) // 2)
+    return flip, _POWERS_OF_I[exponent % 4]
 
 
 def ladder(k: int, n: int) -> tuple:
@@ -136,15 +137,3 @@ def ladder(k: int, n: int) -> tuple:
     phase = 0.5 * (odd + 1j * monomial((2 * abs(k),), n)[1])
     # c_k, the adjoint, takes e_x to conj(phase[x XOR flip]) e_(x XOR flip)
     return (flip, phase) if k > 0 else (flip, phase[np.arange(len(phase)) ^ flip].conj())
-
-
-def creation(j: int, n: int) -> np.ndarray:
-    """Creation operator c_j^dagger as a dense 2^n x 2^n matrix."""
-    _check_mode(j, n)
-    flip, phase = ladder(j, n)
-    return np.diag(phase)[np.arange(len(phase)) ^ flip]
-
-
-def annihilation(j: int, n: int) -> np.ndarray:
-    """Annihilation operator c_j, the adjoint of creation(j, n)."""
-    return creation(j, n).conj().T

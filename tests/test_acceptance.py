@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_reference import dense
 from spinfock import (
     cli,
     fock,
@@ -38,8 +39,8 @@ def test_criterion_01_car_suite():
         eye = np.eye(1 << n)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                cj, ck = fock.annihilation(j, n), fock.annihilation(k, n)
-                cjd, ckd = fock.creation(j, n), fock.creation(k, n)
+                cj, ck = dense(fock.ladder(-j, n)), dense(fock.ladder(-k, n))
+                cjd, ckd = dense(fock.ladder(j, n)), dense(fock.ladder(k, n))
                 delta = eye if j == k else 0.0
                 worst = max(worst, np.max(np.abs(cj @ ckd + ckd @ cj - delta)))
                 worst = max(worst, np.max(np.abs(cj @ ck + ck @ cj)))
@@ -58,7 +59,7 @@ def test_criterion_02_clifford_suite():
     reconstruction_exact = True
     for n in (1, 2, 3, 4):
         eye = np.eye(1 << n)
-        gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
+        gammas = [dense(fock.monomial((j,), n)) for j in range(1, 2 * n + 1)]
         for j, gj in enumerate(gammas):
             for k, gk in enumerate(gammas):
                 delta = 2.0 * eye if j == k else 0.0
@@ -66,8 +67,8 @@ def test_criterion_02_clifford_suite():
         for j in range(1, n + 1):
             up = 0.5 * (gammas[2 * j - 2] + 1j * gammas[2 * j - 1])
             down = 0.5 * (-gammas[2 * j - 2] + 1j * gammas[2 * j - 1])
-            reconstruction_exact &= np.array_equal(up, fock.creation(j, n))
-            reconstruction_exact &= np.array_equal(down, fock.annihilation(j, n))
+            reconstruction_exact &= np.array_equal(up, dense(fock.ladder(j, n)))
+            reconstruction_exact &= np.array_equal(down, dense(fock.ladder(-j, n)))
     elapsed = time.perf_counter() - start
     report(
         "2 Clifford suite",

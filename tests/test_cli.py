@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import spinfock
+from dense_reference import dense
 from spinfock import checks, cli, fock, hamiltonian, report_io, sde, so_algebra, spin_group
 from spinfock.errors import NumericError
 
@@ -185,6 +187,25 @@ def test_no_eigendecomposition_on_command_path(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert out == plain
+
+
+@pytest.mark.parametrize(
+    ("argv", "sha256"),
+    [
+        (
+            ["spectrum", "--n", "10", "--energies", "0.48,0.85,1.22,1.59,1.96,2.33,2.7,3.07,3.44,3.81",
+             "--format", "csv"],
+            "185408730720665a6862906d3d6e4bb543dc7c3f5ca4f6254e141237f042a2c5",
+        ),
+        (["verify", "--n", "4", "--format", "csv"], "fb47d0efe51f04bc51e77e24af7ab655038c224d7085fb05fe88fa6001da721c"),
+    ],
+)
+def test_report_bytes_pinned(capsys, argv, sha256):
+    # both reports take elementwise or exact arithmetic alone, so their bytes hold on every
+    # numpy and BLAS: a rewrite of the exact layer must leave them as they are
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestFK:
@@ -532,7 +553,7 @@ class TestHaarTest:
     def test_unitary_wrong_lift_fails_spin_cover(self, capsys, monkeypatch, n):
         # U gamma_1 is unitary, but it covers R composed with a reflection, not R
         lift = spin_group.haar_lift
-        monkeypatch.setattr(spin_group, "haar_lift", lambda f, rows: lift(f, rows) @ fock.gamma(1, n))
+        monkeypatch.setattr(spin_group, "haar_lift", lambda f, rows: lift(f, rows) @ dense(fock.monomial((1,), n)))
         code, out, _ = run_cli(capsys, ["haar-test", "--n", str(n), "--paths", "400", "--seed", "6"])
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert code == 1

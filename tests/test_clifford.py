@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense
 from spinfock import fock
 from spinfock.errors import IndexRangeError
 
@@ -15,22 +16,26 @@ def complex_vectors(length):
     ).map(lambda pairs: np.array([complex(a, b) for a, b in pairs]))
 
 
+def gamma(j, n):
+    return dense(fock.monomial((j,), n))
+
+
 def test_gamma_matrices_n1():
-    assert np.array_equal(fock.gamma(1, 1), np.array([[0, -1], [1, 0]]))
-    assert np.array_equal(fock.gamma(2, 1), np.array([[0, -1j], [-1j, 0]]))
+    assert np.array_equal(gamma(1, 1), np.array([[0, -1], [1, 0]]))
+    assert np.array_equal(gamma(2, 1), np.array([[0, -1j], [-1j, 0]]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_anti_hermitian(n):
     for j in range(1, 2 * n + 1):
-        g = fock.gamma(j, n)
+        g = gamma(j, n)
         assert np.max(np.abs(g + g.conj().T)) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_anticommutation(n):
     eye = np.eye(1 << n)
-    gammas = [fock.gamma(j, n) for j in range(1, 2 * n + 1)]
+    gammas = [gamma(j, n) for j in range(1, 2 * n + 1)]
     for j, gj in enumerate(gammas):
         for k, gk in enumerate(gammas):
             delta = 2.0 * eye if j == k else 0.0
@@ -41,29 +46,29 @@ def test_anticommutation(n):
 def test_square_is_minus_identity(n):
     eye = np.eye(1 << n)
     for j in range(1, 2 * n + 1):
-        g = fock.gamma(j, n)
+        g = gamma(j, n)
         assert np.array_equal(g @ g, -eye)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ladder_reconstruction_exact(n):
     for j in range(1, n + 1):
-        g_odd = fock.gamma(2 * j - 1, n)
-        g_even = fock.gamma(2 * j, n)
-        assert np.array_equal(0.5 * (g_odd + 1j * g_even), fock.creation(j, n))
-        assert np.array_equal(0.5 * (-g_odd + 1j * g_even), fock.annihilation(j, n))
+        g_odd = gamma(2 * j - 1, n)
+        g_even = gamma(2 * j, n)
+        assert np.array_equal(0.5 * (g_odd + 1j * g_even), dense(fock.ladder(j, n)))
+        assert np.array_equal(0.5 * (-g_odd + 1j * g_even), dense(fock.ladder(-j, n)))
 
 
 def test_index_range():
     with pytest.raises(IndexRangeError):
-        fock.gamma(0, 2)
+        fock.monomial((0,), 2)
     with pytest.raises(IndexRangeError):
-        fock.gamma(5, 2)
+        fock.monomial((5,), 2)
 
 
 def gamma_of(v):
     """gamma(v) = sum_j v_j gamma_j for v in C^4, at n = 2."""
-    return sum(v[j] * fock.gamma(j + 1, 2) for j in range(4))
+    return sum(v[j] * gamma(j + 1, 2) for j in range(4))
 
 
 class TestGammaOfVector:

@@ -188,7 +188,7 @@ class TestRepresentations:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_spin_images_n1(self):
-        assert np.array_equal(so.spin_rep(so.basis_element(1, 1, 3)), 0.5 * fock.gamma(1, 1))
+        assert np.array_equal(so.spin_rep(so.basis_element(1, 1, 3)), 0.5 * dense(fock.monomial((1,), 1)))
         # spin image of X_{12} is gamma_2 gamma_1 / 2 = diag(-i/2, i/2); the
         # reversed product order is what makes the bracket of two vector-type
         # generators come out right.
@@ -237,8 +237,8 @@ class TestLadderAndCartan:
         for j in range(1, n + 1):
             up = so.spin_rep(so.ladder_element(j, n))
             down = so.spin_rep(so.ladder_element(-j, n))
-            assert np.array_equal(up, fock.creation(j, n))
-            assert np.array_equal(down, fock.annihilation(j, n))
+            assert np.array_equal(up, dense(fock.ladder(j, n)))
+            assert np.array_equal(down, dense(fock.ladder(-j, n)))
 
     def test_ladder_sum_identity(self):
         # E_j + E_{-j} = 2i X_{2j,2n+1}
