@@ -10,16 +10,19 @@ e_(x XOR flip), built from words as a (flip, phase) pair: ``so_algebra``'s
 parts of H (flip 0), ``fock.monomial`` for gamma_j, ``fock.ladder`` for
 c_k^+-. A product of two is one gather, M_a M_b = (f_a XOR f_b,
 p_a[x XOR f_b] p_b[x]), so ``car``, ``clifford-anticommutation``,
-``car-on-subspace`` and ``homomorphism-spin`` (all S^2 ordered pairs of the
-S = n(2n+1) basis symbols) take O(2^n) per pair, in blocks whose temporaries
-(fewer than 16 arrays of 2^n complex entries per pair) fit
-``fock.MAX_ARRAY_BYTES``. Every entry, product and partial sum is dyadic
-(0, +-1, +-i, +-1/2, +-i/2), so each row is exact and reads the bits dense
-products did; no spin row builds a 2^n x 2^n matrix. The (2n+1)-dimensional
-defining rows stay dense. ``clifford-reconstruction`` compares fock's ladders
-with exterior multiplication by e_k, whose sign it forms by negating, after
-each mode, the states that occupy it, not through ``fock.monomial``, so a
-wrong Jordan-Wigner order fails it.
+``car-on-subspace`` and ``homomorphism-spin`` take O(2^n) per pair, in
+blocks whose temporaries (fewer than 16 arrays of 2^n complex entries per
+pair) fit ``fock.MAX_ARRAY_BYTES``. Every entry, product and partial sum is
+dyadic (0, +-1, +-i, +-1/2, +-i/2), so each row is exact and reads the bits
+dense products did; no spin row builds a 2^n x 2^n matrix. The
+(2n+1)-dimensional defining rows stay dense. A bracket sweep over S images
+(the n(2n+1) basis symbols, or the ladders or gammas) reads the pairs a <= b
+when its table is (anti)symmetric, as (b, a) then repeats (a, b)'s residual
+bit for bit, and all S^2 ordered pairs otherwise, as when one side of a
+bracket is wrong. ``clifford-reconstruction`` compares fock's ladders with
+exterior multiplication by e_k, whose sign it forms by negating, after each
+mode, the states that occupy it, not through ``fock.monomial``, so a wrong
+Jordan-Wigner order fails it.
 """
 
 from __future__ import annotations
@@ -67,10 +70,17 @@ def _gap(a: tuple, b: tuple) -> float:
     return _max_abs(a[1] - b[1]) if a[0] == b[0] else max(_max_abs(a[1]), _max_abs(b[1]))
 
 
+def _sweep_start(target: np.ndarray, coeff: np.ndarray, sign: int) -> np.ndarray:
+    """The first b row a of a bracket sweep reads: a if target is symmetric and coeff.T = sign coeff,
+    as M_b M_a + sign M_a M_b = sign (M_a M_b + sign M_b M_a) makes (b, a) repeat (a, b), else 0."""
+    mirrored = np.array_equal(target, target.T) and np.array_equal(coeff.T, sign * coeff)
+    return np.arange(len(coeff)) if mirrored else np.zeros(len(coeff), dtype=int)
+
+
 def _flip_residual(images: tuple, sign: int, target: np.ndarray, coeff: np.ndarray) -> float:
-    """max over (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)| on a _stack."""
+    """max over _sweep_start's (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)| on a _stack."""
     flip, phase = images
-    a, b = np.divmod(np.arange(coeff.size), len(coeff))
+    a, b = np.nonzero(np.arange(len(coeff)) >= _sweep_start(target, coeff, sign)[:, None])
     states, step = np.arange(phase.shape[1]), max(1, fock.MAX_ARRAY_BYTES // (16 * phase[0].nbytes))
     worst = 0.0
     for lo in range(0, len(a), step):
@@ -144,31 +154,31 @@ def check_defining_trace(vector: np.ndarray) -> CheckResult:
 def structure_constants(n: int) -> tuple:
     """(index, sign): [X_a, X_b] = sign[a, b] X_index[a, b], sign 0 where it vanishes."""
     syms = so_algebra.symbols(n)
-    position = {s: i for i, s in enumerate(syms)}
+    position, ends = {s: i for i, s in enumerate(syms)}, np.array(syms)
     index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
-    for a, sa in enumerate(syms):
-        for b, sb in enumerate(syms):
-            # every term of a bracket needs an index that the pair shares
-            terms = so_algebra.bracket_symbols(sa, sb) if set(sa) & set(sb) else ()
-            if len(terms) > 1:
-                raise DomainError(f"[X_{sa}, X_{sb}] has {len(terms)} terms, the sweep takes one")
-            for sym, coefficient in terms:
-                index[a, b], sign[a, b] = position[sym], coefficient
+    # every term of a bracket needs an index that the pair shares
+    shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
+    for a, b in zip(*np.nonzero(shared)):
+        terms = so_algebra.bracket_symbols(syms[a], syms[b])
+        if len(terms) > 1:
+            raise DomainError(f"[X_{syms[a]}, X_{syms[b]}] has {len(terms)} terms, the sweep takes one")
+        for sym, coefficient in terms:
+            index[a, b], sign[a, b] = position[sym], coefficient
     return index, sign
 
 
 def _homomorphism_residual(structure: tuple, images: np.ndarray) -> float:
-    """max over (a, b) of |sign[a, b] M_index[a, b] - (M_a M_b - M_b M_a)|."""
+    """max over _sweep_start's (a, b) of |sign[a, b] M_index[a, b] - (M_a M_b - M_b M_a)|."""
     index, sign = structure
     count, dim, _ = images.shape
     beside = images.transpose(1, 0, 2).reshape(dim, count * dim)  # [M_0 | ... ]
     stacked = images.reshape(count * dim, dim)  # [M_0; ...]
     worst = 0.0
-    for a in range(count):
-        residual = images[index[a]]
-        residual *= sign[a, :, None, None]
-        residual -= (images[a] @ beside).reshape(dim, count, dim).transpose(1, 0, 2)
-        residual += (stacked @ images[a]).reshape(count, dim, dim)
+    for a, lo in enumerate(_sweep_start(index, sign, -1)):
+        residual = images[index[a, lo:]]
+        residual *= sign[a, lo:, None, None]
+        residual -= (images[a] @ beside[:, lo * dim :]).reshape(dim, count - lo, dim).transpose(1, 0, 2)
+        residual += (stacked[lo * dim :] @ images[a]).reshape(count - lo, dim, dim)
         worst = max(worst, _max_abs(residual))
     return worst
 

@@ -6,12 +6,12 @@ Basis elements are indexed by ordered pairs ``(j, k)`` with
 
 One element type serves so(2n+1) and its enveloping algebra:
 ``UEAPolynomial``, a sum of words in the basis symbols with exact
-``GaussianRational`` coefficients, so zero tests are exact. An element of
-so(2n+1) is a sum of one-symbol words. The constructor reads a reversed pair
-``(k, j)`` as -X_jk in every symbol of a word, and converts a float or
-complex coefficient exactly, as the Fraction of each part. ``uea`` adds
-normal ordering, and with it the Lie bracket (the normal-ordered commutator),
-and the named polynomials of the quasi-Hamiltonian.
+``GaussianRational`` coefficients (integral parts held as ints), so zero
+tests are exact. An element of so(2n+1) is a sum of one-symbol words. The
+constructor reads a reversed pair ``(k, j)`` as -X_jk in every symbol of a
+word, and converts a float or complex coefficient exactly, as the Fraction
+of each part. ``uea`` adds normal ordering, and with it the Lie bracket (the
+normal-ordered commutator), and the named polynomials of the quasi-Hamiltonian.
 
 A representation is its image function, ``defining_rep`` or ``spin_rep``
 below; each reads n from the element and extends multiplicatively to words.
@@ -65,33 +65,49 @@ def accumulate(terms: dict, word, coeff) -> None:
     terms[word] = coeff if prev is None else prev + coeff
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational parts. An integral part is held as an int, so
+    Gaussian-integer arithmetic skips Fraction; ``re`` and ``im`` read as Fraction."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_re", "_im")
+
+    def __init__(self, re=0, im=0):
+        self._re, self._im = _rational(re), _rational(im)
+
+    re = property(lambda self: Fraction(self._re))
+    im = property(lambda self: Fraction(self._im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._re == other._re and self._im == other._im
+
+    def __hash__(self) -> int:
+        return hash((self._re, self._im))  # an int hashes as its Fraction
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
+            return GaussianRational(value)
         raise TypeError(f"cannot coerce {value!r} to an exact Gaussian rational")
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        if not other:
+        if not (other._re or other._im):
             return self
-        if not self:
+        if not (self._re or self._im):
             return other
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(self._re + other._re, self._im + other._im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self._re, -self._im)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -101,20 +117,26 @@ class GaussianRational:
         if type(other) is int and other in (1, -1):
             return self if other == 1 else -self
         other = GaussianRational.coerce(other)
-        if not (self.im or other.im):  # energies and structure constants are real
-            return GaussianRational(self.re * other.re)
+        if not (self._im or other._im):  # energies and structure constants are real
+            return GaussianRational(self._re * other._re)
         return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self._re * other._re - self._im * other._im,
+            self._re * other._im + self._im * other._re,
         )
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._re) or bool(self._im)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float(self._re), float(self._im))
+
+
+def _rational(x):
+    """A part as held: an int if it is integral, else its Fraction."""
+    x = x if type(x) in (int, Fraction) else Fraction(x)
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 I = GaussianRational(Fraction(0), Fraction(1))
@@ -186,27 +208,25 @@ def basis_element(n: int, j: int, k: int, coeff=1) -> UEAPolynomial:
 
 
 def bracket_symbols(a: Symbol, b: Symbol):
-    """Structure constants: [X_a, X_b] as ((j, k), integer sign) terms.
+    """Structure constants: [X_a, X_b] as ((j, k), integer sign) terms, of canonical pairs.
 
-    Derived from the matrix commutator of e_j (x) e_k - e_k (x) e_j wedges:
-    [X_{ri}, X_{sj}] = d_{is} X_{rj} + d_{rj} X_{is} - d_{ij} X_{rs} - d_{rs} X_{ij}.
+    From the matrix commutator of e_j (x) e_k - e_k (x) e_j wedges,
+    [X_{ri}, X_{sj}] = d_{is} X_{rj} + d_{rj} X_{is} - d_{ij} X_{rs} - d_{rs} X_{ij};
+    distinct pairs share at most one index, so at most one delta holds, read off by cases.
     """
     r, i = a
     s, j = b
-    raw = (
-        (i == s, r, j, 1),
-        (r == j, i, s, 1),
-        (i == j, r, s, -1),
-        (r == s, i, j, -1),
-    )
-    acc: Dict[Symbol, int] = {}
-    for hit, p, q, sign in raw:
-        if not hit or p == q:
-            continue
-        if p > q:
-            p, q, sign = q, p, -sign
-        acc[(p, q)] = acc.get((p, q), 0) + sign
-    return tuple((sym, sign) for sym, sign in acc.items() if sign != 0)
+    if i == s:
+        return (((r, j), 1),)
+    if r == j:
+        return (((s, i), -1),)
+    if a == b:
+        return ()
+    if i == j:
+        return (((r, s), -1),) if r < s else (((s, r), 1),)
+    if r == s:
+        return (((i, j), -1),) if i < j else (((j, i), 1),)
+    return ()
 
 
 def defining_rep(elem: UEAPolynomial) -> np.ndarray:

@@ -199,6 +199,81 @@ class TestHomomorphismSweep:
         assert batched == pytest.approx(reference, rel=0, abs=1e-13)
 
 
+def count_sweeps(monkeypatch):
+    """The number of ordered pairs each bracket sweep reads, one entry per sweep, from _sweep_start."""
+    counts, sweep_start = [], checks._sweep_start
+
+    def counted(target, coeff, sign):
+        start = sweep_start(target, coeff, sign)
+        counts.append(int((len(coeff) - start).sum()))
+        return start
+
+    monkeypatch.setattr(checks, "_sweep_start", counted)
+    return counts
+
+
+def negated_at(pairs):
+    """bracket_symbols with the terms of the given ordered pairs negated."""
+    bracket_symbols = so.bracket_symbols
+
+    def corrupted(a, b):
+        terms = bracket_symbols(a, b)
+        return tuple((sym, -sign) for sym, sign in terms) if (a, b) in pairs else terms
+
+    return corrupted
+
+
+class TestHalfSweep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mirrored_tables_sweep_a_le_b(self, monkeypatch, n):
+        # car, clifford-anticommutation, homomorphism-defining, homomorphism-spin, car-on-subspace
+        counts = count_sweeps(monkeypatch)
+        assert all(r.passed for r in checks.run_verify(n, (1.0, 1.5, 2.5, 4.0)[:n]))
+        s, ladders = len(so.symbols(n)), 2 * n
+        half, ladder_half = s * (s + 1) // 2, ladders * (ladders + 1) // 2
+        assert counts == [ladder_half, ladder_half, half, half, ladder_half]
+
+    @pytest.mark.parametrize("sides", [1, 2])
+    def test_corrupted_bracket_fails_on_its_sweep(self, monkeypatch, sides):
+        # one side negated breaks the antisymmetry, so all S^2 pairs are swept; [X_b, X_a] negated
+        # with [X_a, X_b] keeps it, so a <= b is swept and reaches the corrupted pair
+        n = 3
+        last = tuple(so.symbols(n)[-2:][::-1])
+        with monkeypatch.context() as patch:
+            patch.setattr(so, "bracket_symbols", negated_at({last, last[::-1]} if sides == 2 else {last}))
+            structure = checks.structure_constants(n)
+        counts = count_sweeps(monkeypatch)
+        assert not checks.check_homomorphism("defining", basis_images(n, "defining"), structure).passed
+        assert not checks.check_homomorphism("spin", spin_flips(n), structure).passed
+        s = len(so.symbols(n))
+        assert counts == [s * s if sides == 1 else s * (s + 1) // 2] * 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_half_sweep_reads_the_full_sweeps_bits(self, monkeypatch, n):
+        # generic phases: (b, a)'s residual is (a, b)'s negated term by term, so both maxima agree
+        # to the bit; the defining images are integral, so their products are exact. One bracket is
+        # negated on both sides, which keeps the table antisymmetric and the residuals nonzero.
+        rng = np.random.default_rng(300 + n)
+        pair = (so.symbols(n)[0], so.symbols(n)[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(so, "bracket_symbols", negated_at({pair, pair[::-1]}))
+            structure = checks.structure_constants(n)
+        flip, phase = spin_flips(n)
+        flips = (flip, phase + 1e-3 * (rng.standard_normal(phase.shape) + 1j * rng.standard_normal(phase.shape)))
+        ladders = [fock.ladder(k, n) for k in signed_modes(n)]
+        ladders = [(f, p + 1e-3 * rng.standard_normal(p.shape)) for f, p in ladders]
+        defining = basis_images(n, "defining")
+
+        def residuals():
+            return (checks._flip_residual(flips, -1, *structure), checks._car_residual(ladders),
+                    checks._homomorphism_residual(structure, defining))
+
+        half = residuals()
+        assert min(half) > 1e-4
+        monkeypatch.setattr(checks, "_sweep_start", lambda target, coeff, sign: np.zeros(len(coeff), dtype=int))
+        assert residuals() == half
+
+
 class TestWordImages:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", ["spin_flip", "defining_rep"])
@@ -259,6 +334,8 @@ class TestStructureConstants:
         sharing = [(a, b) for a in syms for b in syms if set(a) & set(b)]
         assert calls == sharing
         assert len(calls) == len(syms) ** 2 - len(syms) * (2 * n - 1) * (2 * n - 2) // 2
+        # each symbol shares an index with itself and 2(2n + 1) - 4 others: S(2N - 3) pairs
+        assert len(calls) == len(syms) * (2 * so.matrix_size(n) - 3) == {1: 9, 2: 70, 3: 231, 4: 540}[n]
         for (a, sa), (b, sb) in [((a, sa), (b, sb)) for a, sa in enumerate(syms) for b, sb in enumerate(syms)]:
             terms = bracket_symbols(sa, sb)
             assert sign[a, b] == (terms[0][1] if terms else 0)

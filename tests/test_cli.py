@@ -198,11 +198,17 @@ def test_no_eigendecomposition_on_command_path(capsys, monkeypatch, argv):
             "185408730720665a6862906d3d6e4bb543dc7c3f5ca4f6254e141237f042a2c5",
         ),
         (["verify", "--n", "4", "--format", "csv"], "fb47d0efe51f04bc51e77e24af7ab655038c224d7085fb05fe88fa6001da721c"),
+        (
+            ["verify", "--n", "3", "--energies", "0.1,0.7,1.3", "--format", "csv"],
+            "3bb900de83f94560cee7cb47982f7053bcdf2e7c25160bd056587168ce130df8",
+        ),
+        (["verify", "--n", "8", "--format", "csv"], "69c3c49d9d2de52a158b42cde9a4546b4ac546e201ae3e2df371dd653db8dc4e"),
     ],
 )
 def test_report_bytes_pinned(capsys, argv, sha256):
-    # both reports take elementwise or exact arithmetic alone, so their bytes hold on every
-    # numpy and BLAS: a rewrite of the exact layer must leave them as they are
+    # these reports take elementwise or exact arithmetic alone, so their bytes hold on every
+    # numpy and BLAS: a rewrite of the exact layer must leave them as they are. The energies
+    # 0.1, 0.7, 1.3 give the enveloping algebra non-integral Fraction coefficients.
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

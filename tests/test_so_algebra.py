@@ -27,6 +27,21 @@ def defining_matrix(n, j, k):
     return so.defining_rep(so.basis_element(n, j, k))
 
 
+def four_delta_bracket(a, b):
+    """[X_{ri}, X_{sj}] = d_{is} X_{rj} + d_{rj} X_{is} - d_{ij} X_{rs} - d_{rs} X_{ij}, summed term by term."""
+    r, i = a
+    s, j = b
+    raw = ((i == s, r, j, 1), (r == j, i, s, 1), (i == j, r, s, -1), (r == s, i, j, -1))
+    acc = {}
+    for hit, p, q, sign in raw:
+        if not hit or p == q:
+            continue
+        if p > q:
+            p, q, sign = q, p, -sign
+        acc[(p, q)] = acc.get((p, q), 0) + sign
+    return tuple((sym, sign) for sym, sign in acc.items() if sign != 0)
+
+
 class TestDefiningBasis:
     def test_x12_matrix(self):
         m = defining_matrix(1, 1, 2)
@@ -75,6 +90,14 @@ class TestBracket:
                 for (j, k), sign in so.bracket_symbols(a, b):
                     expected += sign * defining_matrix(n, j, k)
                 assert np.array_equal(comm, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_delta_matches_four_delta_formula(self, n):
+        # the case split reads the one delta a pair of canonical symbols can hit
+        syms = so.symbols(n)
+        for a in syms:
+            for b in syms:
+                assert so.bracket_symbols(a, b) == four_delta_bracket(a, b), (a, b)
 
     def test_examples(self):
         # the Lie bracket is the normal-ordered commutator

@@ -38,6 +38,23 @@ class TestGaussianRational:
         assert not (a - a)
         assert uea.I * uea.I == uea.GaussianRational(Fraction(-1))
 
+    def test_integral_parts_read_as_fractions(self):
+        # an integral part is held as an int, but compares, hashes and reads as its Fraction
+        mixed = uea.GaussianRational(3, Fraction(1, 2))
+        same = uea.GaussianRational(Fraction(6, 2), Fraction(0.5))
+        assert mixed == same
+        assert hash(mixed) == hash(same) == hash((Fraction(3), Fraction(1, 2)))
+        assert type(mixed.re) is Fraction and type(mixed.im) is Fraction
+        assert (mixed.re, mixed.im) == (Fraction(3), Fraction(1, 2))
+        assert repr(mixed) == "GaussianRational(re=Fraction(3, 1), im=Fraction(1, 2))"
+        product = mixed * uea.GaussianRational(Fraction(2), Fraction(-4, 2))
+        assert product == uea.GaussianRational(Fraction(7), Fraction(-5))
+        assert type(product.re) is Fraction and product.to_complex() == complex(7, -5)
+        assert uea.GaussianRational(Fraction(0.1)).to_complex() == complex(0.1, 0)
+        assert mixed != 3 and mixed != (3, Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            mixed.re = Fraction(1)
+
     def test_coerce_rejects_floats(self):
         with pytest.raises(TypeError):
             uea.GaussianRational.coerce(0.5)
