@@ -9,20 +9,21 @@ e_(x XOR flip), built from words as a (flip, phase) pair: ``so_algebra``'s
 ``spin_flip`` for basis and ladder elements and ``spin_diagonal`` for the
 parts of H (flip 0), ``fock.monomial`` for gamma_j, ``fock.ladder`` for
 c_k^+-. A product of two is one gather, M_a M_b = (f_a XOR f_b,
-p_a[x XOR f_b] p_b[x]), so ``car``, ``clifford-anticommutation``,
-``car-on-subspace`` and ``homomorphism-spin`` take O(2^n) per pair, in
-blocks whose temporaries (fewer than 16 arrays of 2^n complex entries per
-pair) fit ``fock.MAX_ARRAY_BYTES``. Every entry, product and partial sum is
-dyadic (0, +-1, +-i, +-1/2, +-i/2), so each row is exact and reads the bits
-dense products did; no spin row builds a 2^n x 2^n matrix. The
-(2n+1)-dimensional defining rows stay dense. A bracket sweep over S images
-(the n(2n+1) basis symbols, or the ladders or gammas) reads the pairs a <= b
-when its table is (anti)symmetric, as (b, a) then repeats (a, b)'s residual
-bit for bit, and all S^2 ordered pairs otherwise, as when one side of a
-bracket is wrong. ``clifford-reconstruction`` compares fock's ladders with
-exterior multiplication by e_k, whose sign it forms by negating, after each
-mode, the states that occupy it, not through ``fock.monomial``, so a wrong
-Jordan-Wigner order fails it.
+p_a[x XOR f_b] p_b[x]), in blocks within ``fock.MAX_ARRAY_BYTES``; every
+entry is dyadic, so each row is exact and reads the bits dense products
+did, and no row builds a 2^n x 2^n matrix. ``car``,
+``clifford-anticommutation`` and ``car-on-subspace`` multiply all pairs of
+their 2n images. ``homomorphism-spin`` multiplies no pair of the S =
+n(2n+1) basis images: given the Clifford relations, which
+``clifford-anticommutation`` checks, each bracket follows once each image
+is 1/2 its word's product of gammas and the table is the words' bracket,
+read on bit masks (Bravyi & Kitaev, Ann. Phys. 298, 2002).
+``homomorphism-defining`` reads its images as signed partial permutations
+and forms, by gathers, the products of every pair whose supports meet; the
+others vanish. ``clifford-reconstruction`` compares
+fock's ladders with exterior multiplication by e_k, whose sign it forms by
+negating, after each mode, the states that occupy it, not through
+``fock.monomial``, so a wrong Jordan-Wigner order fails it.
 """
 
 from __future__ import annotations
@@ -65,39 +66,40 @@ def _product(a: tuple, b: tuple) -> tuple:
     return a[0] ^ b[0], a[1][np.arange(len(b[1])) ^ b[0]] * b[1]
 
 
-def _gap(a: tuple, b: tuple) -> float:
-    """max |M_a - M_b| of two (flip, phase) images, on disjoint supports where the flips differ."""
-    return _max_abs(a[1] - b[1]) if a[0] == b[0] else max(_max_abs(a[1]), _max_abs(b[1]))
+def _gaps(flip_a, phase_a, flip_b, phase_b) -> np.ndarray:
+    """max |M_a - M_b| of (flip, phase) images, or row by row, on disjoint supports where the flips differ."""
+    apart = np.not_equal(flip_a, flip_b)[..., None]
+    return np.where(apart, np.maximum(np.abs(phase_a), np.abs(phase_b)), np.abs(phase_a - phase_b)).max(axis=-1)
 
 
-def _sweep_start(target: np.ndarray, coeff: np.ndarray, sign: int) -> np.ndarray:
-    """The first b row a of a bracket sweep reads: a if target is symmetric and coeff.T = sign coeff,
-    as M_b M_a + sign M_a M_b = sign (M_a M_b + sign M_b M_a) makes (b, a) repeat (a, b), else 0."""
-    mirrored = np.array_equal(target, target.T) and np.array_equal(coeff.T, sign * coeff)
-    return np.arange(len(coeff)) if mirrored else np.zeros(len(coeff), dtype=int)
-
-
-def _flip_residual(images: tuple, sign: int, target: np.ndarray, coeff: np.ndarray) -> float:
-    """max over _sweep_start's (a, b) of |coeff[a, b] M_target[a, b] - (M_a M_b + sign M_b M_a)| on a _stack."""
+def _products(images: tuple, i: np.ndarray, j: np.ndarray) -> tuple:
+    """M_i M_j for each pair of the index arrays i, j into a _stack."""
     flip, phase = images
-    a, b = np.nonzero(np.arange(len(coeff)) >= _sweep_start(target, coeff, sign)[:, None])
-    states, step = np.arange(phase.shape[1]), max(1, fock.MAX_ARRAY_BYTES // (16 * phase[0].nbytes))
-    worst = 0.0
-    for lo in range(0, len(a), step):
-        i, j = a[lo : lo + step], b[lo : lo + step]
-        product = phase[i[:, None], states ^ flip[j, None]] * phase[j]
-        product += sign * (phase[j[:, None], states ^ flip[i, None]] * phase[i])
-        wanted = coeff[i, j, None] * phase[target[i, j]]
-        apart = (flip[target[i, j]] != flip[i] ^ flip[j])[:, None]  # on disjoint supports
-        gap = np.where(apart, np.maximum(np.abs(wanted), np.abs(product)), np.abs(wanted - product))
-        worst = max(worst, float(gap.max()))
-    return worst
+    return flip[i] ^ flip[j], phase[i[:, None], np.arange(phase.shape[1]) ^ flip[j, None]] * phase[j]
+
+
+def _blocks(count: int, entries: int, rows) -> np.ndarray:
+    """rows(k) over blocks k of range(count), concatenated; a row's temporaries, fewer than 16 arrays of
+    entries complex numbers each, fit fock.MAX_ARRAY_BYTES."""
+    step = max(1, fock.MAX_ARRAY_BYTES // (16 * 16 * entries))
+    return np.concatenate([rows(np.arange(lo, min(lo + step, count))) for lo in range(0, count, step)])
+
+
+def _flip_residual(images: tuple, coeff: np.ndarray) -> float:
+    """max over all (a, b) of |coeff[a, b] - (M_a M_b + M_b M_a)| on a _stack."""
+    a, b = np.divmod(np.arange(coeff.size), len(coeff))
+
+    def gaps(k):
+        flip, product = _products(images, a[k], b[k])
+        return _gaps(flip, product + _products(images, b[k], a[k])[1], 0, coeff[a[k], b[k], None])
+
+    return float(_blocks(len(a), images[1].shape[1], gaps).max())
 
 
 def _car_residual(ladders: list) -> float:
     """{c_j, c_k^dagger} = delta_jk, and any two other ladder images anticommute, on flips."""
     delta = np.eye(len(ladders), k=len(ladders) // 2) + np.eye(len(ladders), k=-(len(ladders) // 2))
-    return _flip_residual(_stack(ladders), 1, np.full(delta.shape, -1), delta)
+    return _flip_residual(_stack(ladders), delta)
 
 
 # The ladder rows take run_verify's (flip, phase) lists c_1^dagger, ..., c_n^dagger,
@@ -123,20 +125,19 @@ def check_clifford_anticommutation(gammas: list) -> CheckResult:
     # gamma^H takes e_x to conj(phase[x XOR flip]) e_(x XOR flip)
     states, eye = np.arange(len(gammas[0][1])), np.eye(len(gammas))
     worst = max(_max_abs(phase[states ^ flip].conj() + phase) for flip, phase in gammas)
-    worst = max(worst, _flip_residual(_stack(gammas), 1, np.full(eye.shape, -1), -2.0 * eye))
+    worst = max(worst, _flip_residual(_stack(gammas), -2.0 * eye))
     return _result("clifford-anticommutation", worst, 1e-12)
 
 
 def check_clifford_reconstruction(ladders: list) -> CheckResult:
     """c_k^dagger against wedge(e_k): e_b -> (-1)^|b & (2^(k-1) - 1)| e_(b | 2^(k-1)),
     0 where bit k-1 is set; and c_k against its adjoint."""
-    n, states, worst, sign = len(ladders) // 2, np.arange(len(ladders[0][1])), 0.0, 1
-    for k, (cdag, c) in enumerate(zip(ladders[:n], ladders[n:])):
-        bit = 1 << k
-        worst = max(worst, _gap(cdag, (bit, np.where(states & bit, 0, sign))))
-        worst = max(worst, _gap(c, (bit, np.where(states & bit, sign, 0))))
+    n, states, sign, wedges = len(ladders) // 2, np.arange(len(ladders[0][1])), 1, [[], []]
+    for bit in 1 << np.arange(n):
+        wedges[0].append((bit, np.where(states & bit, 0, sign)))
+        wedges[1].append((bit, np.where(states & bit, sign, 0)))
         sign = np.where(states & bit, -sign, sign)  # mode k+1 is below every later mode
-    return _result("clifford-reconstruction", worst, 1e-12)
+    return _result("clifford-reconstruction", _gaps(*_stack(ladders), *_stack(sum(wedges, []))).max(), 1e-12)
 
 
 def vector_images(n: int, images: np.ndarray) -> np.ndarray:
@@ -154,45 +155,108 @@ def check_defining_trace(vector: np.ndarray) -> CheckResult:
 def structure_constants(n: int) -> tuple:
     """(index, sign): [X_a, X_b] = sign[a, b] X_index[a, b], sign 0 where it vanishes."""
     syms = so_algebra.symbols(n)
-    position, ends = {s: i for i, s in enumerate(syms)}, np.array(syms)
-    index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
+    position, (j, k) = {s: i for i, s in enumerate(syms)}, np.array(syms).T
     # every term of a bracket needs an index that the pair shares
-    shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
-    for a, b in zip(*np.nonzero(shared)):
-        terms = so_algebra.bracket_symbols(syms[a], syms[b])
-        if len(terms) > 1:
-            raise DomainError(f"[X_{syms[a]}, X_{syms[b]}] has {len(terms)} terms, the sweep takes one")
-        for sym, coefficient in terms:
-            index[a, b], sign[a, b] = position[sym], coefficient
+    shared = (j[:, None] == j) | (j[:, None] == k) | (k[:, None] == j) | (k[:, None] == k)
+    a, b = (x.tolist() for x in np.nonzero(shared))
+    terms = [so_algebra.bracket_symbols(syms[x], syms[y]) for x, y in zip(a, b)]
+    if max(map(len, terms)) > 1:
+        i = next(i for i, t in enumerate(terms) if len(t) > 1)
+        raise DomainError(f"[X_{syms[a[i]]}, X_{syms[b[i]]}] has {len(terms[i])} terms, the table holds one")
+    kept = [i for i, t in enumerate(terms) if t]
+    index, sign = np.zeros((len(syms),) * 2, dtype=int), np.zeros((len(syms),) * 2)
+    at = np.array(a)[kept], np.array(b)[kept]
+    index[at], sign[at] = [position[terms[i][0][0]] for i in kept], [terms[i][0][1] for i in kept]
     return index, sign
 
 
-def _homomorphism_residual(structure: tuple, images: np.ndarray) -> float:
-    """max over _sweep_start's (a, b) of |sign[a, b] M_index[a, b] - (M_a M_b - M_b M_a)|."""
-    index, sign = structure
-    count, dim, _ = images.shape
-    beside = images.transpose(1, 0, 2).reshape(dim, count * dim)  # [M_0 | ... ]
-    stacked = images.reshape(count * dim, dim)  # [M_0; ...]
-    worst = 0.0
-    for a, lo in enumerate(_sweep_start(index, sign, -1)):
-        residual = images[index[a, lo:]]
-        residual *= sign[a, lo:, None, None]
-        residual -= (images[a] @ beside[:, lo * dim :]).reshape(dim, count - lo, dim).transpose(1, 0, 2)
-        residual += (stacked[lo * dim :] @ images[a]).reshape(count - lo, dim, dim)
-        worst = max(worst, _max_abs(residual))
-    return worst
+def _clifford_words(n: int) -> tuple:
+    """(left, right): the gammas, from 0, of spin(X_jk) = gamma_k gamma_j / 2 and spin(X_{j,2n+1}) =
+    gamma_j / 2, whose right -1 reads the identity a _stack holds last."""
+    j, k = (np.array(so_algebra.symbols(n)) - 1).T
+    return np.where(k == 2 * n, j, k), np.where(k == 2 * n, -1, j)
+
+
+def _clifford_gaps(words: tuple, structure: tuple) -> np.ndarray:
+    """(S, S): the dense sweep's max |sign[a, b] M_index[a, b] - [M_a, M_b]| for M_a = gamma_(word a) / 2, on
+    the words' letters and bit masks (bit j-1 for gamma_j). Sorting a word's letters takes (-1)^(its
+    inversions), and gamma_j gamma_j = -1, so gamma_(word a) gamma_(word b) = (-1)^(inversions of both words
+    + the letter pairs x of a, y of b with x >= y) gamma_(A XOR B)."""
+    (index, sign), low = structure, np.stack(words)
+    high = np.where(low < 0, 64, low)  # the identity letter comes after every gamma on the right
+    order = 1 - 2 * (low[0] > high[1])  # (-1)^(inversions of each word)
+    swap = 1 - 2 * ((low[:, None, :, None] >= high[None, :, None, :]).sum(axis=(0, 1)) & 1)
+    bracket = 0.25 * order[:, None] * order * (swap - swap.T)  # [M_a, M_b] = bracket gamma_(A XOR B)
+    table = 0.5 * sign * order[index]  # sign M_index = table gamma_C
+    mask = (1 << low + 1).sum(axis=0) >> 1
+    gaps = np.abs(table - bracket)  # exact where C = A XOR B, or where a term vanishes
+    a, b = np.nonzero((mask[index] ^ mask[:, None] ^ mask) * table * bracket)
+    other, table, bracket = mask[index[a, b]] ^ mask[a] ^ mask[b], np.abs(table[a, b]), np.abs(bracket[a, b])
+    # two monomials apart: on disjoint supports where their flips differ; else each mode's two gammas are
+    # both in C XOR A XOR B or neither, m modes, and gamma_C^-1 gamma_(A XOR B) is +-i^m times the parity
+    # of those modes, which takes both signs
+    m = other & 0x55555555  # the bits of gamma_1, gamma_3, ...; bit 0 of m becomes their parity
+    for shift in (1, 2, 4, 8, 16):
+        m = m ^ m >> shift
+    one_flip = np.where(m & 1, np.hypot(table, bracket), table + bracket)
+    gaps[a, b] = np.where((other ^ other >> 1) & 0x55555555, np.maximum(table, bracket), one_flip)
+    return gaps
+
+
+def _defining_gaps(images: np.ndarray, structure: tuple) -> np.ndarray:
+    """(S, S): max |sign[a, b] M_index[a, b] - (M_a M_b - M_b M_a)|, each image a signed partial permutation,
+    M_a e_c = values[a, c] e_rows[a, c] from column c's largest entry, so M_a M_b e_c = values[a, rows[b, c]]
+    values[b, c] e_rows[a, rows[b, c]]; each column's three terms are summed at each of their rows. Any
+    other entry of an image is no such permutation: every pair reads its largest modulus."""
+    (index, sign), (count, size, _) = structure, images.shape
+    moduli = np.abs(images)
+    rows = moduli.argmax(axis=1)
+    values = np.take_along_axis(images, rows[:, None], axis=1)[:, 0]
+    values = values if values.imag.any() else values.real  # real images take real arithmetic
+    np.put_along_axis(moduli, rows[:, None], 0, axis=1)
+    # images whose rows and columns miss each other's multiply to 0, leaving the table's term alone
+    kept, flat_rows, flat_values = values != 0, rows.ravel(), values.ravel()
+    support = np.bitwise_or.reduce(kept << rows | kept << np.arange(size), axis=1)
+    gaps = np.abs(sign) * np.abs(values).max(axis=1)[index]
+    a, b = np.nonzero(support[:, None] & support)
+
+    def pair_gaps(k):
+        i, j = a[k], b[k]
+        rt, t = rows[index[i, j]], sign[i, j, None] * values[index[i, j]]
+        at = i[:, None] * size + rows[j]  # M_a M_b: a's column rows[b, c]
+        rp, p = flat_rows[at], flat_values[at] * values[j]
+        at = j[:, None] * size + rows[i]  # M_b M_a: b's column rows[a, c]
+        rq, q = flat_rows[at], flat_values[at] * values[i]
+        tp, tq, pq = rt == rp, rt == rq, rp == rq
+        worst = np.maximum(np.abs(t - p * tp + q * tq), np.abs(t * tp - p + q * pq))
+        return np.maximum(worst, np.abs(t * tq - p * pq + q)).max(axis=1)
+
+    gaps[a, b] = _blocks(len(a), size, pair_gaps)
+    return np.maximum(gaps, moduli.max())
 
 
 def check_homomorphism(tag: str, images, structure: tuple) -> CheckResult:
-    """Every bracket, on the (S, d, d) stack of the basis images in symbol order, or on their _stack."""
-    if isinstance(images, np.ndarray):
-        return _result(f"homomorphism-{tag}", _homomorphism_residual(structure, images), 1e-12)
-    return _result(f"homomorphism-{tag}", _flip_residual(images, -1, *structure), 1e-12)
+    """Every bracket [X_a, X_b] = sign[a, b] X_index[a, b] of the basis images in symbol order: defining on
+    their (S, N, N) stack, any entry beside a column's largest failing it; spin on (their _stack, the gammas'
+    _stack), each image 1/2 its word's gamma product and the table the words' bracket."""
+    if tag == "defining":
+        residual = _defining_gaps(images, structure).max()
+    else:
+        (flips, gammas), words = images, _clifford_words(len(images[1][0]) // 2)
+
+        def gaps(k):
+            flip, product = _products(gammas, words[0][k], words[1][k])
+            return _gaps(flips[0][k], flips[1][k], flip, 0.5 * product)
+
+        residual = max(
+            _blocks(len(words[0]), flips[1].shape[1], gaps).max(), _clifford_gaps(words, structure).max()
+        )
+    return _result(f"homomorphism-{tag}", residual, 1e-12)
 
 
 def check_ladder_spin_image(ladders: list, spin: list) -> CheckResult:
     """fock's c_k^dagger and c_k against the spin images D_k^+ and D_k^-."""
-    return _result("ladder-spin-image", max(_gap(c, image) for c, image in zip(ladders, spin)), 1e-12)
+    return _result("ladder-spin-image", _gaps(*_stack(ladders), *_stack(spin)).max(), 1e-12)
 
 
 def check_cartan_weights(elements: list) -> CheckResult:
@@ -285,7 +349,7 @@ def run_verify(n: int, energies) -> list:
         check_clifford_reconstruction(ladders),
         check_defining_trace(vectors[1]),
         check_homomorphism("defining", defining, structure),
-        check_homomorphism("spin", flips, structure),
+        check_homomorphism("spin", (flips, _stack(gammas)), structure),
         check_ladder_spin_image(ladders, spin),
         check_cartan_weights(elements),
         check_uea_normal_order(spec),

@@ -48,6 +48,29 @@ def spin_flips(n):
     return checks._stack(so.spin_flip(so.basis_element(n, *s)) for s in so.symbols(n))
 
 
+def gamma_flips(n):
+    return checks._stack(fock.monomial((j,), n) for j in range(1, 2 * n + 1))
+
+
+def row_images(n, tag):
+    """What check_homomorphism reads: the defining stack, or the spin basis and gamma _stacks."""
+    return basis_images(n, tag) if tag == "defining" else (spin_flips(n), gamma_flips(n))
+
+
+def dense_gaps(structure, images):
+    """max |sign[a, b] M_index[a, b] - [M_a, M_b]| of each ordered pair, by dense products."""
+    index, sign = structure
+    return np.array([[np.max(np.abs(sign[a, b] * images[index[a, b]] - (ma @ mb - mb @ ma)))
+                      for b, mb in enumerate(images)] for a, ma in enumerate(images)])
+
+
+def row_gaps(n, tag, structure):
+    """The per-pair table of a homomorphism row's bracket sweep."""
+    if tag == "defining":
+        return checks._defining_gaps(basis_images(n, tag), structure)
+    return checks._clifford_gaps(checks._clifford_words(n), structure)
+
+
 def signed_modes(n):
     return [*range(1, n + 1), *range(-1, -n - 1, -1)]
 
@@ -57,13 +80,26 @@ def reverse_words(rep):
     return lambda elem: rep(so.UEAPolynomial(elem.n, {w[::-1]: c for w, c in elem.terms.items()}))
 
 
+def generic_defining(n, seed):
+    """The defining basis images with generic values on their entries, and one more entry, on the
+    diagonal of a column that X_12's image leaves empty: still one entry a column."""
+    rng = np.random.default_rng(seed)
+    images = basis_images(n, "defining")
+    noise = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
+    images = images + 1e-3 * noise * (images != 0)
+    images[0, -1, -1] = 0.3
+    return images
+
+
 class TestHomomorphismSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("tag", ["spin", "defining"])
     def test_residual_exactly_zero(self, n, tag):
-        result = checks.check_homomorphism(tag, basis_images(n, tag), checks.structure_constants(n))
+        structure = checks.structure_constants(n)
+        result = checks.check_homomorphism(tag, row_images(n, tag), structure)
         assert result.residual == 0.0
         assert result.passed
+        assert pairwise_residual(n, so.bracket_symbols, basis_images(n, tag)) == 0.0
 
     def test_last_pair_corrupted_one_sided(self, monkeypatch):
         # (a, b) alone, so the sweep must reach the last row and column
@@ -88,7 +124,7 @@ class TestHomomorphismSweep:
         assert failing == ["homomorphism-defining", "homomorphism-spin"]
 
     def test_two_term_bracket_refused(self, monkeypatch):
-        # the sweep gathers one term per pair, so a second must not be dropped
+        # the table holds one term per pair, so a second must not be dropped
         n = 2
         pair = tuple(so.symbols(n)[:2])
         bracket_symbols = so.bracket_symbols
@@ -124,24 +160,25 @@ class TestHomomorphismSweep:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_flip_residual_exactly_zero(self, n):
+        # both premises hold exactly: every image is 1/2 its gammas' product, and every pair's
+        # Clifford bracket is the table's
         structure = checks.structure_constants(n)
-        result = checks.check_homomorphism("spin", spin_flips(n), structure)
-        assert result.residual == 0.0
-        assert checks.check_homomorphism("spin", basis_images(n, "spin"), structure).residual == 0.0
+        assert checks.check_homomorphism("spin", row_images(n, "spin"), structure).residual == 0.0
+        assert not row_gaps(n, "spin", structure).any()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_flip_sweep_matches_pairwise_loop_on_corrupted_constants(self, monkeypatch, n):
-        # dyadic phases, so the gathers are exact and agree with the dense loop to the bit
+        # dyadic phases, so the dense loop is exact and agrees with the bit-mask bracket to the bit
         corrupted = flip_some(n, seed=n)
-        flips, images = spin_flips(n), basis_images(n, "spin")
+        images, dense_images = row_images(n, "spin"), basis_images(n, "spin")
         monkeypatch.setattr(so, "bracket_symbols", corrupted)
         structure = checks.structure_constants(n)
-        swept = checks.check_homomorphism("spin", flips, structure).residual
+        swept = checks.check_homomorphism("spin", images, structure).residual
         assert swept > 0.0
-        assert swept == pairwise_residual(n, corrupted, images)
-        # one pair per block gives the same bits
+        assert swept == pairwise_residual(n, corrupted, dense_images)
+        # one symbol per block gives the same bits
         monkeypatch.setattr(fock, "MAX_ARRAY_BYTES", 0)
-        assert checks.check_homomorphism("spin", flips, structure).residual == swept
+        assert checks.check_homomorphism("spin", images, structure).residual == swept
 
     def test_flip_sweep_reads_a_wrong_bracket_symbol(self, monkeypatch):
         # a bracket that names another symbol flips other bits: the residual is
@@ -156,60 +193,99 @@ class TestHomomorphismSweep:
             return ((wrong, terms[0][1]),) if (a, b) == pair else terms
 
         assert bracket_symbols(*pair) and bracket_symbols(*pair)[0][0] != wrong
-        flips, images = spin_flips(n), basis_images(n, "spin")
+        images, dense_images = row_images(n, "spin"), basis_images(n, "spin")
         monkeypatch.setattr(so, "bracket_symbols", misnamed)
-        swept = checks.check_homomorphism("spin", flips, checks.structure_constants(n))
-        assert swept.residual == pairwise_residual(n, misnamed, images) == 0.5
+        swept = checks.check_homomorphism("spin", images, checks.structure_constants(n))
+        assert swept.residual == pairwise_residual(n, misnamed, dense_images) == 0.5
+
+    @pytest.mark.parametrize(
+        ("pair", "wrong", "residual"),
+        [
+            # X_13 = gamma_3 gamma_1 / 2 named X_14 = gamma_4 gamma_1 / 2: one flip, one mode apart
+            (((1, 2), (2, 3)), (1, 4), 0.5**0.5),
+            # X_13 named X_24 = gamma_4 gamma_2 / 2: one flip, two modes apart
+            (((1, 2), (2, 3)), (2, 4), 1.0),
+            # X_15 = gamma_1 / 2 named X_25 = gamma_2 / 2: one flip, one mode apart
+            (((1, 3), (3, 5)), (2, 5), 0.5**0.5),
+            # X_12 = gamma_2 gamma_1 / 2 named X_34 = gamma_4 gamma_3 / 2: flip 0, two modes apart
+            (((1, 3), (2, 3)), (3, 4), 1.0),
+        ],
+    )
+    def test_wrong_bracket_symbol_on_the_same_flip(self, monkeypatch, pair, wrong, residual):
+        # the named monomial and the bracket's share their flip, so the dense loop reads
+        # |lambda -+ i^m w| over m modes where they differ, not the larger modulus
+        n, bracket_symbols = 2, so.bracket_symbols
+
+        def misnamed(a, b):
+            terms = bracket_symbols(a, b)
+            return ((wrong, terms[0][1]),) if (a, b) == pair else terms
+
+        monkeypatch.setattr(so, "bracket_symbols", misnamed)
+        structure = checks.structure_constants(n)
+        swept = checks.check_homomorphism("spin", row_images(n, "spin"), structure).residual
+        assert swept == pairwise_residual(n, misnamed, basis_images(n, "spin")) == residual
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_flip_sweep_matches_pairwise_loop_on_generic_phases(self, n):
-        # generic phases on each image's own flip: the two sweeps sum in
-        # different orders, so they agree to rounding of entries of size about one
+        # generic phases on each image's own flip break the premise that each basis image is
+        # 1/2 its gammas' product; the row reads the largest deviation, which a dense product
+        # loop reads too, to rounding of entries of size about one
         rng = np.random.default_rng(200 + n)
-        flip, phase = spin_flips(n)
+        (flip, phase), gammas = row_images(n, "spin")
         phase = phase + 1e-3 * (rng.standard_normal(phase.shape) + 1j * rng.standard_normal(phase.shape))
-        flips, images = (flip, phase), np.stack([dense(image) for image in zip(flip[:-1], phase)])
-        swept = checks.check_homomorphism("spin", flips, checks.structure_constants(n)).residual
-        reference = pairwise_residual(n, so.bracket_symbols, images)
+        swept = checks.check_homomorphism("spin", ((flip, phase), gammas), checks.structure_constants(n))
+        left, right = checks._clifford_words(n)
+        dense_gammas = [dense(g) for g in zip(*gammas)]
+        reference = max(np.max(np.abs(dense(image) - dense_gammas[i] @ dense_gammas[j] / 2))
+                        for image, i, j in zip(zip(flip[:-1], phase), left, right))
         assert reference > 1e-4
-        assert swept == pytest.approx(reference, rel=0, abs=1e-13)
+        assert swept.residual == pytest.approx(reference, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tag", ["spin", "defining"])
     def test_matches_pairwise_loop_on_corrupted_constants(self, monkeypatch, n, tag):
-        # dyadic images, so both sweeps are exact and agree to the bit
+        # dyadic images, so both sweeps are exact and agree to the bit, pair by pair
         corrupted = flip_some(n, seed=n)
         images = basis_images(n, tag)
         monkeypatch.setattr(so, "bracket_symbols", corrupted)
-        batched = checks._homomorphism_residual(checks.structure_constants(n), images)
+        structure = checks.structure_constants(n)
+        batched = checks.check_homomorphism(tag, row_images(n, tag), structure).residual
         assert batched > 0.0
         assert batched == pairwise_residual(n, corrupted, images)
+        assert np.array_equal(row_gaps(n, tag, structure), dense_gaps(structure, images))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_pairwise_loop_on_perturbed_images(self, n):
-        # generic images: the two sweeps sum in different orders, so they
-        # agree to rounding of entries of size about one
-        rng = np.random.default_rng(100 + n)
-        images = basis_images(n, "spin")
-        noise = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
-        images = images + 1e-3 * noise
-        batched = checks._homomorphism_residual(checks.structure_constants(n), images)
+        # generic values on signed partial permutations: the two sweeps sum in different
+        # orders, so they agree to rounding of entries of size about one
+        images = generic_defining(n, 100 + n)
+        batched = checks.check_homomorphism("defining", images, checks.structure_constants(n)).residual
         reference = pairwise_residual(n, so.bracket_symbols, images)
         assert reference > 1e-4
         assert batched == pytest.approx(reference, rel=0, abs=1e-13)
 
+    @pytest.mark.parametrize("tag", ["spin", "defining"])
+    def test_bracket_of_symbols_sharing_no_index_fails(self, tag):
+        # X_12 and X_34 commute, and their images share no row or column: a table that names a
+        # bracket there reads its term alone, as the dense loop does
+        n, syms = 2, so.symbols(2)
+        index, sign = checks.structure_constants(n)
+        a, b = syms.index((1, 2)), syms.index((3, 4))
+        index, sign = index.copy(), sign.copy()
+        index[a, b], sign[a, b] = syms.index((1, 5)), -1.0
+        gaps = row_gaps(n, tag, (index, sign))
+        assert np.array_equal(gaps, dense_gaps((index, sign), basis_images(n, tag)))
+        assert np.argwhere(gaps).tolist() == [[a, b]]
+        assert not checks.check_homomorphism(tag, row_images(n, tag), (index, sign)).passed
 
-def count_sweeps(monkeypatch):
-    """The number of ordered pairs each bracket sweep reads, one entry per sweep, from _sweep_start."""
-    counts, sweep_start = [], checks._sweep_start
-
-    def counted(target, coeff, sign):
-        start = sweep_start(target, coeff, sign)
-        counts.append(int((len(coeff) - start).sum()))
-        return start
-
-    monkeypatch.setattr(checks, "_sweep_start", counted)
-    return counts
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_second_entry_in_a_column_fails_by_its_modulus(self, n):
+        # X_12 takes e_2 to e_1; an entry at row 3 of column 2 is no signed partial permutation
+        images = basis_images(n, "defining")
+        images[0, 2, 1] = 0.25
+        result = checks.check_homomorphism("defining", images, checks.structure_constants(n))
+        assert not result.passed
+        assert result.residual == 0.25
 
 
 def negated_at(pairs):
@@ -224,54 +300,60 @@ def negated_at(pairs):
 
 
 class TestHalfSweep:
+    """The pairs a > b below the diagonal of a mirrored table, which every sweep reads."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mirrored_tables_sweep_a_le_b(self, monkeypatch, n):
-        # car, clifford-anticommutation, homomorphism-defining, homomorphism-spin, car-on-subspace
-        counts = count_sweeps(monkeypatch)
+        # a table still mirrored, with the last nonzero bracket below the diagonal negated on
+        # both sides: each row's per-pair table is nonzero there and only there
         assert all(r.passed for r in checks.run_verify(n, (1.0, 1.5, 2.5, 4.0)[:n]))
-        s, ladders = len(so.symbols(n)), 2 * n
-        half, ladder_half = s * (s + 1) // 2, ladders * (ladders + 1) // 2
-        assert counts == [ladder_half, ladder_half, half, half, ladder_half]
+        syms = so.symbols(n)
+        a, b = [(a, b) for a in range(len(syms)) for b in range(a) if so.bracket_symbols(syms[a], syms[b])][-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(so, "bracket_symbols", negated_at({(syms[a], syms[b]), (syms[b], syms[a])}))
+            structure = checks.structure_constants(n)
+        for tag, wrong in [("defining", 2.0), ("spin", 1.0)]:
+            gaps = row_gaps(n, tag, structure)
+            assert np.argwhere(gaps).tolist() == [[b, a], [a, b]]
+            assert gaps[a, b] == gaps[b, a] == wrong
 
     @pytest.mark.parametrize("sides", [1, 2])
     def test_corrupted_bracket_fails_on_its_sweep(self, monkeypatch, sides):
-        # one side negated breaks the antisymmetry, so all S^2 pairs are swept; [X_b, X_a] negated
-        # with [X_a, X_b] keeps it, so a <= b is swept and reaches the corrupted pair
+        # one side negated breaks the antisymmetry, [X_b, X_a] negated with [X_a, X_b] keeps it:
+        # both rows fail either way, at the corrupted pairs alone
         n = 3
-        last = tuple(so.symbols(n)[-2:][::-1])
+        syms = so.symbols(n)
+        last = tuple(syms[-2:][::-1])
+        corrupted = {last, last[::-1]} if sides == 2 else {last}
         with monkeypatch.context() as patch:
-            patch.setattr(so, "bracket_symbols", negated_at({last, last[::-1]} if sides == 2 else {last}))
+            patch.setattr(so, "bracket_symbols", negated_at(corrupted))
             structure = checks.structure_constants(n)
-        counts = count_sweeps(monkeypatch)
-        assert not checks.check_homomorphism("defining", basis_images(n, "defining"), structure).passed
-        assert not checks.check_homomorphism("spin", spin_flips(n), structure).passed
-        s = len(so.symbols(n))
-        assert counts == [s * s if sides == 1 else s * (s + 1) // 2] * 2
+        for tag in ("defining", "spin"):
+            assert not checks.check_homomorphism(tag, row_images(n, tag), structure).passed
+            found = {(syms[a], syms[b]) for a, b in np.argwhere(row_gaps(n, tag, structure))}
+            assert found == corrupted
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_sweep_reads_the_full_sweeps_bits(self, monkeypatch, n):
-        # generic phases: (b, a)'s residual is (a, b)'s negated term by term, so both maxima agree
-        # to the bit; the defining images are integral, so their products are exact. One bracket is
-        # negated on both sides, which keeps the table antisymmetric and the residuals nonzero.
+        # generic values, and one bracket negated on both sides, which keeps the table
+        # antisymmetric and the residuals nonzero: (b, a) reads (a, b)'s residual, and both
+        # the defining sweep and the CAR sweep read the dense loops' maxima to rounding
         rng = np.random.default_rng(300 + n)
         pair = (so.symbols(n)[0], so.symbols(n)[1])
+        corrupted = negated_at({pair, pair[::-1]})
         with monkeypatch.context() as patch:
-            patch.setattr(so, "bracket_symbols", negated_at({pair, pair[::-1]}))
+            patch.setattr(so, "bracket_symbols", corrupted)
             structure = checks.structure_constants(n)
-        flip, phase = spin_flips(n)
-        flips = (flip, phase + 1e-3 * (rng.standard_normal(phase.shape) + 1j * rng.standard_normal(phase.shape)))
+        images = generic_defining(n, 300 + n)
+        gaps = checks._defining_gaps(images, structure)
+        assert gaps.max() > 1e-4
+        assert np.allclose(gaps, gaps.T, rtol=0, atol=1e-15)
+        assert gaps.max() == pytest.approx(pairwise_residual(n, corrupted, images), rel=0, abs=1e-13)
         ladders = [fock.ladder(k, n) for k in signed_modes(n)]
         ladders = [(f, p + 1e-3 * rng.standard_normal(p.shape)) for f, p in ladders]
-        defining = basis_images(n, "defining")
-
-        def residuals():
-            return (checks._flip_residual(flips, -1, *structure), checks._car_residual(ladders),
-                    checks._homomorphism_residual(structure, defining))
-
-        half = residuals()
-        assert min(half) > 1e-4
-        monkeypatch.setattr(checks, "_sweep_start", lambda target, coeff, sign: np.zeros(len(coeff), dtype=int))
-        assert residuals() == half
+        reference = car_residual([dense(c) for c in ladders[:n]], [dense(c) for c in ladders[n:]])
+        assert reference > 1e-4
+        assert checks._car_residual(ladders) == pytest.approx(reference, rel=0, abs=1e-13)
 
 
 class TestWordImages:
@@ -427,6 +509,36 @@ class TestMutationsThroughRunVerify:
         self.patch_ladder_images(monkeypatch, n, {1: -1, -1: 1})
         assert failing_rows(n) == ["ladder-spin-image"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_opposite_spin_product_order_fails(self, monkeypatch, n):
+        # X_jk -> gamma_j gamma_k / 2: each two-letter basis image is no longer 1/2 gamma_k gamma_j;
+        # H_j = -i X_{2j-1,2j} changes sign, and so does every product in H that reads it
+        def opposite(elem):
+            N = so.matrix_size(elem.n)
+            for word, coeff in elem.terms.items():
+                flip, phase = fock.monomial([i for j, k in word for i in ((j,) if k == N else (j, k))], elem.n)
+                yield flip, coeff.to_complex() * 0.5 ** len(word) * phase
+
+        monkeypatch.setattr(so, "_spin_monomials", opposite)
+        assert failing_rows(n) == ["homomorphism-spin", "cartan-weights", "hamiltonian-decomposition"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_opposite_product_order_in_the_row_fails(self, monkeypatch, n):
+        # the row's own words as gamma_j gamma_k: the images are not 1/2 those products, and the
+        # table is not their bracket, the bracket of two vector-type images coming out negated
+        words = checks._clifford_words(n)
+        swapped = (np.where(words[1] < 0, *words), np.where(words[1] < 0, words[1], words[0]))
+        assert checks._clifford_gaps(swapped, checks.structure_constants(n)).max() == 1.0
+        monkeypatch.setattr(checks, "_clifford_words", lambda _: swapped)
+        assert failing_rows(n) == ["homomorphism-spin"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transposed_defining_image_fails(self, monkeypatch, n):
+        # X_13 -> E_31 - E_13; H reads no X_13, so only the homomorphism row sees it
+        defining_rep, transposed = so.defining_rep, so.basis_element(n, 1, 3)
+        monkeypatch.setattr(so, "defining_rep", lambda e: defining_rep(e).T if e == transposed else defining_rep(e))
+        assert failing_rows(n) == ["homomorphism-defining"]
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_reversed_jordan_wigner_order(self, monkeypatch, n):
         # still ladders that satisfy the CAR; they differ from the wedge and
@@ -462,7 +574,7 @@ class TestWorkBudget:
         assert [r.name for r in results if not r.passed] == []
 
     def test_passes_at_eight_modes(self):
-        # verify is bounded by the mode count alone; n = 12 takes 12-14 s
+        # verify is bounded by the mode count alone; n = 12 takes about 0.5 s
         start = time.perf_counter()
         results = checks.run_verify(8, range(1, 9))
         assert time.perf_counter() - start < 10.0

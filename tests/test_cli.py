@@ -203,6 +203,7 @@ def test_no_eigendecomposition_on_command_path(capsys, monkeypatch, argv):
             "3bb900de83f94560cee7cb47982f7053bcdf2e7c25160bd056587168ce130df8",
         ),
         (["verify", "--n", "8", "--format", "csv"], "69c3c49d9d2de52a158b42cde9a4546b4ac546e201ae3e2df371dd653db8dc4e"),
+        (["verify", "--n", "12", "--format", "csv"], "a178520758cf97fc407b66c20db5953cc6293e9dff2ce3b48b04f15d7c58ed83"),
     ],
 )
 def test_report_bytes_pinned(capsys, argv, sha256):
